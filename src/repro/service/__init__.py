@@ -7,7 +7,7 @@ hard dependency budget at the standard library:
 * :mod:`repro.service.http` — minimal asyncio HTTP/1.1 + SSE plumbing (server
   and the matching test/benchmark client);
 * :mod:`repro.service.registry` — the named tenant registry and the
-  one-writer-per-engine / immutable-read-view concurrency model;
+  one-writer-per-engine / O(1)-read-view concurrency model;
 * :mod:`repro.service.app` — the route table, connection loop, and the
   :class:`ServiceRunner` harness for synchronous callers.
 

@@ -23,9 +23,14 @@ GET       ``/engines/<name>/events``           SSE stream of engine events
                                                (``?kinds=a,b`` filter, ``?limit=N``)
 ========  ===================================  =======================================
 
-Reads are answered from the tenant's last published
-:class:`~repro.service.registry.EngineView` and therefore never wait on the
-writer; mutations resolve when the tenant's writer task commits them.
+Mutations resolve when the tenant's writer task commits them, and answer
+from the :class:`~repro.service.registry.EngineView` that command published.
+``/counts`` and the tenant summaries serve the last published view's scalars
+and never wait on the writer.  The vertex reads are built from the live
+engine at a batch boundary through
+:meth:`~repro.service.registry.ManagedEngine.read_at`; they run on the default
+executor, since they may wait for the one command in flight, and answer 503
+rather than read a graph a failed command left mid-batch.
 
 :class:`ServiceRunner` runs the whole service on a dedicated event-loop thread
 so synchronous callers — pytest, the CLI, the E15 load harness's reference
@@ -65,6 +70,7 @@ from repro.service.registry import (
     DuplicateEngineError,
     EngineFailedError,
     EngineRegistry,
+    EngineView,
     ManagedEngine,
     UnknownEngineError,
 )
@@ -75,6 +81,12 @@ STREAMABLE_EVENT_KINDS = tuple(EVENT_KINDS) + (EVENT_ENGINE_CLOSED,)
 #: Hard cap on one ingestion request (the load harness sends far smaller
 #: windows; a bigger batch should be split client-side, not buffered here).
 MAX_BATCH_UPDATES = 100_000
+
+
+async def _off_loop(read, *args):
+    """Run a blocking tenant read on the default executor: it may wait on the
+    tenant lock for the command in flight, which must not stall the loop."""
+    return await asyncio.get_running_loop().run_in_executor(None, read, *args)
 
 
 def _status_for(error: ReproError) -> int:
@@ -259,11 +271,11 @@ class ReproService:
         if rest == ("vertices",):
             if request.method != "GET":
                 raise HttpError(405, "vertices supports GET only")
-            return 200, self._vertices_payload(name, managed, request.query)
+            return 200, await self._vertices_payload(name, managed, request.query)
         if rest[:1] == ("vertices",) and len(rest) == 2:
             if request.method != "GET":
                 raise HttpError(405, "vertex stats supports GET only")
-            return 200, self._vertex_payload(name, managed, rest[1])
+            return 200, await self._vertex_payload(name, managed, rest[1])
         raise HttpError(404, f"no route for {request.path!r}")
 
     # -- handlers ------------------------------------------------------------
@@ -303,7 +315,7 @@ class ReproService:
             self._tuple_codec.encode(layered_update_from_dict(item)) for item in raw
         ]
 
-    def _vertices_payload(
+    async def _vertices_payload(
         self, name: str, managed: ManagedEngine, query: Dict[str, str]
     ) -> dict:
         raw_top = query.get("top", "10")
@@ -313,23 +325,30 @@ class ReproService:
             raise HttpError(400, f"top must be an integer, got {raw_top!r}") from error
         if top < 1:
             raise HttpError(400, f"top must be positive, got {top}")
-        view = managed.view
-        return {
-            "engine": name,
-            "num_vertices": view.num_vertices,
-            "num_edges": view.num_edges,
-            "as_of_updates": view.updates_processed,
-            "top": view.top_degrees(top),
-        }
 
-    def _vertex_payload(self, name: str, managed: ManagedEngine, label: str) -> dict:
-        view = managed.view
-        vertex = view.resolve_vertex(label)
-        if vertex is None:
+        def read() -> dict:
+            view = managed.read_at(None, EngineView.load)
+            return {
+                "engine": name,
+                "num_vertices": view.num_vertices,
+                "num_edges": view.num_edges,
+                "as_of_updates": view.updates_processed,
+                "top": view.top_degrees(top),  # outside the tenant lock
+            }
+
+        return await _off_loop(read)
+
+    async def _vertex_payload(
+        self, name: str, managed: ManagedEngine, label: str
+    ) -> dict:
+        stats = await _off_loop(
+            managed.read_at, None, lambda view, engine: view.vertex_stats(engine, label)
+        )
+        if stats is None:
             raise HttpError(
                 404, f"engine {name!r} has no vertex {label!r} in its current view"
             )
-        return {"engine": name, **view.vertex_stats(vertex)}
+        return {"engine": name, **stats}
 
     # -- the event stream ----------------------------------------------------
     async def _serve_events(

@@ -5,15 +5,25 @@ The service's concurrency contract lives here, not in the HTTP layer:
 * **one writer per engine** — every mutation (update batches, consistency
   recounts, WAL compaction) is a command on that tenant's
   :class:`asyncio.Queue`, drained by a single writer task that executes each
-  command on the tenant's *own single-thread executor*.  The engine object is
-  only ever touched from that thread, so the counters need no locks, and a
-  long ``apply_batch`` never stalls the event loop — other tenants and every
-  reader keep being served;
-* **readers never touch the live counter** — after each successful command the
-  writer republishes an immutable :class:`EngineView` built from
-  ``engine.checkpoint()``, and every read endpoint serves from the last
-  published view.  Swapping one attribute reference is atomic, so a read is
-  exact at some batch boundary and can never observe a torn mid-batch state;
+  command on the tenant's *own single-thread executor*.  The engine is only
+  ever mutated from that thread, so the counters need no locks of their own,
+  and a long ``apply_batch`` never stalls the event loop — other tenants and
+  every scalar read keep being served;
+* **views are O(1) to publish** — after each successful command the writer
+  publishes an :class:`EngineView` of scalars read off the engine (count,
+  updates processed, edge and vertex counts, durable seq).  Swapping one
+  attribute reference is atomic, so ``/counts`` and tenant summaries are exact
+  at some batch boundary and never wait on the writer.  Nothing is copied per
+  command, so ``checkpoint`` events mark only real checkpoints (WAL snapshots,
+  compaction, explicit ``checkpoint()`` calls);
+* **full-state reads are built at a batch boundary** — a view's
+  :attr:`EngineView.snapshot`, the degree table and one vertex's degree are
+  read off the live engine on demand through :meth:`ManagedEngine.read_at`,
+  under a per-tenant lock the writer holds for each command and its publish.
+  Such a read may wait for the one command in flight (so it runs on a worker
+  thread, never on the event loop), and it refuses with
+  :class:`EngineFailedError` once the graph has moved past its view, so it is
+  exact at a batch boundary and never serves a graph a failed command tore;
 * **fail-stop tenants stay recoverable** — a durability-class failure (a
   mid-batch counter error, an injected crash, WAL corruption) marks the tenant
   failed and closes its engine, releasing the WAL fd; the log on disk is the
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -75,43 +86,64 @@ class DuplicateEngineError(ServiceError):
 
 
 class EngineFailedError(ServiceError):
-    """The tenant fail-stopped and awaits recovery (HTTP 503)."""
+    """The tenant fail-stopped and awaits recovery, or a full-state read's
+    view is no longer the engine's state (HTTP 503)."""
 
 
 class EngineView:
-    """An immutable read view published at a batch boundary.
+    """The scalars of one batch boundary, published by the writer in O(1).
 
-    Wraps one :class:`~repro.api.engine.EngineSnapshot` plus the durability
-    cursor; per-vertex structures are derived lazily (and only ever from the
-    event-loop thread, so the cache needs no lock) because most reads want the
-    scalar counts.
+    Full state is not copied at publish time: :attr:`snapshot` and the
+    per-vertex reads are built from the live engine on demand, through
+    :meth:`ManagedEngine.read_at`, which holds the engine at this view's
+    boundary or refuses.  The snapshot is built at most once per view and is
+    freed with it.
     """
 
-    __slots__ = ("snapshot", "last_durable_seq", "batches_applied", "_degrees")
+    __slots__ = (
+        "count", "updates_processed", "num_edges", "num_vertices", "last_durable_seq",
+        "batches_applied", "version", "_managed", "_snapshot", "_degrees",
+    )
 
-    def __init__(
-        self, snapshot: EngineSnapshot, last_durable_seq: int, batches_applied: int
-    ) -> None:
-        self.snapshot = snapshot
-        self.last_durable_seq = last_durable_seq
+    def __init__(self, managed: "ManagedEngine", batches_applied: int) -> None:
+        engine = managed.engine
+        self.count = engine.count
+        self.updates_processed = engine.updates_processed
+        self.num_edges = engine.num_edges
+        self.num_vertices = engine.num_vertices
+        self.last_durable_seq = engine.last_durable_seq
         self.batches_applied = batches_applied
+        #: The graph's mutation counter at this boundary (see ``read_at``).
+        self.version = engine.graph.version
+        self._managed = managed
+        self._snapshot: Optional[EngineSnapshot] = None
         self._degrees: Optional[Dict[object, int]] = None
 
     @property
-    def count(self) -> int:
-        return self.snapshot.count
+    def snapshot(self) -> EngineSnapshot:
+        """The engine state at this boundary, copied on first use.
 
-    @property
-    def updates_processed(self) -> int:
-        return self.snapshot.updates_processed
+        Raises :class:`EngineFailedError` when the engine has moved past this
+        view; see :meth:`ManagedEngine.read_at` for where it may be called.
+        """
+        if self._snapshot is None:
+            self._managed.read_at(self, EngineView.load)
+        return self._snapshot
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.snapshot.edges)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.snapshot.vertices)
+    def load(self, engine: FourCycleEngine) -> "EngineView":
+        """Copy ``engine``'s graph into this view's snapshot (once); a
+        :meth:`ManagedEngine.read_at` callback.  Returns the view."""
+        if self._snapshot is None:
+            graph = engine.graph
+            self._snapshot = EngineSnapshot(
+                config=engine.config.to_dict(),
+                count=self.count,
+                updates_processed=self.updates_processed,
+                vertices=tuple(graph.vertices()),
+                edges=tuple(graph.edges()),
+                wal_seq=self.last_durable_seq if engine.wal is not None else None,
+            )
+        return self
 
     def degrees(self) -> Dict[object, int]:
         """Vertex -> degree over the view's edge set (isolated vertices 0)."""
@@ -123,28 +155,28 @@ class EngineView:
             self._degrees = degrees
         return self._degrees
 
-    def resolve_vertex(self, label: str):
-        """Map a URL path segment onto a vertex of this view.
+    def vertex_stats(
+        self, engine: FourCycleEngine, label: str
+    ) -> Optional[Dict[str, object]]:
+        """One vertex's degree at this boundary, ``None`` when ``label`` names
+        no vertex; a :meth:`ManagedEngine.read_at` callback (no snapshot).
 
         Tries the raw string, then the integer reading (vertex labels from the
-        synthetic workloads are ints); returns ``None`` when neither is a
-        known vertex.  Tuple-labelled vertices (the layered encoding) are
-        reachable through :meth:`top_degrees`, not by path segment.
+        synthetic workloads are ints).  Tuple-labelled vertices (the layered
+        encoding) are reachable through :meth:`top_degrees`, not by path segment.
         """
-        degrees = self.degrees()
-        if label in degrees:
-            return label
-        try:
-            numeric = int(label)
-        except ValueError:
-            return None
-        return numeric if numeric in degrees else None
-
-    def vertex_stats(self, vertex) -> Dict[str, object]:
-        degree = self.degrees()[vertex]
+        graph = engine.graph
+        vertex = label
+        if not graph.has_vertex(vertex):
+            try:
+                vertex = int(label)
+            except ValueError:
+                return None
+            if not graph.has_vertex(vertex):
+                return None
         return {
             "vertex": vertex,
-            "degree": degree,
+            "degree": graph.degree(vertex),
             "as_of_updates": self.updates_processed,
         }
 
@@ -215,7 +247,11 @@ def build_engine(
 
 
 class ManagedEngine:
-    """One tenant: an engine, its writer task, and its published read view."""
+    """One tenant: an engine, its writer task, and its published read view.
+
+    ``view`` is the latest :class:`EngineView`; the writer replaces it (one
+    attribute store) after every successful command.
+    """
 
     def __init__(
         self,
@@ -235,9 +271,10 @@ class ManagedEngine:
         self._failure: Optional[BaseException] = None
         self._closed = False
         self._subscribers: List[asyncio.Queue] = []
-        #: Published read view; swapped (atomically, one attribute store) by
-        #: the writer thread after every successful command.
-        self.view = EngineView(engine.checkpoint(), engine.last_durable_seq, 0)
+        #: Held by the writer for each command and its publish, and by
+        #: :meth:`read_at` for each full-state read.
+        self._lock = threading.Lock()
+        self.view = EngineView(self, 0)
         self._unsubscribe = engine.subscribe(self._bridge_event)
         self._writer = loop.create_task(self._writer_loop(), name=f"writer-{name}")
 
@@ -297,19 +334,45 @@ class ManagedEngine:
             else:
                 future.set_result(result)
 
-    def _execute(self, operation: Callable[[FourCycleEngine], object]):
-        """Run one command on the engine, then republish the read view.
+    def _execute(
+        self, operation: Callable[[FourCycleEngine], object]
+    ) -> Tuple[object, EngineView]:
+        """Run one command on the engine and publish its view; returns both.
 
         Runs on the tenant's writer thread — the only place the live engine
-        is ever touched after construction.
+        is ever mutated after construction — and holds the tenant lock
+        throughout, so :meth:`read_at` sees the engine only at a published
+        boundary.
         """
-        result = operation(self.engine)
-        self.view = EngineView(
-            self.engine.checkpoint(),
-            self.engine.last_durable_seq,
-            self.view.batches_applied + 1,
-        )
-        return result
+        with self._lock:
+            result = operation(self.engine)
+            view = self.view = EngineView(self, self.view.batches_applied + 1)
+        return result, view
+
+    def read_at(
+        self,
+        view: Optional[EngineView],
+        read: Callable[[EngineView, FourCycleEngine], object],
+    ):
+        """Return ``read(view, engine)`` with the engine at ``view``'s boundary.
+
+        ``view=None`` reads at the latest published view.  The tenant lock is
+        held for the read, and the writer holds it for each command, so this
+        may wait for the one command in flight: call it from a worker thread,
+        never from the event loop, and never from the writer thread (it would
+        deadlock).  Raises :class:`EngineFailedError` when the graph has moved
+        past the view — newer commands ran since, or a failed command tore
+        it — so every full-state read is exact at a batch boundary.
+        """
+        with self._lock:
+            current = self.view if view is None else view
+            if self.engine.graph.version != current.version:
+                raise EngineFailedError(
+                    f"engine {self.name!r} has moved past its view at "
+                    f"{current.updates_processed} updates (newer commands ran, or "
+                    f"a failed command left the graph mid-batch)"
+                )
+            return read(current, self.engine)
 
     def _fail(self, error: BaseException) -> None:
         """Fail-stop: remember the cause and release the WAL fd so recovery
@@ -335,39 +398,40 @@ class ManagedEngine:
         return await future
 
     # -- commands ------------------------------------------------------------
+    # Each command answers from the view it published itself: by the time the
+    # caller resumes, the writer may already have published the next one.
     async def apply_updates(self, updates: List[EdgeUpdate]) -> Dict[str, object]:
         """Apply one window through the writer; resolves at the batch boundary."""
         if not updates:
             raise ConfigurationError("update batch must not be empty")
         if len(updates) == 1:
-            count = await self._submit(lambda engine: engine.apply(updates[0]))
+            _, view = await self._submit(lambda engine: engine.apply(updates[0]))
         else:
-            count = await self._submit(lambda engine: engine.apply_batch(updates))
-        view = self.view
+            _, view = await self._submit(lambda engine: engine.apply_batch(updates))
         return {
             "engine": self.name,
             "applied": len(updates),
-            "count": count,
+            "count": view.count,
             "updates_processed": view.updates_processed,
             "last_durable_seq": view.last_durable_seq,
         }
 
     async def check_consistency(self) -> Dict[str, object]:
         """A from-scratch recount on the live counter, serialized with writes."""
-        consistent = await self._submit(lambda engine: engine.is_consistent())
+        consistent, view = await self._submit(lambda engine: engine.is_consistent())
         return {
             "engine": self.name,
             "consistent": bool(consistent),
-            "count": self.view.count,
-            "updates_processed": self.view.updates_processed,
+            "count": view.count,
+            "updates_processed": view.updates_processed,
         }
 
     async def compact(self) -> Dict[str, object]:
-        remaining = await self._submit(lambda engine: engine.compact_wal())
+        remaining, view = await self._submit(lambda engine: engine.compact_wal())
         return {
             "engine": self.name,
             "remaining_records": remaining,
-            "last_durable_seq": self.view.last_durable_seq,
+            "last_durable_seq": view.last_durable_seq,
         }
 
     # -- events --------------------------------------------------------------

@@ -61,6 +61,7 @@ class TestValidationAndCreate:
 
 
 class TestRegistration:
+    @pytest.mark.usefixtures("scoped_counter_specs")
     def test_register_spec_overwrite_protection(self):
         spec = CounterSpec(
             name="api-test-counter",

@@ -11,6 +11,19 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.updates import EdgeUpdate, UpdateStream
 
 
+@pytest.fixture
+def scoped_counter_specs():
+    """Restore the process-wide counter spec store after a test that
+    registers specs, so later tests (and the benchmarks that enumerate
+    ``available_counter_names()``) never see test-only counters."""
+    from repro.core import specs
+
+    saved = dict(specs._SPECS)
+    yield
+    specs._SPECS.clear()
+    specs._SPECS.update(saved)
+
+
 def square_edges() -> list[tuple[str, str]]:
     """A single 4-cycle a-b-c-d-a."""
     return [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]

@@ -40,6 +40,7 @@ class TestRegistry:
             with pytest.raises(ConfigurationError, match=r"'bogus'.*'wedge'"):
                 create_counter("wedge", bogus=1)
 
+    @pytest.mark.usefixtures("scoped_counter_specs")
     def test_register_and_overwrite_protection(self):
         register_counter("custom-test-counter", BruteForceCounter, overwrite=True)
         assert "custom-test-counter" in available_counters()
@@ -47,6 +48,7 @@ class TestRegistry:
             register_counter("custom-test-counter", BruteForceCounter)
         register_counter("custom-test-counter", BruteForceCounter, overwrite=True)
 
+    @pytest.mark.usefixtures("scoped_counter_specs")
     def test_legacy_registration_skips_option_validation(self):
         """Bare factories have unknown signatures; their kwargs pass through."""
         register_counter("custom-test-counter", BruteForceCounter, overwrite=True)

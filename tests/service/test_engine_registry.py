@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.service import (
     DuplicateEngineError,
     EngineFailedError,
     EngineRegistry,
+    EngineView,
     UnknownEngineError,
 )
 
@@ -175,7 +177,9 @@ class TestWriterModel:
         """The snapshot-isolation contract: while one writer applies batches,
         every concurrently sampled read view is exact at some batch boundary —
         its (updates_processed, count) pair matches the reference replay at
-        that boundary — and is never a torn mid-batch state."""
+        that boundary — and is never a torn mid-batch state.  So is every
+        full-state read built through ``read_at``: its edge set is the
+        reference replay's at that boundary."""
 
         async def scenario():
             registry = EngineRegistry()
@@ -189,17 +193,30 @@ class TestWriterModel:
             ]
             reference = FourCycleEngine(EngineConfig(counter="wedge"))
             expected = {0: 0}
+            expected_edges = {0: set()}
             for batch in batches:
                 reference.apply_batch(batch)
                 expected[reference.updates_processed] = reference.count
+                expected_edges[reference.updates_processed] = set(reference.graph.edges())
 
             samples = []
+            full_reads = []
             writer_done = asyncio.Event()
+            loop = asyncio.get_running_loop()
 
             async def reader():
                 while not writer_done.is_set():
                     view = managed.view
                     samples.append((view.updates_processed, view.count))
+                    # The full-state read may wait on the writer's command,
+                    # so it runs on a worker thread, never on the loop.
+                    loaded = await loop.run_in_executor(
+                        None, managed.read_at, None, EngineView.load
+                    )
+                    snapshot = loaded.snapshot
+                    full_reads.append(
+                        (snapshot.updates_processed, snapshot.count, set(snapshot.edges))
+                    )
                     await asyncio.sleep(0)
 
             async def writer():
@@ -217,10 +234,86 @@ class TestWriterModel:
                     f"read at boundary {processed} saw count {count}, "
                     f"reference says {expected[processed]}"
                 )
+            assert full_reads, "no full-state read ran against the active writer"
+            for processed, count, edges in full_reads:
+                assert count == expected[processed]
+                assert edges == expected_edges[processed], (
+                    f"full-state read at boundary {processed} saw another edge set"
+                )
             # The readers genuinely interleaved with the writer: they saw
             # more than just the initial and final states.
             assert len({processed for processed, _ in samples}) > 2
+            assert len({processed for processed, _, _ in full_reads}) > 2
             assert managed.view.updates_processed == len(updates)
+            await registry.close()
+
+        # A short switch interval interleaves the writer and reader threads
+        # far more often than the default 5 ms would.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            drive(scenario)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_command_responses_come_from_one_batch_boundary(self):
+        """Regression: a command's response used to read the latest view after
+        the command resolved, by which time the writer could have published
+        the next producer's command — mixing two boundaries in one response.
+        Producers post disjoint 4-cycles, so every boundary has exactly
+        ``count * 4 == updates_processed``, and each command's response names
+        its own boundary, so together they name every boundary once."""
+
+        async def scenario():
+            registry = EngineRegistry()
+            managed = await registry.create(
+                "alpha", {"counter": "wedge", "track_costs": False}
+            )
+            producers, posts = 3, 100
+            responses = []
+
+            async def producer(index):
+                for post in range(posts):
+                    base = 4 * (index * posts + post)
+                    ring = [base, base + 1, base + 2, base + 3]
+                    cycle = [
+                        EdgeUpdate.insert(ring[i], ring[(i + 1) % 4]) for i in range(4)
+                    ]
+                    responses.append(await managed.apply_updates(cycle))
+
+            await asyncio.gather(*(producer(index) for index in range(producers)))
+            mixed = [
+                response
+                for response in responses
+                if response["count"] * 4 != response["updates_processed"]
+            ]
+            assert not mixed, f"{len(mixed)} responses mix two boundaries: {mixed[:3]}"
+            boundaries = sorted(response["updates_processed"] for response in responses)
+            assert boundaries == list(range(4, 4 * producers * posts + 1, 4))
+            await registry.close()
+
+        drive(scenario)
+
+    def test_snapshot_is_built_once_per_view_and_refused_once_stale(self):
+        async def scenario():
+            registry = EngineRegistry()
+            managed = await registry.create("alpha", {"counter": "wedge"})
+            loop = asyncio.get_running_loop()
+            await managed.apply_updates([EdgeUpdate.insert(1, 2), EdgeUpdate.insert(2, 3)])
+            built = managed.view
+            snapshot = await loop.run_in_executor(None, lambda: built.snapshot)
+            assert set(snapshot.edges) == {(1, 2), (2, 3)}
+            assert snapshot.count == 0 and snapshot.updates_processed == 2
+            await managed.apply_updates([EdgeUpdate.insert(3, 4)])
+            unbuilt = managed.view
+            await managed.apply_updates([EdgeUpdate.insert(4, 5)])
+            # A view keeps the snapshot it built; one that never built it can
+            # no longer, since the graph has moved past it.
+            assert built.snapshot is snapshot
+            with pytest.raises(EngineFailedError, match="moved past its view"):
+                await loop.run_in_executor(None, lambda: unbuilt.snapshot)
+            latest = await loop.run_in_executor(None, lambda: managed.view.snapshot)
+            assert latest.updates_processed == 4 and len(latest.edges) == 4
             await registry.close()
 
         drive(scenario)
@@ -303,13 +396,12 @@ class TestEventBridge:
             queue = managed.subscribe_queue(maxsize=2)
             for index in range(4):
                 await managed.apply_updates([EdgeUpdate.insert(index, index + 100)])
-            # Each committed command emits its apply event plus the checkpoint
-            # that republished the read view; a never-drained subscriber keeps
-            # only the newest two events (here: the final command's pair).
+            # Each committed single-update command emits one update-applied
+            # event; a never-drained subscriber keeps only the newest two.
             assert queue.qsize() == 2
             newest = [queue.get_nowait(), queue.get_nowait()]
-            assert [event["kind"] for event in newest] == ["update-applied", "checkpoint"]
-            assert all(event["updates_processed"] == 4 for event in newest)
+            assert [event["kind"] for event in newest] == ["update-applied"] * 2
+            assert [event["updates_processed"] for event in newest] == [3, 4]
             await registry.close()
 
         drive(scenario)

@@ -15,6 +15,7 @@ import socket
 
 import pytest
 
+from repro.exceptions import CounterStateError
 from repro.service import ServiceRunner
 
 
@@ -205,6 +206,49 @@ class TestProtocolErrors:
         make_engine(service, "alpha")
         status, body = request(service, "GET", "/engines/alpha/events?kinds=warp")
         assert status == 400 and "unknown event kind" in body["error"]
+
+
+class TestFailStopReads:
+    def test_torn_graph_is_never_served(self, service):
+        """A counter failure after its graph batch applied fail-stops the
+        tenant with the graph past the last published view: ``/counts`` keeps
+        answering from that view, while the vertex reads answer 503 rather
+        than report degrees from the torn graph."""
+        make_engine(service, "alpha")
+        status, _ = request(
+            service, "POST", "/engines/alpha/updates", {"updates": K4_CYCLE}
+        )
+        assert status == 200
+        counter = service.service.registry.get("alpha").engine.counter
+
+        def torn_hook(batch):
+            counter.graph.apply_batch(batch)
+            raise CounterStateError("injected failure after the graph batch applied")
+
+        counter._batch_hook = torn_hook
+        status, body = request(
+            service,
+            "POST",
+            "/engines/alpha/updates",
+            {
+                "updates": [
+                    {"u": 1, "v": 5, "kind": "insert"},
+                    {"u": 5, "v": 6, "kind": "insert"},
+                ]
+            },
+        )
+        assert status == 503 and body["type"] == "CounterStateError", body
+        status, counts = request(service, "GET", "/engines/alpha/counts")
+        assert status == 200
+        assert (counts["count"], counts["updates_processed"], counts["num_edges"]) == (
+            1,
+            4,
+            4,
+        )
+        for path in ("vertices/1", "vertices/5", "vertices"):
+            status, body = request(service, "GET", f"/engines/alpha/{path}")
+            assert status == 503 and body["type"] == "EngineFailedError", (path, body)
+            assert "degree" not in body and "top" not in body
 
 
 class TestEventStream:
