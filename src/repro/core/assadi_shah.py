@@ -15,7 +15,7 @@ top of the phase + FMM oracle:
   dense vertices of that layer; paths through two sparse middles are found by
   scanning the neighborhood of a non-high endpoint and reading the sparse-wedge
   structures; and when **both** endpoints are high the answer comes from the
-  phase decomposition (old-phase FMM products plus the new-phase deltas).
+  phase decomposition (scheduled old-phase products plus the new-phase deltas).
 
 Fidelity note.  The paper answers the high/high sparse-sparse case from six
 explicitly stored old/new combinations (Eq. (15)) plus a warm-up-algorithm

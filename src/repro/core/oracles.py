@@ -16,8 +16,9 @@ This module defines:
   the simplest exact oracle, used for cross-validation.
 * :class:`PhaseThreePathOracle` — the phase + fast-matrix-multiplication
   decomposition at the core of the paper's main algorithm: old-phase products
-  are precomputed with (fast) matrix multiplication spread over the phase, and
-  queries combine them with the signed delta edges of the recent phases.
+  are precomputed by matrix multiplication spread over the phase (exact
+  row-block SpGEMM standing in for the paper's fast matrix multiplication),
+  and queries combine them with the signed delta edges of the recent phases.
 * :class:`OracleBackedCounter` — a general-graph 4-cycle counter driven by any
   oracle through the Section 8 reduction.
 """
@@ -277,7 +278,11 @@ class PhaseThreePathOracle(ThreePathOracle):
     ``B_o · C_o`` and ``A_o · B_o · C_o`` of that snapshot are submitted to a
     :class:`~repro.matmul.scheduler.PhaseScheduler`, which advances them by a
     bounded amount of work on every update so the products are ready by the end
-    of the phase (Section 5.1 / Algorithm 2, Step 2).  Consequently the
+    of the phase (Section 5.1 / Algorithm 2, Step 2).  Each advance computes a
+    block of product rows with one exact SpGEMM call
+    (:class:`~repro.matmul.scheduler.IncrementalMatrixProduct`); the paper's
+    fast matrix multiplication appears only through the exponent models of
+    :mod:`repro.matmul.omega`.  Consequently the
     products available during a phase describe the snapshot taken one phase
     earlier, and the "new" edges span at most the current and previous phase —
     exactly the paper's ``P_new = P_{j+1} ∪ P_j``.
@@ -687,9 +692,8 @@ def _estimate_chain_cost(job: ChainProductJob) -> int:
 
 def _estimate_from_matrices(job: ChainProductJob) -> int:
     total = 0
-    matrices = getattr(job, "_matrices", [])
     previous_nnz = 0
-    for index, matrix in enumerate(matrices):
+    for index, matrix in enumerate(job.matrices):
         nnz = matrix.nnz
         if index == 0:
             previous_nnz = nnz

@@ -2,9 +2,10 @@
 
 :class:`PhaseFMMCounter` is :class:`~repro.core.oracles.OracleBackedCounter`
 specialised to :class:`~repro.core.oracles.PhaseThreePathOracle`: the exact
-phase decomposition with old-phase products computed by (fast) matrix
-multiplication spread across the phase.  It exposes the phase parameters so
-benchmarks (E6, E9) can sweep them.
+phase decomposition with old-phase products computed by row-block SpGEMM
+spread across the phase (the code's stand-in for the paper's fast matrix
+multiplication, whose exponent is modelled in :mod:`repro.matmul.omega`).
+It exposes the phase parameters so benchmarks (E6, E9) can sweep them.
 
 Under ``apply_batch`` the counter inherits the oracle's batch deferral: phase
 rollovers that fall inside a batch are postponed to the batch boundary (the
@@ -20,7 +21,7 @@ from repro.core.oracles import OracleBackedCounter, PhaseThreePathOracle
 
 
 class PhaseFMMCounter(OracleBackedCounter):
-    """4-cycle counter using phases and FMM old-phase products (exact)."""
+    """4-cycle counter using phases and scheduled old-phase products (exact)."""
 
     name = "phase-fmm"
 

@@ -40,6 +40,9 @@ HOT_PATHS: Tuple[Tuple[str, str], ...] = (
     ("repro/core/wedge_counter.py", "WedgeCounter._apply_incremental_delta"),
     ("repro/core/hhh22.py", "HHH22Counter._apply_structure_delta"),
     ("repro/core/oracles.py", "OracleBackedCounter._apply_structure_delta"),
+    # The phase scheduler's per-update share of the old-phase products.
+    ("repro/matmul/scheduler.py", "PhaseScheduler.work"),
+    ("repro/matmul/scheduler.py", "IncrementalMatrixProduct.advance"),
     # The IVM view's tuple-update path (the db-scenario twin of apply()).
     ("repro/db/ivm.py", "CyclicJoinCountView.apply"),
 )

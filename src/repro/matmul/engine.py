@@ -24,16 +24,20 @@ Multiplication can run on three backends:
   accumulation, no scipy).  This is the workhorse for sparse operands: cost is
   proportional to the same combinatorial quantity as the dict backend but the
   per-operation constant is numpy's, not the interpreter's.
-* :class:`DenseBackend` — converts to dense ``numpy`` arrays and uses BLAS.
-  This plays the role of *fast matrix multiplication* for the old-phase
-  products; the asymptotic exponent is modelled separately in
-  :mod:`repro.matmul.omega`.
+* :class:`DenseBackend` — converts to dense ``numpy`` arrays and uses BLAS,
+  the cheapest choice once the operands are dense enough.
+
+None of them is a sub-cubic algorithm: the paper's fast matrix
+multiplication enters through the exponent models of
+:mod:`repro.matmul.omega`, while the code computes the same products exactly
+with SpGEMM or BLAS.
 
 The positional (integer-indexed) :class:`CsrMatrix` value type and the
 :func:`csr_spgemm` kernel underneath :class:`CsrBackend` are also used
-directly by the counters' batched rebuild hooks, which dispatch between the
-dense and CSR kernels through
-:class:`repro.matmul.scheduler.ProductDispatcher`.
+directly: by the phase scheduler, which computes the old-phase products in
+row blocks (:class:`repro.matmul.scheduler.IncrementalMatrixProduct`), and by
+the counters' batched rebuild hooks, which dispatch between the dense and
+CSR kernels through :class:`repro.matmul.scheduler.ProductDispatcher`.
 
 :class:`MatmulEngine` picks a backend (or honours an explicit choice) and
 reports the work it performed to an optional cost callback, which the
@@ -269,6 +273,12 @@ def csr_spgemm(
         num_cols=num_cols,
     )
     return product, total_work
+
+
+def label_array(labels: Sequence[Label]) -> np.ndarray:
+    """``labels`` as a 1-D object array (a tuple label stays one element), so
+    a position array gathers its labels in one vectorized indexing step."""
+    return np.fromiter(labels, dtype=object, count=len(labels))
 
 
 @dataclass(frozen=True)
@@ -620,24 +630,39 @@ class CountMatrix:
             for i, j, value in zip(entry_rows, matrix.cols.tolist(), matrix.data.tolist()):
                 result.add(row_order[i], column_order[j], int(value))
             return result
-        column_labels = np.empty(len(column_order), dtype=object)
-        column_labels[:] = list(column_order)
-        entry_labels = column_labels[matrix.cols]
-        value_list = matrix.data.tolist()
-        indptr = matrix.indptr
-        rows = result._rows
-        for position in np.nonzero(np.diff(indptr))[0].tolist():
-            begin, end = int(indptr[position]), int(indptr[position + 1])
-            rows[row_order[position]] = dict(
-                zip(entry_labels[begin:end].tolist(), value_list[begin:end])
-            )
-        result._nnz = matrix.nnz
-        distinct_columns, per_column = np.unique(matrix.cols, return_counts=True)
-        result._col_counts = {
-            column_order[j]: int(count)
-            for j, count in zip(distinct_columns.tolist(), per_column.tolist())
-        }
+        result._install_rows(matrix, row_order, label_array(column_order))
         return result
+
+    def _install_rows(
+        self, matrix: "CsrMatrix", row_labels: Sequence[Label], column_labels: np.ndarray
+    ) -> None:
+        """Install the non-empty rows of a positional CSR matrix as new rows.
+
+        ``row_labels[i]`` names row ``i`` and the object array
+        ``column_labels[j]`` (see :func:`label_array`) names column ``j``;
+        both must be distinct, and no named row may hold entries yet.  Each
+        row becomes one ``dict(zip(...))`` and the column counts are updated
+        once per distinct column, so the cost is interpreter work per row,
+        not per entry.  Shared by :meth:`from_csr` and the phase scheduler's
+        row blocks (:class:`repro.matmul.scheduler.IncrementalMatrixProduct`).
+        The input's invariants (coalesced, no explicit zeros) are assumed.
+        """
+        if not matrix.nnz:
+            return
+        entry_labels = column_labels[matrix.cols].tolist()
+        values = matrix.data.tolist()
+        bounds = matrix.indptr.tolist()
+        rows = self._rows
+        for position in np.flatnonzero(np.diff(matrix.indptr)).tolist():
+            begin, end = bounds[position], bounds[position + 1]
+            rows[row_labels[position]] = dict(zip(entry_labels[begin:end], values[begin:end]))
+        self._nnz += matrix.nnz
+        per_column = np.bincount(matrix.cols, minlength=matrix.num_cols)
+        present = np.flatnonzero(per_column)
+        col_counts = self._col_counts
+        for label, count in zip(column_labels[present].tolist(), per_column[present].tolist()):
+            col_counts[label] = col_counts.get(label, 0) + count
+        self._version += 1
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Label, Label]], value: int = 1) -> "CountMatrix":
@@ -720,45 +745,54 @@ class CsrBackend:
         )
         if not left_csr.data.size or not right_csr.data.size:
             return CountMatrix(), stats
-        left_matrix = self._aligned_left(left_csr, right_csr, middles)
-        right_matrix = CsrMatrix.from_parts(
-            right_csr.indptr, right_csr.col_ids, right_csr.data, len(column_order)
+        product, work = csr_spgemm(
+            aligned_left_operand(left_csr, right_csr),
+            right_operand(right_csr),
+            block_entries=self.block_entries,
         )
-        product, work = csr_spgemm(left_matrix, right_matrix, block_entries=self.block_entries)
         result = CountMatrix.from_csr(product, row_order, column_order)
         stats.multiplications = work
         stats.output_nnz = result.nnz
         return result, stats
 
-    @staticmethod
-    def _aligned_left(left_csr: CountMatrixCSR, right_csr: CountMatrixCSR, middles: int) -> CsrMatrix:
-        """The left operand with columns renumbered into right-row positions.
 
-        Only distinct labels are remapped; left columns with no matching right
-        row multiply an all-zero row, so their entries are dropped outright.
-        When the label orders coincide (the common case inside a product
-        chain) the identity mapping short-circuits everything.
-        """
-        if left_csr.col_order == right_csr.row_order:
-            return CsrMatrix.from_parts(
-                left_csr.indptr, left_csr.col_ids, left_csr.data, middles
-            )
-        right_rows = {label: position for position, label in enumerate(right_csr.row_order)}
-        mapping = np.fromiter(
-            (right_rows.get(label, -1) for label in left_csr.col_order),
-            dtype=np.int64,
-            count=len(left_csr.col_order),
-        )
-        mapped = mapping[left_csr.col_ids]
-        keep = mapped >= 0
-        if keep.all():
-            # The remap permutes column positions within each row; the kernel
-            # never relies on column order in its *left* operand (it only
-            # gathers right rows per entry), so no re-sort is needed.
-            return CsrMatrix.from_parts(left_csr.indptr, mapped, left_csr.data, middles)
-        rows = expand_csr_rows(left_csr.indptr)[keep]
-        indptr = _indptr_from_rows(rows, len(left_csr.row_order))
-        return CsrMatrix.from_parts(indptr, mapped[keep], left_csr.data[keep], middles)
+def aligned_left_operand(left_csr: CountMatrixCSR, right_csr: CountMatrixCSR) -> CsrMatrix:
+    """The left operand of ``left · right`` with columns renumbered into
+    right-row positions.
+
+    Only distinct labels are remapped; left columns with no matching right
+    row multiply an all-zero row, so their entries are dropped outright.
+    When the label orders coincide (the common case inside a product chain)
+    the identity mapping short-circuits everything.  Rows keep the left
+    export's order.
+    """
+    middles = len(right_csr.row_order)
+    if left_csr.col_order == right_csr.row_order:
+        return CsrMatrix.from_parts(left_csr.indptr, left_csr.col_ids, left_csr.data, middles)
+    right_rows = {label: position for position, label in enumerate(right_csr.row_order)}
+    mapping = np.fromiter(
+        (right_rows.get(label, -1) for label in left_csr.col_order),
+        dtype=np.int64,
+        count=len(left_csr.col_order),
+    )
+    mapped = mapping[left_csr.col_ids]
+    keep = mapped >= 0
+    if keep.all():
+        # The remap permutes column positions within each row; the kernel
+        # never relies on column order in its *left* operand (it only
+        # gathers right rows per entry), so no re-sort is needed.
+        return CsrMatrix.from_parts(left_csr.indptr, mapped, left_csr.data, middles)
+    rows = expand_csr_rows(left_csr.indptr)[keep]
+    indptr = _indptr_from_rows(rows, len(left_csr.row_order))
+    return CsrMatrix.from_parts(indptr, mapped[keep], left_csr.data[keep], middles)
+
+
+def right_operand(right_csr: CountMatrixCSR) -> CsrMatrix:
+    """The right operand of ``left · right`` as the kernel reads it: rows in
+    the export's order, columns numbered by ``right_csr.col_order``."""
+    return CsrMatrix.from_parts(
+        right_csr.indptr, right_csr.col_ids, right_csr.data, len(right_csr.col_order)
+    )
 
 
 class DenseBackend:
@@ -883,9 +917,10 @@ class MatmulEngine:
     the dict backend (no numpy launch overhead), sparse products go through
     the CSR SpGEMM kernel, and products dense enough that the BLAS cube wins
     go dense.  ``dense_threshold`` scales the dense estimate (values above 1.0
-    bias the choice away from dense).  The counters pass ``backend="dense"``
-    explicitly for the old-phase products — the whole point of the paper is
-    that those products go through fast matrix multiplication.
+    bias the choice away from dense).  The warm-up counter and
+    :func:`repro.matmul.rectangular.rectangular_multiply` use the automatic
+    choice; the phase oracles' old-phase products do not pass through here
+    (see :class:`repro.matmul.scheduler.IncrementalMatrixProduct`).
     """
 
     dense_threshold: float = 1.0
@@ -953,8 +988,8 @@ class MatmulEngine:
 def multiply_dense_arrays(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Multiply two dense arrays with shape validation.
 
-    A small helper for code paths that already hold dense arrays (the
-    brute-force counter, the phase scheduler's row blocks).
+    Part of the public :mod:`repro.matmul` API for callers that already hold
+    dense arrays; nothing inside the package calls it.
     """
     if left.ndim != 2 or right.ndim != 2:
         raise DimensionMismatchError(

@@ -30,32 +30,54 @@ counters decide which snapshots to multiply and read the results once
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-from collections import deque
+import numpy as np
 
-from repro.exceptions import ConfigurationError, CounterStateError
-from repro.matmul.engine import CountMatrix
+from repro.exceptions import ConfigurationError, CounterStateError, MatmulError
+from repro.kernels import CsrMatrix
+from repro.matmul.engine import (
+    CountMatrix,
+    aligned_left_operand,
+    csr_spgemm,
+    label_array,
+    right_operand,
+)
 from repro.matmul.omega import product_cost_estimates
 
 
 class IncrementalMatrixProduct:
-    """Computes ``left · right`` one row at a time with work accounting.
+    """Computes ``left · right`` in row blocks with work accounting.
 
     The unit of work is one scalar multiply-add of the sparse row-times-matrix
-    product; :meth:`advance` performs up to ``budget`` units and reports how
-    many were actually used.  Rows whose work exceeds the remaining budget are
-    still finished atomically (a single row is the smallest indivisible step),
-    which at most doubles the per-call work — the same slack the paper's
-    big-O analysis absorbs.
+    product.  Rows are taken in ``repr``-sorted label order, and a row is
+    charged ``sum over its entries (row, k) of max(|right row k|, 1)``,
+    floored at 1 (a left entry with no right row still costs its probe).
+    :meth:`advance` takes rows until the charges reach ``budget`` and finishes
+    the row that reaches it: a row is the smallest indivisible step, so one
+    call can exceed its budget by up to one row's charge, whatever its size.
+
+    The rows one call takes are computed together, as one
+    :func:`~repro.matmul.engine.csr_spgemm` call over that contiguous block of
+    the left operand's interned CSR export (:meth:`CountMatrix.csr`, rows
+    permuted into the sorted order, columns aligned to the right operand's
+    rows), and installed into :attr:`result` one row dict at a time.  The
+    export, the sort and the alignment happen on the first call that does
+    work, never in the constructor: jobs that are built and then discarded
+    unadvanced (every bulk rebuild opens a phase that way) cost nothing.
+    Both operands are snapshots: they must not change before that first
+    call, which exports them and then lets go of them, so a chain's
+    intermediate product is freed as soon as the next stage has read it.
     """
 
     def __init__(self, left: CountMatrix, right: CountMatrix) -> None:
-        self._left = left
-        self._right = right
-        self._pending_rows: Deque = deque(sorted(left.row_labels(), key=repr))
+        self._left: Optional[CountMatrix] = left
+        self._right: Optional[CountMatrix] = right
         self._result = CountMatrix()
         self._operations_done = 0
+        self._rows_total = left.num_row_labels
+        self._next_row = 0
+        self._plan: Optional[_RowBlockPlan] = None
 
     @property
     def result(self) -> CountMatrix:
@@ -68,39 +90,121 @@ class IncrementalMatrixProduct:
 
     @property
     def is_complete(self) -> bool:
-        return not self._pending_rows
+        return self._next_row >= self._rows_total
 
     def remaining_rows(self) -> int:
-        return len(self._pending_rows)
+        return self._rows_total - self._next_row
 
     def advance(self, budget: int) -> int:
         """Perform up to ``budget`` multiply-adds; return the amount done."""
         if budget < 0:
             raise ConfigurationError(f"budget must be non-negative, got {budget}")
-        done = 0
-        while self._pending_rows and done < budget:
-            row = self._pending_rows.popleft()
-            done += self._process_row(row)
-        self._operations_done += done
-        return done
+        if budget == 0 or self.is_complete:
+            return 0
+        plan = self._plan if self._plan is not None else self._build_plan()
+        charges = plan.charges
+        target = int(charges[self._next_row]) + budget
+        if target >= int(charges[-1]):
+            return self._compute_rows(self._rows_total)
+        return self._compute_rows(int(np.searchsorted(charges, target)))
 
     def run_to_completion(self) -> int:
         """Finish the whole product immediately; return the work performed."""
-        done = 0
-        while self._pending_rows:
-            row = self._pending_rows.popleft()
-            done += self._process_row(row)
+        if self.is_complete:
+            return 0
+        if self._plan is None:
+            self._build_plan()
+        return self._compute_rows(self._rows_total)
+
+    def _build_plan(self) -> "_RowBlockPlan":
+        left_csr = self._left.csr()
+        right_csr = self._right.csr()
+        aligned = aligned_left_operand(left_csr, right_csr)
+        # A row's charge is its expansion work plus one per left entry the
+        # alignment dropped (a column with no right row).
+        expansion = np.zeros(aligned.nnz + 1, dtype=np.int64)
+        np.cumsum(np.diff(right_csr.indptr)[aligned.cols], out=expansion[1:])
+        aligned_lengths = np.diff(aligned.indptr)
+        if aligned.nnz:
+            # The operands hold Python ints but the kernel accumulates in
+            # int64: refuse a product whose entries could reach 2^63 rather
+            # than let them wrap.
+            bound = (
+                _largest_magnitude(aligned.data)
+                * _largest_magnitude(right_csr.data)
+                * int(aligned_lengths.max())
+            )
+            if bound >= 1 << 63:
+                raise MatmulError(f"product entries may reach {bound}, past exact int64 sums")
+        row_charges = np.maximum(
+            expansion[aligned.indptr[1:]]
+            - expansion[aligned.indptr[:-1]]
+            + np.diff(left_csr.indptr)
+            - aligned_lengths,
+            1,
+        )
+        labels = left_csr.row_order
+        keys = [repr(label) for label in labels]
+        order = np.asarray(sorted(range(len(labels)), key=keys.__getitem__), dtype=np.int64)
+        left = aligned
+        if (order != np.arange(len(order))).any():
+            lengths = aligned_lengths[order]
+            indptr = np.zeros(len(order) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            gather = np.repeat(aligned.indptr[order] - indptr[:-1], lengths)
+            gather += np.arange(int(indptr[-1]), dtype=np.int64)
+            left = CsrMatrix.from_parts(
+                indptr, aligned.cols[gather], aligned.data[gather], aligned.num_cols
+            )
+        charges = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(row_charges[order], out=charges[1:])
+        self._left = self._right = None
+        self._plan = _RowBlockPlan(
+            row_labels=[labels[position] for position in order.tolist()],
+            charges=charges,
+            left=left,
+            right=right_operand(right_csr),
+            column_labels=label_array(right_csr.col_order),
+        )
+        return self._plan
+
+    def _compute_rows(self, stop: int) -> int:
+        """Compute and install sorted rows ``[next, stop)``; return their charge."""
+        plan = self._plan
+        start = self._next_row
+        first, last = int(plan.left.indptr[start]), int(plan.left.indptr[stop])
+        block = CsrMatrix.from_parts(
+            plan.left.indptr[start:stop + 1] - first,
+            plan.left.cols[first:last],
+            plan.left.data[first:last],
+            plan.left.num_cols,
+        )
+        product, _ = csr_spgemm(block, plan.right)
+        self._result._install_rows(product, plan.row_labels[start:stop], plan.column_labels)
+        done = int(plan.charges[stop] - plan.charges[start])
+        self._next_row = stop
         self._operations_done += done
+        if stop == self._rows_total:
+            # The permuted and aligned copies are only needed while rows remain.
+            self._plan = None
         return done
 
-    def _process_row(self, row) -> int:
-        operations = 0
-        for middle, left_value in self._left.row(row).items():
-            right_row = self._right.row(middle)
-            operations += max(len(right_row), 1)
-            for column, right_value in right_row.items():
-                self._result.add(row, column, left_value * right_value)
-        return max(operations, 1)
+
+def _largest_magnitude(values: np.ndarray) -> int:
+    return max(int(values.max()), -int(values.min()))
+
+
+@dataclass(frozen=True)
+class _RowBlockPlan:
+    """The left operand of an :class:`IncrementalMatrixProduct` in sorted row
+    order, aligned to the right operand, with the prefix sums of the row
+    charges (``charges[i]`` is the charge of the first ``i`` sorted rows)."""
+
+    row_labels: List
+    charges: np.ndarray
+    left: CsrMatrix
+    right: CsrMatrix
+    column_labels: np.ndarray
 
 
 class ChainProductJob:
@@ -116,7 +220,7 @@ class ChainProductJob:
         if not matrices:
             raise ConfigurationError("ChainProductJob requires at least one matrix")
         self.name = name
-        self._matrices = list(matrices)
+        self._matrices = tuple(matrices)
         self._stage_index = 0
         self._operations_done = 0
         if len(self._matrices) == 1:
@@ -125,6 +229,11 @@ class ChainProductJob:
         else:
             self._current = IncrementalMatrixProduct(self._matrices[0], self._matrices[1])
             self._accumulated = None
+
+    @property
+    def matrices(self) -> tuple:
+        """The chain's operands ``(M1, ..., Mk)``, in multiplication order."""
+        return self._matrices
 
     @property
     def operations_done(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -139,6 +140,21 @@ class TestPhaseOracle:
         oracle.insert(2, "x", "y")
         oracle.delete(2, "x", "y")
         assert oracle.new_edge_count() == 0
+
+    def test_budget_is_the_hand_computed_estimate(self):
+        oracle = PhaseThreePathOracle(phase_length=6)
+        for position in (1, 2, 3):
+            oracle.insert(position, "a", "b")
+            oracle.insert(position, "c", "d")
+        # The sixth update ended the first phase, so the pending jobs multiply
+        # a snapshot of two tuples per relation and none has advanced yet.
+        assert oracle.phases_completed == 1
+        assert not any(job.operations_done for job in oracle.scheduler.jobs())
+        # nnz products: A*B 2*2, B*C 2*2, A*B*C 2*2 + 2*2.
+        estimate = 4 + 4 + 8
+        expected = math.ceil(2 * estimate / 6)
+        assert oracle._compute_budget() == expected == 6
+        assert oracle.scheduler.budget_per_update == expected
 
 
 class TestOracleBackedCounter:

@@ -1,14 +1,153 @@
-"""Tests for the incremental products and the phase work scheduler."""
+"""Tests for the incremental products and the phase work scheduler.
+
+:class:`ScalarIncrementalMatrixProduct` below is the product in its scalar
+form (one ``CountMatrix.add`` per multiply-add); it is the reference that
+every advance of the row-block product is compared against, step by step.
+"""
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError, CounterStateError
+from repro.core.assadi_shah import AssadiShahCounter
+from repro.core.phase_fmm import PhaseFMMCounter
+from repro.exceptions import ConfigurationError, CounterStateError, MatmulError
+from repro.graph.static_counts import count_four_cycles_edge_list
+from repro.matmul import scheduler as scheduler_module
 from repro.matmul.engine import CountMatrix, SparseBackend
 from repro.matmul.scheduler import ChainProductJob, IncrementalMatrixProduct, PhaseScheduler
+
+from tests.conftest import random_dynamic_stream
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class ScalarIncrementalMatrixProduct:
+    """Reference ``left · right``: rows in ``repr`` order, one ``add`` per
+    multiply-add, each row charged ``sum of max(|right row|, 1)`` over its
+    entries (at least 1), and the row that reaches the budget finished."""
+
+    def __init__(self, left: CountMatrix, right: CountMatrix) -> None:
+        self._left = left
+        self._right = right
+        self._pending_rows = deque(sorted(left.row_labels(), key=repr))
+        self._result = CountMatrix()
+        self._operations_done = 0
+
+    @property
+    def result(self) -> CountMatrix:
+        return self._result
+
+    @property
+    def operations_done(self) -> int:
+        return self._operations_done
+
+    @property
+    def is_complete(self) -> bool:
+        return not self._pending_rows
+
+    def remaining_rows(self) -> int:
+        return len(self._pending_rows)
+
+    def advance(self, budget: int) -> int:
+        done = 0
+        while self._pending_rows and done < budget:
+            done += self._process_row(self._pending_rows.popleft())
+        self._operations_done += done
+        return done
+
+    def run_to_completion(self) -> int:
+        done = 0
+        while self._pending_rows:
+            done += self._process_row(self._pending_rows.popleft())
+        self._operations_done += done
+        return done
+
+    def _process_row(self, row) -> int:
+        operations = 0
+        for middle, left_value in self._left.row(row).items():
+            right_row = self._right.row(middle)
+            operations += max(len(right_row), 1)
+            for column, right_value in right_row.items():
+                self._result.add(row, column, left_value * right_value)
+        return max(operations, 1)
+
+
+def scalar_reference():
+    """Patch the reference product into the scheduler module (and hence into
+    every chain job and phase oracle built while the patch is active)."""
+    return mock.patch.object(
+        scheduler_module, "IncrementalMatrixProduct", ScalarIncrementalMatrixProduct
+    )
+
+
+#: Mixed label types: ints, strings and tuples share one small universe, so
+#: rows, middles and columns of different types meet in the same product and
+#: most rows carry several entries (charges well above 1).
+LABELS = st.sampled_from([0, 1, -1, 10, "a", "b", "10", (0, "x"), (1, "x"), ((0, 1), "y")])
+
+
+@st.composite
+def count_matrices(draw, max_entries: int = 24) -> CountMatrix:
+    """A matrix built by a sequence of signed ``add`` calls, a drawn prefix of
+    which is undone again (all of it, now and then, leaving it empty)."""
+    entries = draw(
+        st.lists(st.tuples(LABELS, LABELS, st.integers(-3, 3)), max_size=max_entries)
+    )
+    undone = draw(st.sampled_from([0, 1, 2, len(entries)]))
+    matrix = CountMatrix()
+    for row, column, value in entries + [(r, c, -v) for r, c, v in entries[:undone]]:
+        matrix.add(row, column, value)
+    return matrix
+
+
+#: Budgets of every kind: mostly small ones that stop inside a product, plus
+#: none, a single unit, and more than any job.
+BUDGETS = st.lists(
+    st.sampled_from([2, 3, 4, 5, 7, 9, 12, 0, 1, 10**12]), min_size=1, max_size=25
+)
+
+
+def product_state(product) -> tuple:
+    result = product.result
+    return (
+        product.operations_done,
+        product.remaining_rows(),
+        product.is_complete,
+        result.nnz,
+        result.column_labels(),
+    )
+
+
+def chain_trace(matrices, budgets) -> list:
+    """Per-advance observations of a chain job, then its final result."""
+    job = ChainProductJob(matrices, name="chain")
+    trace = [(job.advance(budget), job.operations_done, job.is_complete) for budget in budgets]
+    trace.append((job.run_to_completion(), job.operations_done, job.is_complete))
+    trace.append(job.result)
+    return trace
+
+
+def scheduler_trace(matrices, budgets) -> list:
+    """Per-call observations of a scheduler running the oracle's three jobs."""
+    a, b, c = matrices
+    scheduler = PhaseScheduler()
+    for job in (ChainProductJob([a, b]), ChainProductJob([b, c]), ChainProductJob([a, b, c])):
+        scheduler.submit(job)
+    trace = [(scheduler.work(budget), scheduler.total_operations) for budget in budgets]
+    trace.append((scheduler.finish_all(), scheduler.total_operations))
+    trace.extend(job.result for job in scheduler.jobs())
+    return trace
 
 
 def random_matrix(rng: random.Random, rows: int, columns: int, density: float = 0.5) -> CountMatrix:
@@ -164,3 +303,151 @@ class TestPhaseScheduler:
         job = ChainProductJob([CountMatrix({(1, 2): 1}), CountMatrix({(2, 3): 1})])
         scheduler.submit(job)
         assert scheduler.pending_jobs() == [job]
+
+
+class TestScalarReference:
+    """The row-block product matches the scalar loop after every advance."""
+
+    @PROPERTY_SETTINGS
+    @given(left=count_matrices(), right=count_matrices(), budgets=BUDGETS)
+    def test_every_advance_matches_the_scalar_loop(self, left, right, budgets):
+        product = IncrementalMatrixProduct(left, right)
+        reference = ScalarIncrementalMatrixProduct(left, right)
+        assert product_state(product) == product_state(reference)
+        for budget in budgets:
+            assert product.advance(budget) == reference.advance(budget)
+            assert product_state(product) == product_state(reference)
+            assert product.result == reference.result
+        assert product.run_to_completion() == reference.run_to_completion()
+        assert product_state(product) == product_state(reference)
+        assert product.result == reference.result
+
+    @PROPERTY_SETTINGS
+    @given(
+        matrices=st.lists(count_matrices(max_entries=16), min_size=3, max_size=3),
+        budgets=BUDGETS,
+    )
+    def test_three_matrix_chain_matches_the_scalar_loop(self, matrices, budgets):
+        with scalar_reference():
+            expected = chain_trace(matrices, budgets)
+        assert chain_trace(matrices, budgets) == expected
+
+    @PROPERTY_SETTINGS
+    @given(
+        matrices=st.lists(count_matrices(max_entries=16), min_size=3, max_size=3),
+        budgets=BUDGETS,
+    )
+    def test_scheduler_total_operations_match_the_scalar_loop(self, matrices, budgets):
+        with scalar_reference():
+            expected = scheduler_trace(matrices, budgets)
+        assert scheduler_trace(matrices, budgets) == expected
+
+    def test_the_row_that_reaches_the_budget_is_finished(self):
+        # Rows "r" and "s" are charged 1 + 2 = 3 each.
+        left = CountMatrix({("r", "m"): 1, ("r", "n"): 1, ("s", "m"): 1, ("s", "n"): 1})
+        right = CountMatrix({("m", "c"): 1, ("n", "c"): 1, ("n", "d"): 1})
+        for budgets, expected in (([1, 1], [3, 3]), ([3, 3], [3, 3]), ([4], [6]), ([2, 4], [3, 3])):
+            product = IncrementalMatrixProduct(left, right)
+            reference = ScalarIncrementalMatrixProduct(left, right)
+            assert [product.advance(budget) for budget in budgets] == expected
+            assert [reference.advance(budget) for budget in budgets] == expected
+
+    def test_products_that_cancel_to_zero_leave_no_entries(self):
+        # Row "r" meets column "c" through two middles of opposite sign, and
+        # its middle ("t", 1) has no right row at all.
+        left = CountMatrix({("r", 1): 2, ("r", "m"): 1, ("r", ("t", 1)): -4, (7, "m"): 3})
+        right = CountMatrix({(1, "c"): 1, ("m", "c"): -2, ("m", (0, "x")): 5})
+        product = IncrementalMatrixProduct(left, right)
+        reference = ScalarIncrementalMatrixProduct(left, right)
+        for budget in (1, 1, 1):
+            assert product.advance(budget) == reference.advance(budget)
+            assert product_state(product) == product_state(reference)
+        assert product.result == reference.result
+        assert product.result.get("r", "c") == 0
+        assert "c" not in product.result.row("r")
+        assert product.result.get(7, (0, "x")) == 15
+
+    def test_empty_operands(self):
+        populated = CountMatrix({(1, 2): 3})
+        for left, right in (
+            (CountMatrix(), CountMatrix()),
+            (CountMatrix(), populated),
+            (populated, CountMatrix()),
+        ):
+            product = IncrementalMatrixProduct(left, right)
+            reference = ScalarIncrementalMatrixProduct(left, right)
+            assert product.advance(5) == reference.advance(5)
+            assert product_state(product) == product_state(reference)
+            assert product.result == reference.result
+
+
+class TestRowBlocks:
+    def test_construction_never_exports_csr(self, monkeypatch):
+        exported = []
+        original = CountMatrix.csr
+
+        def recording_csr(matrix):
+            exported.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(CountMatrix, "csr", recording_csr)
+        a = CountMatrix({(1, 2): 1, (2, 3): 1})
+        b = CountMatrix({(2, 3): 1, (3, 1): 1})
+        c = CountMatrix({(3, 1): 1, (1, 2): 1})
+        scheduler = PhaseScheduler(budget_per_update=0)
+        product = IncrementalMatrixProduct(a, b)
+        for job in (ChainProductJob([a, b]), ChainProductJob([a, b, c])):
+            scheduler.submit(job)
+        scheduler.work()
+        product.advance(0)
+        assert exported == []
+        product.advance(1)
+        assert exported
+
+    def test_plan_is_released_once_complete(self):
+        left = CountMatrix({("r", "m"): 1, ("s", "m"): 2})
+        right = CountMatrix({("m", "c"): 3})
+        product = IncrementalMatrixProduct(left, right)
+        product.advance(1)
+        assert product._plan is not None
+        product.advance(1)
+        assert product.is_complete
+        assert product._plan is None
+
+    def test_products_past_int64_are_refused(self):
+        left = CountMatrix({("r", "m"): 1 << 31, ("r", "n"): 1 << 31})
+        right = CountMatrix({("m", "c"): 1 << 31, ("n", "c"): 1 << 31})
+        product = IncrementalMatrixProduct(left, right)
+        with pytest.raises(MatmulError):
+            product.advance(1)
+        # Just below the bound the product is exact.
+        right = CountMatrix({("m", "c"): 1 << 30, ("n", "c"): (1 << 30) - 1})
+        product = IncrementalMatrixProduct(left, right)
+        product.run_to_completion()
+        assert product.result.get("r", "c") == (1 << 62) - (1 << 31)
+
+
+@pytest.mark.parametrize("counter_class", [PhaseFMMCounter, AssadiShahCounter])
+def test_per_update_stream_stays_exact_across_phases(counter_class):
+    """Counts match brute force at every step across several phase ends, and
+    the scheduled work equals the scalar reference's."""
+    stream = random_dynamic_stream(num_vertices=10, num_updates=90, seed=7)
+
+    def run() -> tuple:
+        counter = counter_class(phase_length=18)
+        live = set()
+        for update in stream:
+            edge = (update.u, update.v)
+            if update.is_insert:
+                live.add(edge)
+            else:
+                live.discard(edge)
+            counter.apply(update)
+            assert counter.count == count_four_cycles_edge_list(live)
+        return counter.phases_completed, counter.cost.get("matmul_ops")
+
+    phases, operations = run()
+    with scalar_reference():
+        reference_phases, reference_operations = run()
+    assert phases == reference_phases >= 3
+    assert operations == reference_operations > 0
