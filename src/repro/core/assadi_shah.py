@@ -237,32 +237,37 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         return ~dense_mask
 
     def _maintain_sparse_wedges(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
-        """On-the-fly maintenance of the Eq. (12) structures (Claim 5.3)."""
+        """On-the-fly maintenance of the Eq. (12) structures (Claim 5.3).
+
+        Each neighborhood scan changes one row or one column of a structure
+        and is applied as one bulk add, charged one ``structure_update`` per
+        wedge.
+        """
         if position == 1:
             # A update (u, x): wedges u - x - y for every B-neighbor y of a sparse x.
             u, x = left, right
             if x not in self._dense_l2:
-                for y in self.relation(2).forward.get(x, _EMPTY_SET):
-                    self.cost.charge("structure_update")
-                    self._wedges_a_sparse_b.add(u, y, sign)
+                scan = self.relation(2).forward.get(x, _EMPTY_SET)
+                self.cost.charge("structure_update", len(scan))
+                self._wedges_a_sparse_b.add_row(u, scan, sign)
         elif position == 2:
             # B update (x, y): contributes to both structures.
             x, y = left, right
             if x not in self._dense_l2:
-                for u in self.relation(1).backward.get(x, _EMPTY_SET):
-                    self.cost.charge("structure_update")
-                    self._wedges_a_sparse_b.add(u, y, sign)
+                scan = self.relation(1).backward.get(x, _EMPTY_SET)
+                self.cost.charge("structure_update", len(scan))
+                self._wedges_a_sparse_b.add_column(scan, y, sign)
             if y not in self._dense_l3:
-                for v in self.relation(3).forward.get(y, _EMPTY_SET):
-                    self.cost.charge("structure_update")
-                    self._wedges_b_sparse_c.add(x, v, sign)
+                scan = self.relation(3).forward.get(y, _EMPTY_SET)
+                self.cost.charge("structure_update", len(scan))
+                self._wedges_b_sparse_c.add_row(x, scan, sign)
         else:
             # C update (y, v): wedges x - y - v for every B-neighbor x of a sparse y.
             y, v = left, right
             if y not in self._dense_l3:
-                for x in self.relation(2).backward.get(y, _EMPTY_SET):
-                    self.cost.charge("structure_update")
-                    self._wedges_b_sparse_c.add(x, v, sign)
+                scan = self.relation(2).backward.get(y, _EMPTY_SET)
+                self.cost.charge("structure_update", len(scan))
+                self._wedges_b_sparse_c.add_column(scan, v, sign)
 
     def _refresh_class_thresholds(self) -> None:
         m = max(self.num_edges, 1)
@@ -306,18 +311,16 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         the ``A^{*S} · B^{S*}`` structure when ``x`` changes class."""
         a_side = self.relation(1).backward.get(x, _EMPTY_SET)
         b_side = self.relation(2).forward.get(x, _EMPTY_SET)
+        self.cost.charge("rebuild_ops", len(a_side) * len(b_side))
         for u in a_side:
-            for y in b_side:
-                self.cost.charge("rebuild_ops")
-                self._wedges_a_sparse_b.add(u, y, sign)
+            self._wedges_a_sparse_b.add_row(u, b_side, sign)
 
     def _patch_l3_transition(self, y: Vertex, sign: int) -> None:
         b_side = self.relation(2).backward.get(y, _EMPTY_SET)
         c_side = self.relation(3).forward.get(y, _EMPTY_SET)
+        self.cost.charge("rebuild_ops", len(b_side) * len(c_side))
         for x in b_side:
-            for v in c_side:
-                self.cost.charge("rebuild_ops")
-                self._wedges_b_sparse_c.add(x, v, sign)
+            self._wedges_b_sparse_c.add_row(x, c_side, sign)
 
     # -- query -------------------------------------------------------------------------
     def count_three_paths(self, u: Vertex, v: Vertex) -> int:

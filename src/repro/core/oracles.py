@@ -37,6 +37,7 @@ from repro.graph.static_counts import four_cycles_from_adjacency, four_cycles_fr
 from repro.instrumentation.cost_model import CostModel
 from repro.matmul.engine import (
     CountMatrix,
+    CountMatrixCSR,
     CsrMatrix,
     csr_spgemm,
     exact_integer_matmul,
@@ -94,6 +95,33 @@ class _ChainRelation:
             for right in rights:
                 matrix.add(left, right, 1)
         return matrix
+
+    def snapshot(self) -> CountMatrixCSR:
+        """The relation as a read-only 0/1 matrix, exported straight from the
+        adjacency sets (one pass over the tuples, no label-keyed matrix)."""
+        forward = self.forward
+        row_order = [left for left, rights in forward.items() if rights]
+        col_order = [right for right, lefts in self.backward.items() if lefts]
+        col_index = {label: position for position, label in enumerate(col_order)}
+        indptr = np.zeros(len(row_order) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((len(forward[left]) for left in row_order), np.int64, len(row_order)),
+            out=indptr[1:],
+        )
+        col_ids = np.fromiter(
+            (col_index[right] for left in row_order for right in forward[left]),
+            np.int64,
+            self.size,
+        )
+        return CountMatrixCSR(
+            version=0,
+            row_order=row_order,
+            col_order=col_order,
+            col_index=col_index,
+            indptr=indptr,
+            col_ids=col_ids,
+            data=np.ones(self.size, dtype=np.int64),
+        )
 
 
 class ThreePathOracle(abc.ABC):
@@ -282,7 +310,10 @@ class PhaseThreePathOracle(ThreePathOracle):
     block of product rows with one exact SpGEMM call
     (:class:`~repro.matmul.scheduler.IncrementalMatrixProduct`); the paper's
     fast matrix multiplication appears only through the exponent models of
-    :mod:`repro.matmul.omega`.  Consequently the
+    :mod:`repro.matmul.omega`.  Snapshots and products stay positional
+    (:class:`~repro.matmul.engine.CountMatrixCSR`) from the relation export to
+    the query, which builds a product row's dict only when it first reads
+    that row.  Consequently the
     products available during a phase describe the snapshot taken one phase
     earlier, and the "new" edges span at most the current and previous phase —
     exactly the paper's ``P_new = P_{j+1} ∪ P_j``.
@@ -321,9 +352,9 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._updates_in_phase = 0
         self._phases_completed = 0
         # Products of the *active* old snapshot (one phase behind).
-        self._product_ab = CountMatrix()
-        self._product_bc = CountMatrix()
-        self._product_abc = CountMatrix()
+        self._product_ab = CountMatrixCSR.empty()
+        self._product_bc = CountMatrixCSR.empty()
+        self._product_abc = CountMatrixCSR.empty()
         # Signed deltas since the active old snapshot, indexed for queries.
         self._delta_a_by_left: Dict[Vertex, Dict[Vertex, int]] = {}
         self._delta_b: Dict[tuple[Vertex, Vertex], int] = {}
@@ -396,7 +427,7 @@ class PhaseThreePathOracle(ThreePathOracle):
 
     # -- phase machinery -----------------------------------------------------------------
     def _start_phase(
-        self, snapshots: Optional[tuple[CountMatrix, CountMatrix, CountMatrix]] = None
+        self, snapshots: Optional[tuple[CountMatrixCSR, CountMatrixCSR, CountMatrixCSR]] = None
     ) -> None:
         """Snapshot the current relations and submit their products.
 
@@ -407,9 +438,9 @@ class PhaseThreePathOracle(ThreePathOracle):
         if snapshots is not None:
             snapshot_a, snapshot_b, snapshot_c = snapshots
         else:
-            snapshot_a = self.relation(1).to_count_matrix()
-            snapshot_b = self.relation(2).to_count_matrix()
-            snapshot_c = self.relation(3).to_count_matrix()
+            snapshot_a = self.relation(1).snapshot()
+            snapshot_b = self.relation(2).snapshot()
+            snapshot_c = self.relation(3).snapshot()
         self._pending_jobs = {
             "ab": ChainProductJob([snapshot_a, snapshot_b], name="A_old*B_old"),
             "bc": ChainProductJob([snapshot_b, snapshot_c], name="B_old*C_old"),
@@ -464,9 +495,9 @@ class PhaseThreePathOracle(ThreePathOracle):
         cube = exact_integer_matmul(square, matrix)
         n = matrix.shape[0]
         self._promote_mirrored_products(
-            CountMatrix.from_dense(matrix, labels),
-            CountMatrix.from_dense(square, labels),
-            CountMatrix.from_dense(cube, labels),
+            CountMatrixCSR.from_csr(CsrMatrix.from_dense(matrix), labels),
+            CountMatrixCSR.from_csr(CsrMatrix.from_dense(square), labels),
+            CountMatrixCSR.from_csr(CsrMatrix.from_dense(cube), labels),
             work=2 * n * n * n,
         )
 
@@ -485,19 +516,18 @@ class PhaseThreePathOracle(ThreePathOracle):
         """
         super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
         cube, work = self._spgemm(square, adjacency)
-        product_square = CountMatrix.from_csr(square, labels)
         self._promote_mirrored_products(
-            CountMatrix.from_csr(adjacency, labels),
-            product_square,
-            CountMatrix.from_csr(cube, labels),
+            CountMatrixCSR.from_csr(adjacency, labels),
+            CountMatrixCSR.from_csr(square, labels),
+            CountMatrixCSR.from_csr(cube, labels),
             work=work + spgemm_work(adjacency, adjacency),
         )
 
     def _promote_mirrored_products(
         self,
-        adjacency: CountMatrix,
-        product_square: CountMatrix,
-        product_cube: CountMatrix,
+        adjacency: CountMatrixCSR,
+        product_square: CountMatrixCSR,
+        product_cube: CountMatrixCSR,
         work: int,
     ) -> None:
         """Install freshly computed mirrored products and open a new phase."""
@@ -508,8 +538,8 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._delta_b = {}
         self._delta_c_by_right = {}
         self._phases_completed += 1
-        # The pending jobs re-multiply the same snapshot; they only read the
-        # shared adjacency matrix, so one materialization serves all three.
+        # The pending jobs re-multiply the same snapshot; A = B = C is the
+        # read-only adjacency, so one positional matrix serves all three jobs.
         self._start_phase(snapshots=(adjacency, adjacency, adjacency))
         self.cost.charge("batch_rebuild", work)
 

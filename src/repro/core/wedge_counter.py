@@ -243,19 +243,16 @@ class WedgeCounter(DynamicFourCycleCounter):
         # New wedges created (or destroyed) by the edge {u, v} are exactly the
         # wedges centered at u (paired with v) and centered at v (paired with
         # u); the edge itself is absent from the graph here, so the neighbor
-        # sets never contain the opposite endpoint.  The row orientation is
-        # applied as one bulk add_row per endpoint; the mirrored orientation
-        # necessarily scatters across rows and stays per-entry.
+        # sets never contain the opposite endpoint.  The matrix is symmetric:
+        # each endpoint's neighbors change one row and one column.
         wedges = self._wedges
-        neighbors_u = list(self._graph.neighbors(u))
+        neighbors_u = self._graph.neighbors(u)
         if neighbors_u:
             self.cost.charge("structure_update", 2 * len(neighbors_u))
             wedges.add_row(v, neighbors_u, sign)
-            for w in neighbors_u:
-                wedges.add(w, v, sign)
-        neighbors_v = list(self._graph.neighbors(v))
+            wedges.add_column(neighbors_u, v, sign)
+        neighbors_v = self._graph.neighbors(v)
         if neighbors_v:
             self.cost.charge("structure_update", 2 * len(neighbors_v))
             wedges.add_row(u, neighbors_v, sign)
-            for w in neighbors_v:
-                wedges.add(w, u, sign)
+            wedges.add_column(neighbors_v, u, sign)

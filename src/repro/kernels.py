@@ -138,6 +138,17 @@ class CsrMatrix:
         """Wrap already-valid CSR arrays (coalesced, column-sorted, no zeros)."""
         return cls(indptr=indptr, cols=cols, data=data, num_cols=num_cols)
 
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "CsrMatrix":
+        """The non-zero entries of a 2-D integer array (row-major order)."""
+        rows, cols = np.nonzero(dense)
+        return cls(
+            indptr=_indptr_from_rows(rows, dense.shape[0]),
+            cols=cols.astype(np.int64, copy=False),
+            data=dense[rows, cols].astype(np.int64, copy=False),
+            num_cols=dense.shape[1],
+        )
+
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         dense = np.zeros((self.num_rows, self.num_cols), dtype=dtype)
         if self.nnz:

@@ -38,6 +38,8 @@ directly: by the phase scheduler, which computes the old-phase products in
 row blocks (:class:`repro.matmul.scheduler.IncrementalMatrixProduct`), and by
 the counters' batched rebuild hooks, which dispatch between the dense and
 CSR kernels through :class:`repro.matmul.scheduler.ProductDispatcher`.
+:class:`CountMatrixCSR` puts labels on a positional matrix for reading only:
+the phase oracles keep their old-phase snapshots and products in that form.
 
 :class:`MatmulEngine` picks a backend (or honours an explicit choice) and
 reports the work it performed to an optional cost callback, which the
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -281,17 +284,26 @@ def label_array(labels: Sequence[Label]) -> np.ndarray:
     return np.fromiter(labels, dtype=object, count=len(labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountMatrixCSR:
-    """An interned CSR snapshot of a :class:`CountMatrix`.
+    """A read-only, label-keyed integer matrix stored as interned CSR arrays.
 
     ``row_order``/``col_order`` give each distinct label a contiguous integer
-    position (insertion order — no repr sorting); ``col_ids`` holds, for every
-    stored entry, the *position* of its column label, so dense exports become
-    one vectorized scatter instead of two dict lookups per entry.  The
-    snapshot is cached on the matrix and keyed to its mutation version: it is
-    built at most once between mutations and reused across every multiply in a
-    chain (see :class:`DenseBackend`).
+    position; they list exactly the rows and the columns that hold an entry.
+    ``col_ids`` holds, for every stored entry, the *position* of its column
+    label, so dense exports become one vectorized scatter instead of two dict
+    lookups per entry.
+
+    Two kinds of matrix use it.  :meth:`CountMatrix.csr` caches one per
+    mutation version of a label-keyed matrix (insertion order, no repr
+    sorting), reused across every multiply in a chain (see
+    :class:`DenseBackend`).  The phase oracles keep their old-phase relation
+    snapshots and products in this form from start to end (see
+    :meth:`from_csr` and :class:`repro.matmul.scheduler.IncrementalMatrixProduct`)
+    and read them through the same point-access API as :class:`CountMatrix`:
+    :meth:`get` and :meth:`row` build a row's dict on the row's first read
+    and keep it, so only rows that are actually queried pay for one.  There
+    is no mutation API.
     """
 
     version: int
@@ -301,6 +313,120 @@ class CountMatrixCSR:
     indptr: np.ndarray
     col_ids: np.ndarray
     data: np.ndarray
+    #: Row dicts built by :meth:`row` so far, by row label.
+    _row_maps: Dict[Label, Mapping[Label, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @classmethod
+    def from_csr(
+        cls,
+        matrix: CsrMatrix,
+        row_labels: Sequence[Label],
+        column_labels: Optional[Sequence[Label]] = None,
+    ) -> "CountMatrixCSR":
+        """Name the rows and columns of a positional :class:`CsrMatrix`.
+
+        ``row_labels[i]``/``column_labels[j]`` name position ``i``/``j``
+        (``column_labels`` defaults to ``row_labels``); both must be
+        distinct.  Empty rows and columns without entries are dropped, so the
+        result holds the rows, columns and entries that
+        :meth:`CountMatrix.from_csr` would, without building a dict per row.
+        """
+        if column_labels is None:
+            column_labels = row_labels
+        rows = np.flatnonzero(np.diff(matrix.indptr))
+        per_column = np.bincount(matrix.cols, minlength=matrix.num_cols)
+        present = np.flatnonzero(per_column)
+        col_ids = matrix.cols
+        if len(present) < matrix.num_cols:
+            col_ids = (np.cumsum(per_column > 0) - 1)[col_ids]
+        col_order = [column_labels[j] for j in present.tolist()]
+        return cls(
+            version=0,
+            row_order=[row_labels[i] for i in rows.tolist()],
+            col_order=col_order,
+            col_index={label: position for position, label in enumerate(col_order)},
+            indptr=np.concatenate((np.zeros(1, dtype=np.int64), matrix.indptr[rows + 1])),
+            col_ids=col_ids,
+            data=matrix.data,
+        )
+
+    @classmethod
+    def empty(cls) -> "CountMatrixCSR":
+        return cls.from_csr(CsrMatrix.empty(0, 0), [])
+
+    # -- read access, as on CountMatrix ---------------------------------------
+    def get(self, row: Label, column: Label) -> int:
+        """The entry at ``(row, column)``; zero when absent."""
+        row_map = self._row_maps.get(row)
+        if row_map is None:
+            row_map = self.row(row)
+        return row_map.get(column, 0)
+
+    def row(self, row: Label) -> Mapping[Label, int]:
+        """The non-zero entries of one row (built on first read; do not mutate)."""
+        row_map = self._row_maps.get(row)
+        if row_map is None:
+            position = self._row_index.get(row)
+            if position is None:
+                row_map = _EMPTY_DICT
+            else:
+                begin, end = self.indptr[position], self.indptr[position + 1]
+                row_map = dict(
+                    zip(
+                        self._column_labels[self.col_ids[begin:end]].tolist(),
+                        self.data[begin:end].tolist(),
+                    )
+                )
+            self._row_maps[row] = row_map
+        return row_map
+
+    @cached_property
+    def _row_index(self) -> Dict[Label, int]:
+        return {label: position for position, label in enumerate(self.row_order)}
+
+    @cached_property
+    def _column_labels(self) -> np.ndarray:
+        return label_array(self.col_order)
+
+    def items(self) -> Iterator[tuple[Label, Label, int]]:
+        """Iterate over all non-zero entries as ``(row, column, value)``."""
+        columns = self._column_labels[self.col_ids].tolist()
+        values = self.data.tolist()
+        bounds = self.indptr.tolist()
+        for position, row in enumerate(self.row_order):
+            for entry in range(bounds[position], bounds[position + 1]):
+                yield (row, columns[entry], values[entry])
+
+    def row_labels(self) -> set[Label]:
+        return set(self.row_order)
+
+    def column_labels(self) -> set[Label]:
+        return set(self.col_order)
+
+    @property
+    def num_row_labels(self) -> int:
+        return len(self.row_order)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def csr(self) -> "CountMatrixCSR":
+        """The matrix itself, so it stands wherever a :class:`CountMatrix`
+        operand is read through its CSR export."""
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        """Entry-wise equality with a :class:`CountMatrix` or another snapshot."""
+        if not isinstance(other, (CountMatrix, CountMatrixCSR)):
+            return NotImplemented
+        return _entry_dict(self) == _entry_dict(other)
+
+
+def _entry_dict(matrix) -> Dict[tuple, int]:
+    return {(row, column): value for row, column, value in matrix.items()}
 
 
 class CountMatrix:
@@ -368,7 +494,7 @@ class CountMatrix:
         """Set the entry at ``(row, column)`` to ``value``."""
         self.add(row, column, value - self.get(row, column))
 
-    def add_row(self, row: Label, columns: Sequence[Label], deltas) -> None:
+    def add_row(self, row: Label, columns: Iterable[Label], deltas) -> None:
         """Bulk ``self[row, columns[k]] += deltas[k]`` over one row.
 
         ``deltas`` is a per-column sequence or a single int applied to every
@@ -378,12 +504,8 @@ class CountMatrix:
         hot paths (wedge maintenance) and the incremental batch hooks apply
         whole delta rows through this.
         """
-        if not columns:
+        if not columns or (isinstance(deltas, int) and deltas == 0):
             return
-        if isinstance(deltas, int):
-            if deltas == 0:
-                return
-            deltas = [deltas] * len(columns)
         self._version += 1
         row_map = self._rows.get(row)
         if row_map is None:
@@ -392,27 +514,85 @@ class CountMatrix:
         col_counts = self._col_counts
         get_current = row_map.get
         nnz_delta = 0
-        for column, delta in zip(columns, deltas):
-            if delta == 0:
-                continue
-            current = get_current(column, 0)
-            updated = current + delta
-            if current == 0:
-                nnz_delta += 1
-                col_counts[column] = col_counts.get(column, 0) + 1
-            if updated == 0:
-                del row_map[column]
-                nnz_delta -= 1
-                remaining = col_counts[column] - 1
-                if remaining:
-                    col_counts[column] = remaining
+        if isinstance(deltas, int):
+            # One non-zero delta for every column (the per-update scans): an
+            # entry cannot both appear and vanish, and no delta is skipped.
+            for column in columns:
+                current = get_current(column, 0)
+                updated = current + deltas
+                if updated == 0:
+                    del row_map[column]
+                    nnz_delta -= 1
+                    remaining = col_counts[column] - 1
+                    if remaining:
+                        col_counts[column] = remaining
+                    else:
+                        del col_counts[column]
                 else:
-                    del col_counts[column]
-            else:
-                row_map[column] = updated
+                    if current == 0:
+                        nnz_delta += 1
+                        col_counts[column] = col_counts.get(column, 0) + 1
+                    row_map[column] = updated
+        else:
+            for column, delta in zip(columns, deltas):
+                if delta == 0:
+                    continue
+                current = get_current(column, 0)
+                updated = current + delta
+                if current == 0:
+                    nnz_delta += 1
+                    col_counts[column] = col_counts.get(column, 0) + 1
+                if updated == 0:
+                    del row_map[column]
+                    nnz_delta -= 1
+                    remaining = col_counts[column] - 1
+                    if remaining:
+                        col_counts[column] = remaining
+                    else:
+                        del col_counts[column]
+                else:
+                    row_map[column] = updated
         self._nnz += nnz_delta
         if not row_map:
             del self._rows[row]
+
+    def add_column(self, rows: Iterable[Label], column: Label, delta: int) -> None:
+        """Bulk ``self[r, column] += delta`` for every ``r`` in ``rows``.
+
+        The column twin of :meth:`add_row` with a single delta: identical to
+        one :meth:`add` per row, with the column count, nnz and version
+        updated once per call.  Claim 5.3's column scans and the wedge
+        counter's mirrored orientation apply through this.
+        """
+        if not rows or delta == 0:
+            return
+        self._version += 1
+        matrix_rows = self._rows
+        nnz_delta = 0
+        for row in rows:
+            row_map = matrix_rows.get(row)
+            if row_map is None:
+                matrix_rows[row] = {column: delta}
+                nnz_delta += 1
+                continue
+            current = row_map.get(column, 0)
+            updated = current + delta
+            if updated == 0:
+                del row_map[column]
+                nnz_delta -= 1
+                if not row_map:
+                    del matrix_rows[row]
+            else:
+                if current == 0:
+                    nnz_delta += 1
+                row_map[column] = updated
+        if nnz_delta:
+            self._nnz += nnz_delta
+            remaining = self._col_counts.get(column, 0) + nnz_delta
+            if remaining:
+                self._col_counts[column] = remaining
+            else:
+                del self._col_counts[column]
 
     # -- bulk access ----------------------------------------------------------
     def row(self, row: Label) -> Mapping[Label, int]:
@@ -630,39 +810,24 @@ class CountMatrix:
             for i, j, value in zip(entry_rows, matrix.cols.tolist(), matrix.data.tolist()):
                 result.add(row_order[i], column_order[j], int(value))
             return result
-        result._install_rows(matrix, row_order, label_array(column_order))
-        return result
-
-    def _install_rows(
-        self, matrix: "CsrMatrix", row_labels: Sequence[Label], column_labels: np.ndarray
-    ) -> None:
-        """Install the non-empty rows of a positional CSR matrix as new rows.
-
-        ``row_labels[i]`` names row ``i`` and the object array
-        ``column_labels[j]`` (see :func:`label_array`) names column ``j``;
-        both must be distinct, and no named row may hold entries yet.  Each
-        row becomes one ``dict(zip(...))`` and the column counts are updated
-        once per distinct column, so the cost is interpreter work per row,
-        not per entry.  Shared by :meth:`from_csr` and the phase scheduler's
-        row blocks (:class:`repro.matmul.scheduler.IncrementalMatrixProduct`).
-        The input's invariants (coalesced, no explicit zeros) are assumed.
-        """
-        if not matrix.nnz:
-            return
+        # One dict per non-empty row and one count per distinct column: the
+        # interpreter work is per row, not per entry.
+        column_labels = label_array(column_order)
         entry_labels = column_labels[matrix.cols].tolist()
         values = matrix.data.tolist()
         bounds = matrix.indptr.tolist()
-        rows = self._rows
+        rows = result._rows
         for position in np.flatnonzero(np.diff(matrix.indptr)).tolist():
             begin, end = bounds[position], bounds[position + 1]
-            rows[row_labels[position]] = dict(zip(entry_labels[begin:end], values[begin:end]))
-        self._nnz += matrix.nnz
+            rows[row_order[position]] = dict(zip(entry_labels[begin:end], values[begin:end]))
+        result._nnz = matrix.nnz
         per_column = np.bincount(matrix.cols, minlength=matrix.num_cols)
         present = np.flatnonzero(per_column)
-        col_counts = self._col_counts
-        for label, count in zip(column_labels[present].tolist(), per_column[present].tolist()):
-            col_counts[label] = col_counts.get(label, 0) + count
-        self._version += 1
+        result._col_counts = dict(
+            zip(column_labels[present].tolist(), per_column[present].tolist())
+        )
+        result._version += 1
+        return result
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Label, Label]], value: int = 1) -> "CountMatrix":

@@ -30,7 +30,7 @@ counters decide which snapshots to multiply and read the results once
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,12 +38,15 @@ from repro.exceptions import ConfigurationError, CounterStateError, MatmulError
 from repro.kernels import CsrMatrix
 from repro.matmul.engine import (
     CountMatrix,
+    CountMatrixCSR,
     aligned_left_operand,
     csr_spgemm,
-    label_array,
     right_operand,
 )
 from repro.matmul.omega import product_cost_estimates
+
+#: A product operand: a label-keyed matrix or a read-only positional one.
+Operand = Union[CountMatrix, CountMatrixCSR]
 
 
 class IncrementalMatrixProduct:
@@ -59,30 +62,40 @@ class IncrementalMatrixProduct:
 
     The rows one call takes are computed together, as one
     :func:`~repro.matmul.engine.csr_spgemm` call over that contiguous block of
-    the left operand's interned CSR export (:meth:`CountMatrix.csr`, rows
-    permuted into the sorted order, columns aligned to the right operand's
-    rows), and installed into :attr:`result` one row dict at a time.  The
+    the left operand's interned CSR (``left.csr()``, rows permuted into the
+    sorted order, columns aligned to the right operand's rows), and the
+    positional block is kept as it is.  When the last row is done the blocks
+    are joined into one read-only :class:`~repro.matmul.engine.CountMatrixCSR`
+    (empty rows dropped), which a chain hands to its next stage as is.  The
     export, the sort and the alignment happen on the first call that does
     work, never in the constructor: jobs that are built and then discarded
     unadvanced (every bulk rebuild opens a phase that way) cost nothing.
-    Both operands are snapshots: they must not change before that first
-    call, which exports them and then lets go of them, so a chain's
-    intermediate product is freed as soon as the next stage has read it.
+    Both operands are snapshots: either may be a :class:`CountMatrix` or a
+    ``CountMatrixCSR``, and a :class:`CountMatrix` must not change before
+    that first call, which raises :class:`CounterStateError` naming ``name``
+    if one did.  That call exports the operands and then lets go of them, so
+    a chain's intermediate product is freed as soon as the next stage has
+    read it.
     """
 
-    def __init__(self, left: CountMatrix, right: CountMatrix) -> None:
-        self._left: Optional[CountMatrix] = left
-        self._right: Optional[CountMatrix] = right
-        self._result = CountMatrix()
+    def __init__(self, left: Operand, right: Operand, name: str = "product") -> None:
+        self.name = name
+        self._left: Optional[Operand] = left
+        self._right: Optional[Operand] = right
+        self._versions = (left.version, right.version)
+        self._blocks: List[CsrMatrix] = []
+        self._result: Optional[CountMatrixCSR] = None
         self._operations_done = 0
         self._rows_total = left.num_row_labels
         self._next_row = 0
         self._plan: Optional[_RowBlockPlan] = None
 
     @property
-    def result(self) -> CountMatrix:
+    def result(self) -> CountMatrixCSR:
         """The (possibly partial) product computed so far."""
-        return self._result
+        if self._result is not None:
+            return self._result
+        return self._joined_blocks()
 
     @property
     def operations_done(self) -> int:
@@ -117,6 +130,11 @@ class IncrementalMatrixProduct:
         return self._compute_rows(self._rows_total)
 
     def _build_plan(self) -> "_RowBlockPlan":
+        if (self._left.version, self._right.version) != self._versions:
+            raise CounterStateError(
+                f"product {self.name!r}: an operand changed after the product was "
+                "built; operands must be snapshots"
+            )
         left_csr = self._left.csr()
         right_csr = self._right.csr()
         aligned = aligned_left_operand(left_csr, right_csr)
@@ -164,12 +182,12 @@ class IncrementalMatrixProduct:
             charges=charges,
             left=left,
             right=right_operand(right_csr),
-            column_labels=label_array(right_csr.col_order),
+            column_labels=right_csr.col_order,
         )
         return self._plan
 
     def _compute_rows(self, stop: int) -> int:
-        """Compute and install sorted rows ``[next, stop)``; return their charge."""
+        """Compute sorted rows ``[next, stop)`` as one block; return their charge."""
         plan = self._plan
         start = self._next_row
         first, last = int(plan.left.indptr[start]), int(plan.left.indptr[stop])
@@ -180,14 +198,35 @@ class IncrementalMatrixProduct:
             plan.left.num_cols,
         )
         product, _ = csr_spgemm(block, plan.right)
-        self._result._install_rows(product, plan.row_labels[start:stop], plan.column_labels)
+        self._blocks.append(product)
         done = int(plan.charges[stop] - plan.charges[start])
         self._next_row = stop
         self._operations_done += done
         if stop == self._rows_total:
-            # The permuted and aligned copies are only needed while rows remain.
+            # The blocks, and the permuted and aligned copies, are only
+            # needed while rows remain.
+            self._result = self._joined_blocks()
+            self._blocks = []
             self._plan = None
         return done
+
+    def _joined_blocks(self) -> CountMatrixCSR:
+        """The rows computed so far as one positional matrix."""
+        if not self._blocks:
+            return CountMatrixCSR.empty()
+        plan = self._plan
+        lengths = np.concatenate([np.diff(block.indptr) for block in self._blocks])
+        indptr = np.zeros(self._next_row + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        joined = CsrMatrix.from_parts(
+            indptr,
+            np.concatenate([block.cols for block in self._blocks]),
+            np.concatenate([block.data for block in self._blocks]),
+            plan.right.num_cols,
+        )
+        return CountMatrixCSR.from_csr(
+            joined, plan.row_labels[:self._next_row], plan.column_labels
+        )
 
 
 def _largest_magnitude(values: np.ndarray) -> int:
@@ -204,7 +243,7 @@ class _RowBlockPlan:
     charges: np.ndarray
     left: CsrMatrix
     right: CsrMatrix
-    column_labels: np.ndarray
+    column_labels: List
 
 
 class ChainProductJob:
@@ -212,11 +251,11 @@ class ChainProductJob:
 
     The chain is evaluated left to right: the product of the first two
     matrices is computed incrementally; when it completes, an incremental
-    product of the partial result with the next matrix starts, and so on.
+    product of its positional result with the next matrix starts, and so on.
     ``name`` identifies the job (e.g. ``"A_old*B_old*C_old"``) for diagnostics.
     """
 
-    def __init__(self, matrices: List[CountMatrix], name: str = "chain") -> None:
+    def __init__(self, matrices: Sequence[Operand], name: str = "chain") -> None:
         if not matrices:
             raise ConfigurationError("ChainProductJob requires at least one matrix")
         self.name = name
@@ -227,7 +266,9 @@ class ChainProductJob:
             self._current: Optional[IncrementalMatrixProduct] = None
             self._accumulated = self._matrices[0]
         else:
-            self._current = IncrementalMatrixProduct(self._matrices[0], self._matrices[1])
+            self._current = IncrementalMatrixProduct(
+                self._matrices[0], self._matrices[1], name=name
+            )
             self._accumulated = None
 
     @property
@@ -244,7 +285,7 @@ class ChainProductJob:
         return self._current is None
 
     @property
-    def result(self) -> CountMatrix:
+    def result(self) -> Operand:
         """The final product; only valid once :attr:`is_complete` is true."""
         if not self.is_complete:
             raise CounterStateError(
@@ -263,7 +304,9 @@ class ChainProductJob:
                 partial = self._current.result
                 next_index = self._stage_index + 2
                 if next_index < len(self._matrices):
-                    self._current = IncrementalMatrixProduct(partial, self._matrices[next_index])
+                    self._current = IncrementalMatrixProduct(
+                        partial, self._matrices[next_index], name=self.name
+                    )
                     self._stage_index += 1
                 else:
                     self._accumulated = partial

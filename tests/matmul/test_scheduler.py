@@ -37,7 +37,7 @@ class ScalarIncrementalMatrixProduct:
     multiply-add, each row charged ``sum of max(|right row|, 1)`` over its
     entries (at least 1), and the row that reaches the budget finished."""
 
-    def __init__(self, left: CountMatrix, right: CountMatrix) -> None:
+    def __init__(self, left, right, name: str = "product") -> None:
         self._left = left
         self._right = right
         self._pending_rows = deque(sorted(left.row_labels(), key=repr))
@@ -413,6 +413,23 @@ class TestRowBlocks:
         product.advance(1)
         assert product.is_complete
         assert product._plan is None
+
+    @pytest.mark.parametrize("change", ["add a row", "remove a row"])
+    def test_an_operand_changed_before_the_first_advance_is_refused(self, change):
+        left = CountMatrix({("r", "m"): 1, ("s", "m"): 2})
+        right = CountMatrix({("m", "c"): 3})
+        product = IncrementalMatrixProduct(left, right, name="A_old*B_old")
+        if change == "add a row":
+            left.add("t", "m", 1)
+        else:
+            left.add("s", "m", -2)
+        with pytest.raises(CounterStateError, match="A_old\\*B_old"):
+            product.advance(10**9)
+        # The right operand is a snapshot too, and a chain names its stages.
+        job = ChainProductJob([left, right, CountMatrix({("c", "d"): 1})], name="abc")
+        right.add("m", "d", 1)
+        with pytest.raises(CounterStateError, match="abc"):
+            job.advance(1)
 
     def test_products_past_int64_are_refused(self):
         left = CountMatrix({("r", "m"): 1 << 31, ("r", "n"): 1 << 31})
