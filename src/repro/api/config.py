@@ -70,10 +70,11 @@ class EngineConfig:
     shard_policy: str = "auto"
     block_entries: "int | None" = None
     #: Durability: a write-ahead log path enables crash-safe operation (every
-    #: update is logged before it is applied; see :mod:`repro.durability`);
-    #: ``snapshot_every`` checkpoints next to the log after that many logged
-    #: records; ``fsync_policy`` picks when the log hits stable storage
-    #: ("always" per record, "batch" per apply/apply_batch call, "never").
+    #: apply/apply_batch window is logged as one record before it is applied;
+    #: see :mod:`repro.durability`); ``snapshot_every`` checkpoints next to
+    #: the log after that many logged updates; ``fsync_policy`` picks when the
+    #: log hits stable storage ("always" per record, "batch" per
+    #: apply/apply_batch call, "never").
     wal_path: "str | None" = None
     snapshot_every: "int | None" = None
     fsync_policy: str = "batch"

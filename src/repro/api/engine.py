@@ -20,8 +20,8 @@ has a single seam to plug into:
   phase rebuild, checkpoint, executor degradation) for instrumentation that
   should not live inside the counters;
 * crash-safe durability: a config with ``wal_path`` set (or an explicit
-  :meth:`attach_wal`) logs every update to a
-  :class:`~repro.durability.wal.WriteAheadLog` *before* applying it, writes
+  :meth:`attach_wal`) logs every ``apply``/``apply_batch`` window as one
+  :class:`~repro.durability.wal.WriteAheadLog` record *before* applying it, writes
   periodic snapshot generations next to the log (``snapshot_every``), and a
   restarted process calls :func:`repro.durability.recover` to resume
   bit-identically from the last durable record.
@@ -343,13 +343,16 @@ class FourCycleEngine:
         snapshot_every: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
         min_next_seq: int = 0,
+        scan=None,
     ):
         """Attach a write-ahead log so every subsequent update is durable.
 
         Reopening an existing log resumes its sequence numbering (recovery
-        passes ``min_next_seq`` to floor it past the replayed tail).  Writes
-        the config metadata sidecar on first attach so a log is recoverable
-        even before the first snapshot lands.  Returns the opened log.
+        passes ``min_next_seq`` to floor it past the replayed tail, and the
+        :class:`~repro.durability.wal.WalScan` of its own pass over the log as
+        ``scan`` so the log is not read twice).  Writes the config metadata
+        sidecar on first attach so a log is recoverable even before the first
+        snapshot lands.  Returns the opened log.
         """
         from repro.durability.wal import WriteAheadLog, load_wal_meta, save_wal_meta
 
@@ -365,6 +368,7 @@ class FourCycleEngine:
             fsync_policy=fsync_policy,
             injector=self._fault_injector,
             min_next_seq=min_next_seq,
+            scan=scan,
         )
         self._wal = wal
         self._last_durable_seq = wal.last_seq
@@ -480,10 +484,11 @@ class FourCycleEngine:
     def apply(self, update: EdgeUpdate) -> int:
         """Apply one update and return the new count.
 
-        With a WAL attached the update is logged and committed *before* it is
-        applied (write-ahead).  A counter rejection (e.g. an invalid update)
-        rolls the logged record back and re-raises: single updates are atomic,
-        so the engine stays usable and the log stays equal to applied history.
+        With a WAL attached the update is logged as its own record and
+        committed *before* it is applied (write-ahead).  A counter rejection
+        (e.g. an invalid update) rolls the logged record back and re-raises:
+        single updates are atomic, so the engine stays usable and the log
+        stays equal to applied history.
         """
         self._check_failed()
         if self._wal is not None:
@@ -507,23 +512,32 @@ class FourCycleEngine:
     def apply_batch(self, updates: Union[UpdateBatch, Iterable[EdgeUpdate]]) -> int:
         """Apply one window of updates as a batch and return the new count.
 
-        With a WAL attached the whole window is logged and committed first.
-        If the counter then fails mid-batch the engine cannot know how much of
-        the window took effect, so it *fail-stops*: the logged window is rolled
-        back (it never became applied history), every later mutation raises,
-        and the :class:`~repro.exceptions.RecoverableEngineError` carries the
-        last durable sequence number a fresh :func:`repro.durability.recover`
-        call will resume from.
+        With a WAL attached the whole window is logged as one record and
+        committed first.  If the counter then fails mid-batch the engine cannot
+        know how much of the window took effect, so it *fail-stops*: the logged
+        window is rolled back (it never became applied history), every later
+        mutation raises, and the :class:`~repro.exceptions.RecoverableEngineError`
+        carries the last durable sequence number a fresh
+        :func:`repro.durability.recover` call will resume from.  A
+        WAL-attached engine takes raw windows only: an already-normalized
+        :class:`~repro.graph.updates.UpdateBatch` no longer holds the raw
+        window its ``raw_size`` counts, so no log could replay it and it is
+        refused with :class:`~repro.exceptions.ConfigurationError`.
         """
         self._check_failed()
         if isinstance(updates, UpdateBatch):
+            if self._wal is not None:
+                raise ConfigurationError(
+                    "a WAL-attached engine cannot log a pre-normalized "
+                    "UpdateBatch (its raw window is gone); pass the raw updates"
+                )
             size = updates.raw_size
         else:
             updates = updates if hasattr(updates, "__len__") else list(updates)
             size = len(updates)
         if self._wal is not None:
             seq_before = self._wal.last_seq
-            logged = self._wal.append_batch(list(updates))
+            logged = self._wal.append_batch(updates)
             self._wal.commit()
             try:
                 count = self._counter.apply_batch(updates)

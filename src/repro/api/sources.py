@@ -149,8 +149,9 @@ class ReplaySource:
     raises in both modes.
 
     A write-ahead log written by
-    :class:`~repro.durability.wal.WriteAheadLog` is itself a valid replay
-    file (its ``seq``/``crc`` fields are ignored here).
+    :class:`~repro.durability.wal.WriteAheadLog` is *not* a replay file: it
+    holds one CRC-framed record per committed window, which
+    :func:`repro.durability.wal.replay_wal` reads.
     """
 
     def __init__(self, path, tolerate_torn_tail: bool = False) -> None:

@@ -21,7 +21,8 @@ Installed as ``repro-4cycles``.  Subcommands:
   generations (:func:`repro.durability.recover`), print the recovery report,
   and verify the recovered count against a from-scratch recount.  With
   ``--compact`` the recovered engine snapshots and compacts the log before
-  exiting.
+  exiting.  Recovery sizes its replay windows from the graph (at least
+  ``n + m`` updates each), so there is no window option.
 * ``bench`` — run the performance experiments (E10 batch throughput, E11
   interned-kernel throughput, E12 sparse-vs-dense product backends) in one
   invocation, print their tables, and write the machine-readable
@@ -325,12 +326,7 @@ def _command_recover(args: argparse.Namespace) -> int:
     from repro.exceptions import ReproError
 
     try:
-        engine, report = recover(
-            args.wal,
-            config=args.counter,
-            attach=args.compact,
-            batch_size=args.batch_size,
-        )
+        engine, report = recover(args.wal, config=args.counter, attach=args.compact)
     except ReproError as error:
         print(f"recovery failed: {error}", file=sys.stderr)
         return 1
@@ -443,12 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
             "override the recorded counter (default: the config stored in the "
             "newest valid snapshot, or the WAL metadata sidecar)"
         ),
-    )
-    recover.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=None,
-        help="replay window size (throughput only; the recovered count is identical)",
     )
     recover.add_argument(
         "--compact",

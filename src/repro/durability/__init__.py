@@ -2,15 +2,17 @@
 
 Three pieces:
 
-* :mod:`repro.durability.wal` — :class:`WriteAheadLog`, an append-only JSONL
-  update log in :class:`~repro.api.sources.ReplaySource`'s format extended
-  with per-record sequence numbers and a CRC32 trailer, with configurable
-  fsync policy and crash-tolerant reopen;
+* :mod:`repro.durability.wal` — :class:`WriteAheadLog`, an append-only update
+  log with one CRC32-framed JSON record per committed window (per-update
+  sequence numbers, contiguous across records), configurable fsync policy and
+  crash-tolerant reopen, and :func:`replay_wal`, the one reader that
+  validates and yields its records in a single pass;
 * :mod:`repro.durability.snapshots` — checkpoint generations next to the log
   (``<wal>.snap-<seq>.json``), newest-valid-wins selection, pruning;
 * :mod:`repro.durability.recovery` — :func:`recover`, which rebuilds an
-  engine from the latest valid snapshot plus the WAL tail, tolerating exactly
-  one torn (or counter-rejected) final record, and re-attaches the log.
+  engine from the latest valid snapshot plus the WAL tail in one read of the
+  log, tolerating exactly one torn (or counter-rejected) final record, and
+  re-attaches the log.
 """
 
 from repro.durability.recovery import RecoveryReport, recover
@@ -23,6 +25,7 @@ from repro.durability.snapshots import (
 )
 from repro.durability.wal import (
     FSYNC_POLICIES,
+    WalRecord,
     WalScan,
     WriteAheadLog,
     decode_wal_record,
@@ -31,19 +34,18 @@ from repro.durability.wal import (
     replay_wal,
     save_wal_meta,
     scan_wal,
-    truncate_wal_after_seq,
     wal_meta_path,
 )
 
 __all__ = [
     "WriteAheadLog",
     "FSYNC_POLICIES",
+    "WalRecord",
     "WalScan",
     "encode_wal_record",
     "decode_wal_record",
     "scan_wal",
     "replay_wal",
-    "truncate_wal_after_seq",
     "wal_meta_path",
     "save_wal_meta",
     "load_wal_meta",

@@ -7,13 +7,16 @@
    costs replay time, never the run);
 2. rebuilds a :class:`~repro.api.engine.FourCycleEngine` from it (or from the
    config stored in the WAL's metadata sidecar when no snapshot ever landed);
-3. replays every WAL record past the snapshot's sequence number through the
-   engine's exact batch pipeline, tolerating exactly one torn final record —
-   and, symmetrically, one *rejected* final record: an update the counter
-   refused whose rollback truncate the crash beat to disk is re-rejected on
-   replay and dropped from the log;
-4. re-attaches the WAL so the recovered engine appends where the crashed one
-   stopped.
+3. reads the log once, replaying every record past the snapshot's sequence
+   number through the engine's exact batch pipeline.  Records are merged into
+   windows of at least the engine's current ``n + m`` updates, so a counter's
+   whole-graph batch rebuild is spread over at least as many updates as it
+   costs.  One torn final record is tolerated — and, symmetrically, one
+   *rejected* final record: a window the counter refused whose rollback
+   truncate the crash beat to disk is re-rejected on replay (the final record
+   is always applied alone) and dropped from the log;
+4. re-attaches the WAL, handing the writer the reader's summary so it resumes
+   where the crashed engine stopped without reading the log again.
 
 Because every counter is exact and the WAL records updates in apply order,
 the recovered count is bit-identical to an uninterrupted run over the same
@@ -27,19 +30,20 @@ sanctioned idiom for calling back up the DAG (see REP102).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import (
+    ConfigurationError,
+    InvalidUpdateError,
+    ReproError,
+    WalCorruptionError,
+)
 from repro.faults.injector import FaultInjector
 from repro.durability.snapshots import latest_valid_snapshot
-from repro.durability.wal import (
-    load_wal_meta,
-    replay_wal,
-    scan_wal,
-    truncate_wal_after_seq,
-)
+from repro.durability.wal import WalScan, load_wal_meta, replay_wal
 
 PathLike = Union[str, Path]
 
@@ -52,7 +56,7 @@ class RecoveryReport:
     counter: str
     snapshot_path: Optional[str]  #: generation used, None = full-log replay
     snapshot_seq: int             #: WAL seq the snapshot covered (-1 = none)
-    replayed_records: int         #: WAL tail records applied
+    replayed_records: int         #: WAL tail records (windows) applied
     torn_tail_dropped: bool       #: whether the log ended in a torn record
     rejected_tail_dropped: bool   #: whether the final record was rejected and dropped
     last_seq: int                 #: last durable sequence number after recovery
@@ -77,17 +81,15 @@ def recover(
     config=None,
     fault_injector: Optional[FaultInjector] = None,
     attach: bool = True,
-    batch_size: Optional[int] = None,
 ) -> Tuple[object, RecoveryReport]:
     """Rebuild an engine from ``wal_path`` and its snapshot generations.
 
     ``config`` (an :class:`~repro.api.config.EngineConfig`, a config dict, or
     a counter name) overrides the recorded configuration; normally it is
     ``None`` and the snapshot's (or metadata sidecar's) config is used.
-    ``attach=False`` recovers a read-only engine without reopening the log.
-    ``batch_size`` overrides the replay window (the final count is identical
-    for every window size — the counters are exact — so this is purely a
-    replay-throughput knob).  Returns ``(engine, report)``.
+    ``attach=False`` recovers an engine without reopening the log for writes
+    (a rejected final record is still dropped from it).  Returns
+    ``(engine, report)``.
     """
     from repro.api.config import EngineConfig
     from repro.api.engine import FourCycleEngine
@@ -129,43 +131,45 @@ def recover(
     else:
         engine = FourCycleEngine(replay_config)
 
-    scan = scan_wal(wal, tolerate_torn_tail=True)
+    scan = WalScan()
     replayed = 0
-    last_seq = snapshot_seq
     rejected_tail = False
-    window_size = batch_size if batch_size is not None else max(config.batch_size, 1)
     window = []
-    for seq, update in replay_wal(wal, after_seq=snapshot_seq):
-        if seq == scan.last_seq:
-            # The final record is the one place write-ahead order can leave a
-            # committed-but-never-applied update: the engine commits, the
-            # counter rejects, and a crash lands before the rollback truncate
-            # is durable.  Apply it alone; if the counter rejects it now it was
-            # rejected then, so drop it from the log like a torn tail.
-            if window:
-                _apply_window(engine, window)
-                replayed += len(window)
-                window = []
-            try:
-                engine.apply(update)
-            except ReproError:
-                truncate_wal_after_seq(wal, seq - 1)
-                rejected_tail = True
-                break
+    final = None  # the last record seen, held back until another follows
+    for record in replay_wal(wal, scan):
+        if record.last_seq <= snapshot_seq:
+            continue
+        if record.seq <= snapshot_seq:
+            raise WalCorruptionError(
+                f"{wal}: the snapshot covers seq {snapshot_seq}, which falls "
+                f"inside the record holding {record.seq}..{record.last_seq}"
+            )
+        if final is not None:
+            window.extend(final.updates)
             replayed += 1
-            last_seq = seq
-            break
-        window.append(update)
-        last_seq = seq
-        if len(window) >= window_size:
-            _apply_window(engine, window)
-            replayed += len(window)
-            window = []
+            if len(window) >= engine.num_vertices + engine.num_edges:
+                _replay_window(engine, window)
+                window = []
+        final = record
     if window:
-        _apply_window(engine, window)
-        replayed += len(window)
-    durable_tail = scan.last_seq - 1 if rejected_tail else scan.last_seq
-    last_seq = max(last_seq, durable_tail, snapshot_seq)
+        _replay_window(engine, window)
+    if final is not None:
+        # The final record is the one place write-ahead order can leave a
+        # committed-but-never-applied window: the engine commits, the counter
+        # rejects, and a crash lands before the rollback truncate is durable.
+        # Apply it alone; if the counter rejects it now it was rejected then,
+        # so drop it from the log like a torn tail.
+        try:
+            engine.apply_batch(final.updates)
+        except ReproError:
+            os.truncate(wal, final.offset)
+            scan.valid_bytes = final.offset
+            scan.last_seq = final.seq - 1
+            scan.num_records -= 1
+            rejected_tail = True
+        else:
+            replayed += 1
+    last_seq = max(scan.last_seq, snapshot_seq)
 
     if attach:
         engine.attach_wal(
@@ -174,6 +178,7 @@ def recover(
             snapshot_every=config.snapshot_every,
             fault_injector=fault_injector,
             min_next_seq=last_seq + 1,
+            scan=scan,
         )
 
     report = RecoveryReport(
@@ -190,9 +195,13 @@ def recover(
     return engine, report
 
 
-def _apply_window(engine, window) -> None:
-    """One replay window through the exact update pipeline."""
-    if len(window) == 1:
-        engine.apply(window[0])
-    else:
+def _replay_window(engine, window) -> None:
+    """One merged replay window through the engine's batch pipeline."""
+    try:
         engine.apply_batch(window)
+    except InvalidUpdateError:
+        # normalize_batch refuses an inconsistent window before it mutates
+        # anything; re-run it one update at a time so the counter's own error
+        # (a duplicate insert, a missing delete) surfaces at the bad update.
+        for update in window:
+            engine.apply(update)

@@ -2,30 +2,36 @@
 
 Format
 ------
-One JSON object per line, in :class:`~repro.api.sources.ReplaySource`'s exact
-update encoding (``u``/``v``/``kind``) extended with two durability fields:
+One line per committed window (one engine ``apply`` or ``apply_batch``
+call), written with one ``write``::
 
-* ``seq`` — a per-record sequence number, contiguous within the file (the
-  first record of a compacted log may start above zero);
-* ``crc`` — a CRC32 trailer over the canonical JSON of the record without the
-  ``crc`` field itself.
+    <crc32 of body, 8 lowercase hex digits> <body>\\n
 
-Because decoders of the base format ignore unknown keys, a WAL file *is* a
-valid ``ReplaySource`` stream; the extra fields only matter to recovery, which
-uses them to skip records already covered by a snapshot and to reject
-corruption.
+where the body is the compact JSON ``{"seq": <first seq>, "updates": [[u, v,
+kind], ...]}``.  Every update owns one sequence number: a record holds the
+contiguous run ``seq .. seq + len(updates) - 1``, and the runs of successive
+records are contiguous across the file (the first record of a compacted log
+may start above zero).  The CRC covers the body bytes exactly as they sit in
+the file, so validating a record never re-serializes it.
+
+A WAL is *not* a :class:`~repro.api.sources.ReplaySource` stream; read it
+with :func:`replay_wal`.  Logs in the per-update JSON-lines format of earlier
+versions are refused with a :class:`~repro.exceptions.DurabilityError` that
+names the format.
 
 Crash semantics
 ---------------
 Appends go through an unbuffered file descriptor, so a record is handed to the
-OS the moment :meth:`WriteAheadLog.append` returns; the ``fsync_policy``
-decides when it is forced to stable storage (``"always"`` per record,
-``"batch"`` at each :meth:`commit` — the engine commits once per
-apply/apply_batch call — ``"never"`` leaves it to the OS).  A crash can
-therefore leave at most one torn record, at the tail.  Readers tolerate
-exactly that: a record that fails validation is forgiven only when nothing
-but blank space follows it; a bad record with more data after it is
-mid-file corruption and raises :class:`~repro.exceptions.WalCorruptionError`.
+OS the moment :meth:`WriteAheadLog.append_batch` returns; the
+``fsync_policy`` decides when it is forced to stable storage (``"always"``
+once per record, ``"batch"`` at each :meth:`commit` — the engine commits once
+per apply/apply_batch call — ``"never"`` leaves it to the OS).  A crash can
+therefore leave at most one torn record, at the tail, and a record is durable
+only once its newline is: a torn or corrupt final window is dropped whole, so
+a crashed batch recovers all or nothing.  A record that fails validation is
+forgiven only when nothing but blank space follows it; a bad record with more
+data after it is mid-file corruption and raises
+:class:`~repro.exceptions.WalCorruptionError`.
 
 Opening an existing log truncates a torn tail (after validating the prefix),
 so the writer always resumes from the last durable record.
@@ -38,9 +44,15 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import ConfigurationError, InjectedCrashError, WalCorruptionError
+from repro.exceptions import (
+    ConfigurationError,
+    DurabilityError,
+    InjectedCrashError,
+    InvalidUpdateError,
+    WalCorruptionError,
+)
 from repro.faults.injector import (
     ACTION_CORRUPT_RECORD,
     ACTION_CRASH,
@@ -49,8 +61,7 @@ from repro.faults.injector import (
     Fault,
     FaultInjector,
 )
-from repro.graph.updates import EdgeUpdate
-from repro.io.serialization import edge_update_from_dict, edge_update_to_dict
+from repro.graph.updates import EdgeUpdate, UpdateKind
 
 PathLike = Union[str, Path]
 
@@ -58,182 +69,133 @@ PathLike = Union[str, Path]
 #: (one engine apply/apply_batch call), or never (the OS decides).
 FSYNC_POLICIES = ("always", "batch", "never")
 
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
+_KINDS = {kind.value: kind for kind in UpdateKind}
 
 
 # ---------------------------------------------------------------------------
 # Record codec
 # ---------------------------------------------------------------------------
-def encode_wal_record(update: EdgeUpdate, seq: int) -> bytes:
-    """One WAL line for ``update`` at sequence number ``seq`` (newline included)."""
-    record = dict(edge_update_to_dict(update), seq=int(seq))
-    crc = zlib.crc32(json.dumps(record, **_CANONICAL).encode("utf-8"))
-    record["crc"] = crc
-    return (json.dumps(record, **_CANONICAL) + "\n").encode("utf-8")
+def encode_wal_record(
+    updates: Union[EdgeUpdate, Sequence[EdgeUpdate]], seq: int
+) -> bytes:
+    """One WAL line for a window (or a single update) whose first update takes
+    sequence number ``seq``; newline included."""
+    if isinstance(updates, EdgeUpdate):
+        updates = (updates,)
+    body = json.dumps(
+        {"seq": int(seq), "updates": [[u.u, u.v, u.kind.value] for u in updates]},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return b"%08x %s\n" % (zlib.crc32(body), body)
 
 
 def decode_wal_record(
-    line: str, path: Optional[PathLike] = None, line_number: Optional[int] = None
-) -> Tuple[int, EdgeUpdate]:
-    """Inverse of :func:`encode_wal_record`; raises :class:`WalCorruptionError`."""
+    line: bytes, path: Optional[PathLike] = None, line_number: Optional[int] = None
+) -> Tuple[int, List[EdgeUpdate]]:
+    """Inverse of :func:`encode_wal_record`: ``(first seq, updates)``.
+
+    Raises :class:`WalCorruptionError` for a torn, damaged or malformed
+    record, and :class:`DurabilityError` for a line in the per-update format
+    of earlier versions.
+    """
     where = f"{path}:{line_number}: " if path is not None else ""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as error:
-        raise WalCorruptionError(f"{where}not valid JSON: {line[:80]!r}") from error
-    if not isinstance(payload, dict):
-        raise WalCorruptionError(
-            f"{where}expected a JSON object, got {type(payload).__name__}"
+    if line.startswith(b"{"):
+        raise DurabilityError(
+            f"{where}this log is in the per-update JSON-lines WAL format of "
+            f"earlier versions (one {{u, v, kind, seq, crc}} object per "
+            f"update); this version writes and reads one '<crc32> <json>' "
+            f"record per committed window — recover the log with the version "
+            f"that wrote it"
         )
-    crc = payload.pop("crc", None)
-    if not isinstance(crc, int):
-        raise WalCorruptionError(f"{where}record has no integer crc trailer")
-    expected = zlib.crc32(json.dumps(payload, **_CANONICAL).encode("utf-8"))
-    if crc != expected:
+    if not line.endswith(b"\n"):
+        raise WalCorruptionError(f"{where}torn record (no terminating newline)")
+    if line[8:9] != b" ":
+        raise WalCorruptionError(f"{where}record has no CRC32 frame: {line[:80]!r}")
+    body = line[9:-1]
+    expected = b"%08x" % zlib.crc32(body)
+    if line[:8] != expected:
         raise WalCorruptionError(
-            f"{where}CRC mismatch: stored {crc}, computed {expected}"
+            f"{where}CRC mismatch: stored {line[:8]!r}, computed {expected!r}"
         )
-    seq = payload.get("seq")
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-        raise WalCorruptionError(f"{where}record has no valid sequence number: {seq!r}")
     try:
-        update = edge_update_from_dict(payload)
-    except ConfigurationError as error:
-        raise WalCorruptionError(f"{where}{error}") from error
-    return seq, update
+        payload = json.loads(body)
+        seq = payload["seq"]
+        updates = [EdgeUpdate(u, v, _KINDS[kind]) for u, v, kind in payload["updates"]]
+    except (ValueError, KeyError, TypeError, InvalidUpdateError) as error:
+        raise WalCorruptionError(f"{where}malformed record body: {error}") from error
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0 or not updates:
+        raise WalCorruptionError(
+            f"{where}record needs a sequence number >= 0 and at least one update"
+        )
+    return seq, updates
 
 
 # ---------------------------------------------------------------------------
-# Readers
+# The reader
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+class WalRecord(NamedTuple):
+    """One committed window as read back from the log."""
+
+    seq: int                    #: sequence number of the window's first update
+    updates: List[EdgeUpdate]   #: the window, in apply order
+    offset: int                 #: byte offset of the record's first byte
+
+    @property
+    def last_seq(self) -> int:
+        return self.seq + len(self.updates) - 1
+
+
+@dataclass
 class WalScan:
-    """Validation summary of one log file."""
+    """The valid prefix of one log, as :func:`replay_wal` found it."""
 
-    first_seq: int          #: sequence number of the first record (-1 if empty)
-    last_seq: int           #: sequence number of the last valid record (-1 if empty)
-    num_records: int        #: valid records seen
-    valid_bytes: int        #: byte length of the valid prefix (truncation point)
-    torn_tail: bool         #: whether a torn final record was dropped
-    torn_line: Optional[int]  #: line number of the torn record, if any
+    last_seq: int = -1      #: sequence number of the last valid update (-1 if empty)
+    num_records: int = 0    #: valid records seen
+    valid_bytes: int = 0    #: byte length of the valid prefix (truncation point)
+    torn_tail: bool = False  #: whether the log ends in a torn or corrupt record
 
 
-def scan_wal(path: PathLike, tolerate_torn_tail: bool = True) -> WalScan:
-    """Validate a log end to end without materializing its updates.
+def replay_wal(path: PathLike, scan: Optional[WalScan] = None) -> Iterator[WalRecord]:
+    """Validate and yield every record of a log in one lazy pass.
 
-    A record that fails validation is tolerated only when it is the final
-    non-blank line (a torn tail) *and* ``tolerate_torn_tail`` is set; any bad
-    record followed by more data raises :class:`WalCorruptionError`, as does a
-    sequence gap anywhere.
+    ``scan``, when given, is filled in as the pass advances; once the
+    generator is exhausted it describes the valid prefix, which is what a
+    reopened :class:`WriteAheadLog` resumes from.  A record that fails
+    validation is tolerated only when it is the final non-blank line (a torn
+    tail, which ends the pass); any bad record followed by more data raises
+    :class:`WalCorruptionError`, as does a sequence gap anywhere.  This is
+    the only code that decodes records.
     """
     source = Path(path)
-    first_seq = -1
-    last_seq = -1
-    num_records = 0
-    offset = 0
-    valid_bytes = 0
-    torn_line: Optional[int] = None
-    torn_error: Optional[WalCorruptionError] = None
+    if scan is None:
+        scan = WalScan()
     with source.open("rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            offset += len(raw)
-            if not stripped:
-                continue
-            if torn_error is not None:
-                raise torn_error
-            try:
-                seq, _ = decode_wal_record(
-                    stripped.decode("utf-8", errors="replace"), source, line_number
-                )
-            except WalCorruptionError as error:
-                torn_error = error
-                torn_line = line_number
-                continue
-            if last_seq >= 0 and seq != last_seq + 1:
-                raise WalCorruptionError(
-                    f"{source}:{line_number}: sequence gap: expected {last_seq + 1}, "
-                    f"found {seq}"
-                )
-            if first_seq < 0:
-                first_seq = seq
-            last_seq = seq
-            num_records += 1
-            valid_bytes = offset
-    if torn_error is not None and not tolerate_torn_tail:
-        raise torn_error
-    return WalScan(
-        first_seq=first_seq,
-        last_seq=last_seq,
-        num_records=num_records,
-        valid_bytes=valid_bytes,
-        torn_tail=torn_error is not None,
-        torn_line=torn_line,
-    )
-
-
-def replay_wal(
-    path: PathLike, after_seq: int = -1, tolerate_torn_tail: bool = True
-) -> Iterator[Tuple[int, EdgeUpdate]]:
-    """Yield ``(seq, update)`` for every record with ``seq > after_seq``.
-
-    Lazy (one line at a time); corruption semantics match :func:`scan_wal`.
-    """
-    source = Path(path)
-    last_seq = -1
-    pending: Optional[WalCorruptionError] = None
-    with source.open("r", encoding="utf-8", errors="replace") as handle:
         for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if pending is not None:
-                raise pending
             try:
-                seq, update = decode_wal_record(stripped, source, line_number)
-            except WalCorruptionError as error:
-                pending = error
-                continue
-            if last_seq >= 0 and seq != last_seq + 1:
-                raise WalCorruptionError(
-                    f"{source}:{line_number}: sequence gap: expected {last_seq + 1}, "
-                    f"found {seq}"
-                )
-            last_seq = seq
-            if seq > after_seq:
-                yield seq, update
-    if pending is not None and not tolerate_torn_tail:
-        raise pending
-
-
-def truncate_wal_after_seq(path: PathLike, seq: int) -> None:
-    """Truncate the log file so no record with a sequence above ``seq`` survives.
-
-    A record that fails to decode ends the valid prefix (everything from it on
-    is being dropped anyway), so this also clears a torn tail.  File-level
-    only — callers owning an open :class:`WriteAheadLog` go through
-    :meth:`WriteAheadLog.truncate_to_seq`, which also fixes up the sequence
-    counter and fd.
-    """
-    source = Path(path)
-    keep_bytes = 0
-    with source.open("rb") as handle:
-        offset = 0
-        for line_number, raw in enumerate(handle, start=1):
-            offset += len(raw)
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            try:
-                record_seq, _ = decode_wal_record(
-                    stripped.decode("utf-8", errors="replace"), source, line_number
-                )
+                seq, updates = decode_wal_record(line, source, line_number)
             except WalCorruptionError:
-                break
-            if record_seq > seq:
-                break
-            keep_bytes = offset
-    os.truncate(source, keep_bytes)
+                if handle.read().strip():
+                    raise
+                scan.torn_tail = True
+                return
+            if scan.num_records and seq != scan.last_seq + 1:
+                raise WalCorruptionError(
+                    f"{source}:{line_number}: sequence gap: expected "
+                    f"{scan.last_seq + 1}, found {seq}"
+                )
+            offset = scan.valid_bytes
+            scan.last_seq = seq + len(updates) - 1
+            scan.num_records += 1
+            scan.valid_bytes = offset + len(line)
+            yield WalRecord(seq, updates, offset)
+
+
+def scan_wal(path: PathLike) -> WalScan:
+    """Validate a whole log and summarize its valid prefix."""
+    scan = WalScan()
+    for _ in replay_wal(path, scan):
+        pass
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +206,11 @@ class WriteAheadLog:
 
     ``min_next_seq`` floors the next sequence number (recovery passes the
     snapshot's sequence when the snapshot is ahead of a lost or compacted
-    log).  ``injector`` threads a :class:`~repro.faults.FaultInjector` through
-    the append path; ``None`` (the default) costs one attribute check.
+    log).  ``scan`` is the :class:`WalScan` of a pass over this log that the
+    caller has just made (recovery hands over its own), so opening does not
+    read the log again; without it an existing log is scanned here.
+    ``injector`` threads a :class:`~repro.faults.FaultInjector` through the
+    append path; ``None`` (the default) costs one attribute check.
     """
 
     def __init__(
@@ -254,6 +219,7 @@ class WriteAheadLog:
         fsync_policy: str = "batch",
         injector: Optional[FaultInjector] = None,
         min_next_seq: int = 0,
+        scan: Optional[WalScan] = None,
     ) -> None:
         if fsync_policy not in FSYNC_POLICIES:
             raise ConfigurationError(
@@ -265,15 +231,16 @@ class WriteAheadLog:
         self.injector = injector
         self.reopened_torn_tail = False
         next_seq = max(0, int(min_next_seq))
-        if self.path.exists() and self.path.stat().st_size > 0:
-            scan = scan_wal(self.path, tolerate_torn_tail=True)
+        if scan is None and self.path.exists():
+            scan = scan_wal(self.path)
+        if scan is not None:
             if scan.torn_tail:
                 # Drop the torn record so the writer resumes from durable state.
                 os.truncate(self.path, scan.valid_bytes)
                 self.reopened_torn_tail = True
             next_seq = max(next_seq, scan.last_seq + 1)
         self._next_seq = next_seq
-        # Unbuffered: a returned append() is in the OS, so a simulated crash
+        # Unbuffered: a returned append is in the OS, so a simulated crash
         # (which just closes the fd) can never surface half-buffered bytes
         # later, and fsync semantics are exactly the policy's.
         self._file = self.path.open("ab", buffering=0)
@@ -283,7 +250,7 @@ class WriteAheadLog:
     # -- introspection -------------------------------------------------------
     @property
     def last_seq(self) -> int:
-        """Sequence number of the last appended record (-1 when empty)."""
+        """Sequence number of the last appended update (-1 when empty)."""
         return self._next_seq - 1
 
     @property
@@ -296,31 +263,39 @@ class WriteAheadLog:
 
     # -- appends -------------------------------------------------------------
     def append(self, update: EdgeUpdate) -> int:
-        """Durably append one update; returns its sequence number."""
+        """Append one update as its own record; returns its sequence number."""
+        return self.append_batch((update,))[0]
+
+    def append_batch(self, updates: Sequence[EdgeUpdate]) -> range:
+        """Append a window as one record with one write; the caller owns the
+        commit point.  Returns the sequence numbers the window took (empty,
+        and nothing written, for an empty window)."""
         self._ensure_open()
         seq = self._next_seq
-        data = encode_wal_record(update, seq)
+        if not updates:
+            return range(seq, seq)
+        data = encode_wal_record(updates, seq)
         if self.injector is not None:
-            fault = self.injector.check(SITE_WAL_APPEND)
-            if fault is not None:
-                self._inject_append_fault(fault, data, seq)
+            # One check per update keeps a schedule's occurrence index equal
+            # to a sequence number; the first fault that fires hits the
+            # whole record.
+            for _ in updates:
+                fault = self.injector.check(SITE_WAL_APPEND)
+                if fault is not None:
+                    self._inject_append_fault(fault, data, seq, len(updates))
         self._file.write(data)
         self._dirty = True
-        self._next_seq = seq + 1
+        self._next_seq = seq + len(updates)
         if self.fsync_policy == "always":
             self._sync()
-        return seq
-
-    def append_batch(self, updates: Iterable[EdgeUpdate]) -> List[int]:
-        """Append every update; the caller owns the commit point."""
-        return [self.append(update) for update in updates]
+        return range(seq, self._next_seq)
 
     def commit(self) -> None:
         """Force appended records to stable storage per the fsync policy.
 
         A no-op when nothing was written since the last sync, so under the
-        ``always`` policy (where :meth:`append` already synced) the engine's
-        per-update commit costs no second fsync.
+        ``always`` policy (where :meth:`append_batch` already synced) the
+        engine's commit costs no second fsync.
         """
         self._ensure_open()
         if self._dirty and self.fsync_policy in ("always", "batch"):
@@ -331,12 +306,12 @@ class WriteAheadLog:
         self._dirty = False
 
     # -- fault actions -------------------------------------------------------
-    def _inject_append_fault(self, fault: Fault, data: bytes, seq: int) -> None:
+    def _inject_append_fault(self, fault: Fault, data: bytes, seq: int, size: int) -> None:
         """Act on an armed append fault; every branch simulates a crash."""
         if fault.action == ACTION_CRASH:
             if fault.payload.get("when") == "after":
                 self._file.write(data)
-                self._next_seq = seq + 1
+                self._next_seq = seq + size
                 self._sync()
             self._simulate_crash(f"injected crash at {SITE_WAL_APPEND} seq={seq}")
         elif fault.action == ACTION_TORN_WRITE:
@@ -365,19 +340,44 @@ class WriteAheadLog:
         raise InjectedCrashError(message)
 
     # -- maintenance ---------------------------------------------------------
-    def truncate_to_seq(self, seq: int) -> None:
-        """Drop every record with a sequence number above ``seq``.
+    def _split(self, seq: int) -> Tuple[int, int, int]:
+        """Where the log divides after update ``seq``.
 
-        The engine's rollback path: a batch that was logged but failed to
-        apply never happened, so its records must not survive into recovery.
-        The truncation is fsynced (unless the policy is ``never``) so a crash
-        right after the rollback cannot resurrect the dropped records.
+        Returns ``(cut, kept, end)``: the byte offset of the first record
+        holding updates above ``seq`` (``end`` when none does), how many
+        records lie past the cut, and the end of the valid prefix.  The log
+        divides only between records, so a ``seq`` inside a record raises.
+        """
+        scan = WalScan()
+        cut: Optional[int] = None
+        kept = 0
+        for record in replay_wal(self.path, scan):
+            if record.seq > seq:
+                cut = record.offset if cut is None else cut
+                kept += 1
+            elif record.last_seq > seq:
+                raise ConfigurationError(
+                    f"{self.path}: seq {seq} falls inside the record holding "
+                    f"{record.seq}..{record.last_seq}; the log divides only "
+                    f"between records"
+                )
+        return (scan.valid_bytes if cut is None else cut), kept, scan.valid_bytes
+
+    def truncate_to_seq(self, seq: int) -> None:
+        """Drop every record holding updates above ``seq``.
+
+        The engine's rollback path: a window that was logged but failed to
+        apply never happened, so its record must not survive into recovery.
+        ``seq`` must end a record (see :meth:`_split`).  The truncation is
+        fsynced (unless the policy is ``never``) so a crash right after the
+        rollback cannot resurrect the dropped records.
         """
         self._ensure_open()
         if seq >= self.last_seq:
             return
+        cut, _, _ = self._split(seq)
         self._file.close()
-        truncate_wal_after_seq(self.path, seq)
+        os.truncate(self.path, cut)
         # The next append must continue the sequence right after ``seq``, NOT
         # after whatever records survive in the file: a compacted log can be
         # empty while the sequence counter is far above zero, and restarting
@@ -392,21 +392,21 @@ class WriteAheadLog:
         """Atomically rewrite the log keeping only records past ``keep_after_seq``.
 
         Called after a durable snapshot at ``keep_after_seq``: everything at or
-        below it is covered by the snapshot.  Sequence numbers are preserved,
-        so a compacted log's first record starts above zero.  Returns the
-        number of records kept.
+        below it is covered by the snapshot, and it must end a record.  The
+        kept records are copied byte for byte, so sequence numbers are
+        preserved and a compacted log's first record starts above zero.
+        Returns the number of records kept.
         """
         self._ensure_open()
         if self.fsync_policy != "never":
             # Land pending appends before rewriting; under ``never`` durability
             # is the OS's business, and the rewrite reads the page cache anyway.
             self._sync()
+        cut, kept, end = self._split(keep_after_seq)
         tmp = self.path.with_name(self.path.name + ".compact.tmp")
-        kept = 0
-        with tmp.open("wb") as handle:
-            for seq, update in replay_wal(self.path, after_seq=keep_after_seq):
-                handle.write(encode_wal_record(update, seq))
-                kept += 1
+        with self.path.open("rb") as source, tmp.open("wb") as handle:
+            source.seek(cut)
+            handle.write(source.read(end - cut))
             handle.flush()
             os.fsync(handle.fileno())
         self._file.close()

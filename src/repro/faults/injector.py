@@ -29,8 +29,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.exceptions import ConfigurationError
 
 # -- sites ------------------------------------------------------------------
-#: One WAL record append (occurrence index == the record's sequence number
-#: for a log written by a single engine).
+#: One logged update inside a WAL append (occurrence index == the update's
+#: sequence number for a log written by a single engine); a fault that fires
+#: acts on the whole record of the update's window.
 SITE_WAL_APPEND = "wal.append"
 #: One periodic engine snapshot write.
 SITE_SNAPSHOT_WRITE = "snapshot.write"

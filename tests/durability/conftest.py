@@ -4,8 +4,8 @@
 deterministic fault schedules the chaos tests run under — CI sweeps a fixed
 matrix, a developer reproducing a CI failure exports the one failing seed.
 ``REPRO_CHAOS_REPORT`` (a path) makes the session write every chaos case's
-fault schedule and recovery report there as JSON, which CI uploads as an
-artifact.
+fault schedule, recovery report and recovery wall time there as JSON, which
+CI uploads as an artifact.  :func:`logged` flattens a log into its updates.
 """
 
 from __future__ import annotations
@@ -15,6 +15,17 @@ import os
 from typing import Dict, List
 
 import pytest
+
+from repro.durability.wal import replay_wal
+
+
+def logged(path) -> list:
+    """``(seq, update)`` for every logged update, in log order."""
+    return [
+        (record.seq + index, update)
+        for record in replay_wal(path)
+        for index, update in enumerate(record.updates)
+    ]
 
 
 def chaos_seeds() -> List[int]:

@@ -13,10 +13,13 @@ shard-parallel SpGEMM path and asserts the product stays exact while the
 executor retries or degrades — never raising to the caller.
 
 Seeds come from ``REPRO_CHAOS_SEEDS`` (see ``conftest.py``); each case's fault
-schedule and recovery report go into the ``REPRO_CHAOS_REPORT`` artifact.
+schedule, recovery report and recovery wall time (recorded, never gated) go
+into the ``REPRO_CHAOS_REPORT`` artifact.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -75,7 +78,9 @@ def test_recovery_is_bit_identical(counter, fault_class, seed, tmp_path, chaos_r
         crashed = True
     assert crashed, "the scheduled fault must fire within the stream"
 
+    started = time.perf_counter()
     recovered, report = recover(wal)
+    recovery_s = time.perf_counter() - started
     durable = report.last_seq + 1
     assert 0 <= durable <= len(updates)
     expected = trajectory[durable - 1] if durable else 0
@@ -99,6 +104,7 @@ def test_recovery_is_bit_identical(counter, fault_class, seed, tmp_path, chaos_r
             "seed": seed,
             "schedule": injector.describe(),
             "recovery": report.to_dict(),
+            "recovery_s": recovery_s,
             "final_count": recovered.count,
         }
     )

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import EngineConfig, FourCycleEngine
+from repro.api import EngineConfig, FourCycleEngine, available_counter_names
 from repro.durability import (
     latest_valid_snapshot,
     list_snapshot_paths,
     recover,
     scan_wal,
 )
-from repro.durability.wal import encode_wal_record, load_wal_meta, replay_wal
+import repro.durability.wal as wal_module
+from repro.durability.wal import encode_wal_record, load_wal_meta
 from repro.exceptions import (
     ConfigurationError,
     DuplicateEdgeError,
@@ -32,12 +33,17 @@ from repro.faults import (
     Fault,
     FaultInjector,
 )
-from repro.graph.updates import EdgeUpdate
+from repro.graph.updates import EdgeUpdate, normalize_batch
 from tests.conftest import random_dynamic_stream
+from tests.durability.conftest import logged
 
 
 def stream(seed: int = 0, n: int = 80):
     return list(random_dynamic_stream(num_vertices=10, num_updates=n, seed=seed))
+
+
+def windows(updates, size):
+    return [updates[start : start + size] for start in range(0, len(updates), size)]
 
 
 class TestDurableRuns:
@@ -62,7 +68,7 @@ class TestDurableRuns:
         wal = tmp_path / "run.wal"
         with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as engine:
             engine.run(updates)
-        assert [update for _, update in replay_wal(wal)] == updates
+        assert [update for _, update in logged(wal)] == updates
 
     def test_constructor_refuses_an_existing_log(self, tmp_path):
         wal = tmp_path / "run.wal"
@@ -91,10 +97,29 @@ class TestDurableRuns:
             # The engine is still usable and the bad record never became durable.
             engine.insert(1, 2)
             assert engine.last_durable_seq == 1
-        assert [update for _, update in replay_wal(wal)] == [
+        assert [update for _, update in logged(wal)] == [
             EdgeUpdate.insert(0, 1),
             EdgeUpdate.insert(1, 2),
         ]
+
+    def test_pre_normalized_batch_is_refused_before_logging(self, tmp_path):
+        # The log holds the raw windows updates_processed counts; a
+        # normalized batch has dropped its cancelled pairs, so no log could
+        # replay it to the same updates_processed.
+        wal = tmp_path / "run.wal"
+        raw = [EdgeUpdate.insert(2, 3), EdgeUpdate.delete(2, 3), EdgeUpdate.insert(3, 0)]
+        with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as engine:
+            engine.apply_batch([EdgeUpdate.insert(0, 1), EdgeUpdate.insert(1, 2)])
+            with pytest.raises(ConfigurationError, match="UpdateBatch"):
+                engine.apply_batch(normalize_batch(raw, engine.graph.has_edge))
+            assert (engine.updates_processed, engine.last_durable_seq) == (2, 1)
+            assert scan_wal(wal).last_seq == 1
+            # Not fail-stopped: the raw window goes through.
+            engine.apply_batch(raw)
+            live = (engine.count, engine.updates_processed, engine.last_durable_seq)
+        recovered, report = recover(wal, attach=False)
+        assert (recovered.count, recovered.updates_processed, report.last_seq) == live
+        assert live[1:] == (5, 4)
 
 
 class TestSnapshots:
@@ -251,6 +276,81 @@ class TestRecovery:
         recovered.close()
 
 
+    def test_recover_reads_the_log_once(self, tmp_path, monkeypatch):
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as engine:
+            for window in windows(stream(seed=4, n=40), 4):
+                engine.apply_batch(window)
+            final = engine.count
+        whole = wal.read_bytes()
+        torn = encode_wal_record(EdgeUpdate.insert(0, 1), 40)[:12]
+        wal.write_bytes(whole + torn)
+        decoded = []
+        real_decode = wal_module.decode_wal_record
+
+        def spy(line, *args, **kwargs):
+            decoded.append(line)
+            return real_decode(line, *args, **kwargs)
+
+        monkeypatch.setattr(wal_module, "decode_wal_record", spy)
+        recovered, report = recover(wal)
+        # Every line decoded exactly once, the torn one included; the
+        # re-attached writer truncated the tail from recovery's own pass.
+        assert decoded == whole.splitlines(keepends=True) + [torn]
+        assert report.torn_tail_dropped and report.replayed_records == 10
+        assert recovered.count == final and wal.read_bytes() == whole
+        recovered.apply(EdgeUpdate.insert(20, 21))
+        assert recovered.last_durable_seq == 40
+        recovered.close()
+        assert len(decoded) == 11
+
+
+class TestReplayWindows:
+    """Replay merges records into windows of at least the engine's n + m."""
+
+    @pytest.mark.parametrize("with_snapshot", [False, True], ids=["full-log", "snapshot"])
+    @pytest.mark.parametrize("counter", sorted(available_counter_names()))
+    def test_windows_match_per_update_replay(self, counter, with_snapshot, tmp_path, monkeypatch):
+        updates = list(random_dynamic_stream(num_vertices=12, num_updates=240, seed=7))
+        reference = FourCycleEngine(counter)
+        for update in updates:
+            reference.apply(update)
+        wal = tmp_path / "churn.wal"
+        config = EngineConfig(
+            counter=counter,
+            wal_path=str(wal),
+            snapshot_every=200 if with_snapshot else None,
+        )
+        with FourCycleEngine(config) as engine:
+            for window in windows(updates, 5):
+                engine.apply_batch(window)
+        calls = []
+        real_apply_batch = FourCycleEngine.apply_batch
+
+        def spy(engine, window):
+            calls.append((len(window), engine.num_vertices + engine.num_edges))
+            return real_apply_batch(engine, window)
+
+        monkeypatch.setattr(FourCycleEngine, "apply_batch", spy)
+        recovered, report = recover(wal, attach=False)
+        assert recovered.count == reference.count
+        assert recovered.updates_processed == reference.updates_processed == 240
+        assert recovered.is_consistent()
+        *merged, final = calls
+        assert final[0] == 5  # the final record, applied alone
+        tail = 240 - (report.snapshot_seq + 1)
+        assert sum(size for size, _ in calls) == tail
+        assert report.replayed_records == tail // 5
+        # Every merged window but the last reaches n + m; the last holds what
+        # remains before the final record.
+        assert all(size >= cost for size, cost in merged[:-1])
+        if with_snapshot:
+            assert report.snapshot_seq == 199
+            assert len(merged) == 1 and merged[0][0] == tail - 5 < merged[0][1]
+        else:
+            assert report.snapshot_path is None and len(merged) > 2
+
+
 class TestFailStop:
     def _engine_with_poisoned_batch(self, tmp_path):
         wal = tmp_path / "run.wal"
@@ -265,7 +365,7 @@ class TestFailStop:
             engine.apply_batch(bad_batch)
         assert excinfo.value.last_durable_seq == 0
         # The poisoned window was rolled back: the log equals applied history.
-        assert [seq for seq, _ in replay_wal(wal)] == [0]
+        assert [seq for seq, _ in logged(wal)] == [0]
         # Every further mutation refuses with the same recovery pointer.
         with pytest.raises(RecoverableEngineError):
             engine.insert(5, 6)
@@ -351,7 +451,7 @@ class TestCompaction:
             engine.insert(2, 3)
             assert engine.last_durable_seq == 2
             final = engine.count
-        assert [seq for seq, _ in replay_wal(wal)] == [2]
+        assert [seq for seq, _ in logged(wal)] == [2]
         recovered, report = recover(wal, attach=False)
         assert report.replayed_records == 1
         assert report.last_seq == 2

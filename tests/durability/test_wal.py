@@ -1,17 +1,21 @@
-"""The write-ahead log: codec, scan/replay semantics, and the writer.
+"""The write-ahead log: codec, the one reader, and the writer.
 
-The load-bearing contracts: a WAL file is simultaneously a valid
-``ReplaySource`` stream; a torn *final* record is forgiven (and truncated on
-reopen) while damage anywhere else raises; sequence numbers are contiguous
-and survive rollback, compaction, and reopen.
+The load-bearing contracts: each committed window is one record, framed by a
+CRC32 over its body bytes as written; a torn *final* record is forgiven (and
+truncated on reopen) while damage anywhere else raises; a log in the
+per-update format of earlier versions is refused by name; sequence numbers
+are per update, contiguous across records, and survive rollback, compaction,
+and reopen.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
+import repro.durability.wal as wal_module
 from repro.api.sources import ReplaySource
 from repro.durability.wal import (
     WriteAheadLog,
@@ -23,8 +27,9 @@ from repro.durability.wal import (
     scan_wal,
     wal_meta_path,
 )
-from repro.exceptions import ConfigurationError, WalCorruptionError
+from repro.exceptions import ConfigurationError, DurabilityError, WalCorruptionError
 from repro.graph.updates import EdgeUpdate
+from tests.durability.conftest import logged
 
 
 def some_updates(n: int = 6) -> list:
@@ -37,95 +42,174 @@ def some_updates(n: int = 6) -> list:
     return updates
 
 
+def write_windows(path, sizes) -> list:
+    """Append windows of the given sizes; returns each window's seq range."""
+    updates = iter(some_updates(sum(sizes)))
+    with WriteAheadLog(path) as wal:
+        return [wal.append_batch([next(updates) for _ in range(size)]) for size in sizes]
+
+
 class TestRecordCodec:
     def test_roundtrip(self):
-        update = EdgeUpdate.insert("a", "b")
-        seq, decoded = decode_wal_record(encode_wal_record(update, 7).decode())
-        assert seq == 7
-        assert decoded == update
+        window = [EdgeUpdate.insert("a", "b"), EdgeUpdate.delete(3, 4)]
+        line = encode_wal_record(window, 7)
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        assert decode_wal_record(line) == (7, window)
+        single = EdgeUpdate.insert(1, 2)
+        assert decode_wal_record(encode_wal_record(single, 0)) == (0, [single])
+
+    def test_crc_covers_the_body_bytes_as_written(self):
+        line = encode_wal_record([EdgeUpdate.insert(1, 2)], 0)
+        crc, body = line[:8], line[9:-1]
+        assert json.loads(body) == {"seq": 0, "updates": [[1, 2, "insert"]]}
+        assert int(crc, 16) == zlib.crc32(body)
 
     def test_crc_catches_a_flipped_byte(self):
-        line = bytearray(encode_wal_record(EdgeUpdate.insert(1, 2), 0))
+        line = bytearray(encode_wal_record([EdgeUpdate.insert(1, 2)], 0))
         line[len(line) // 2] ^= 0x01
-        with pytest.raises(WalCorruptionError, match="CRC|JSON|crc"):
-            decode_wal_record(line.decode("utf-8", errors="replace"))
+        with pytest.raises(WalCorruptionError, match="CRC"):
+            decode_wal_record(bytes(line))
 
     def test_missing_crc_rejected(self):
-        bare = json.dumps({"u": 1, "v": 2, "kind": "insert", "seq": 0})
-        with pytest.raises(WalCorruptionError, match="crc"):
-            decode_wal_record(bare)
+        bare = json.dumps({"seq": 0, "updates": [[1, 2, "insert"]]}).encode()
+        with pytest.raises(WalCorruptionError, match="CRC32 frame"):
+            decode_wal_record(b"0 " + bare + b"\n")
+
+    def test_a_record_without_its_newline_is_torn(self):
+        line = encode_wal_record([EdgeUpdate.insert(1, 2)], 0)
+        with pytest.raises(WalCorruptionError, match="torn"):
+            decode_wal_record(line[:-1])
+
+
+class TestReader:
+    def test_per_update_format_of_earlier_versions_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.wal"
+        old_lines = [
+            {"crc": 1, "kind": "insert", "seq": 0, "u": 0, "v": 1},
+            {"crc": 2, "kind": "insert", "seq": 1, "u": 1, "v": 2},
+        ]
+        for count in (2, 1):
+            # A one-line old log would otherwise pass for a torn tail and be
+            # truncated away on reopen.
+            body = "".join(json.dumps(line) + "\n" for line in old_lines[:count])
+            path.write_text(body, encoding="utf-8")
+            for read in (scan_wal, WriteAheadLog):
+                with pytest.raises(DurabilityError, match="per-update") as excinfo:
+                    read(path)
+                assert not isinstance(excinfo.value, WalCorruptionError)
+            assert path.read_text(encoding="utf-8") == body
+
+    def test_records_carry_their_byte_offsets(self, tmp_path):
+        path = tmp_path / "log.wal"
+        write_windows(path, [3, 1, 2])
+        data = path.read_bytes()
+        records = list(replay_wal(path))
+        assert [(record.seq, record.last_seq) for record in records] == [(0, 2), (3, 3), (4, 5)]
+        for record in records:
+            line = data[record.offset :].split(b"\n", 1)[0] + b"\n"
+            assert decode_wal_record(line) == (record.seq, record.updates)
 
 
 class TestWriter:
     def test_append_then_scan(self, tmp_path):
         path = tmp_path / "log.wal"
         with WriteAheadLog(path) as wal:
-            seqs = wal.append_batch(some_updates(5))
+            first = wal.append_batch(some_updates(3))
+            second = wal.append_batch(some_updates(5)[3:])
             wal.commit()
-        assert seqs == [0, 1, 2, 3, 4]
+        assert (list(first), list(second)) == ([0, 1, 2], [3, 4])
+        assert len(path.read_bytes().splitlines()) == 2
         scan = scan_wal(path)
-        assert (scan.first_seq, scan.last_seq, scan.num_records) == (0, 4, 5)
+        assert (scan.last_seq, scan.num_records) == (4, 2)
+        assert scan.valid_bytes == path.stat().st_size
         assert not scan.torn_tail
+        assert logged(path) == list(enumerate(some_updates(5)))
 
-    def test_wal_file_is_a_valid_replay_source(self, tmp_path):
+    def test_an_empty_window_writes_nothing(self, tmp_path):
         path = tmp_path / "log.wal"
-        updates = some_updates(5)
         with WriteAheadLog(path) as wal:
-            wal.append_batch(updates)
-            wal.commit()
-        assert list(ReplaySource(path)) == updates
+            assert list(wal.append_batch([])) == []
+        assert path.read_bytes() == b""
 
     def test_reopen_continues_the_sequence(self, tmp_path):
         path = tmp_path / "log.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(EdgeUpdate.insert(0, 1))
+            wal.append_batch(some_updates(2))
         with WriteAheadLog(path) as wal:
-            assert wal.last_seq == 0
-            assert wal.append(EdgeUpdate.insert(1, 2)) == 1
-        assert [seq for seq, _ in replay_wal(path)] == [0, 1]
+            assert wal.last_seq == 1
+            assert wal.append(EdgeUpdate.insert(1, 2)) == 2
+        assert [seq for seq, _ in logged(path)] == [0, 1, 2]
 
     def test_reopen_truncates_a_torn_tail(self, tmp_path):
         path = tmp_path / "log.wal"
-        with WriteAheadLog(path) as wal:
-            wal.append_batch(some_updates(3))
+        write_windows(path, [2, 1])
         whole = path.read_bytes()
-        path.write_bytes(whole + b'{"u": 9, "v": 10, "ki')
+        torn = encode_wal_record(some_updates(4)[3:], 3)
+        path.write_bytes(whole + torn[: len(torn) - 1])
         wal = WriteAheadLog(path)
         assert wal.reopened_torn_tail
         assert wal.last_seq == 2
         wal.close()
         assert path.read_bytes() == whole
 
+    def test_a_handed_scan_truncates_a_torn_tail_without_reading(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.wal"
+        write_windows(path, [2, 1])
+        whole = path.read_bytes()
+        path.write_bytes(whole + encode_wal_record(some_updates(4)[3:], 3)[:9])
+        scan = scan_wal(path)
+        assert scan.torn_tail and scan.valid_bytes == len(whole)
+
+        def no_second_read(*args, **kwargs):
+            raise AssertionError("the writer read the log again")
+
+        monkeypatch.setattr(wal_module, "replay_wal", no_second_read)
+        monkeypatch.setattr(wal_module, "decode_wal_record", no_second_read)
+        wal = WriteAheadLog(path, scan=scan)
+        assert wal.reopened_torn_tail and wal.last_seq == 2
+        wal.close()
+        assert path.read_bytes() == whole
+
     def test_mid_file_corruption_raises_on_reopen(self, tmp_path):
         path = tmp_path / "log.wal"
-        with WriteAheadLog(path) as wal:
-            wal.append_batch(some_updates(4))
+        write_windows(path, [1, 2, 1, 2])
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[1] = b'{"torn": tru\n'
+        damaged = bytearray(lines[1])
+        damaged[len(damaged) // 2] ^= 0x01
+        lines[1] = bytes(damaged)
         path.write_bytes(b"".join(lines))
-        with pytest.raises(WalCorruptionError):
+        with pytest.raises(WalCorruptionError, match="CRC"):
             WriteAheadLog(path)
-        with pytest.raises(WalCorruptionError):
+        with pytest.raises(WalCorruptionError, match="CRC"):
             scan_wal(path)
 
     def test_sequence_gap_is_corruption(self, tmp_path):
         path = tmp_path / "log.wal"
         with path.open("wb") as handle:
-            handle.write(encode_wal_record(EdgeUpdate.insert(0, 1), 0))
-            handle.write(encode_wal_record(EdgeUpdate.insert(1, 2), 5))
+            handle.write(encode_wal_record(some_updates(2), 0))
+            handle.write(encode_wal_record([EdgeUpdate.insert(1, 2)], 5))
         with pytest.raises(WalCorruptionError, match="gap"):
             scan_wal(path)
 
     def test_truncate_to_seq_rolls_back(self, tmp_path):
         path = tmp_path / "log.wal"
+        write_windows(path, [2, 3, 1, 2])  # records 0..1, 2..4, 5, 6..7
         wal = WriteAheadLog(path)
-        wal.append_batch(some_updates(6))
-        wal.truncate_to_seq(2)
-        assert wal.last_seq == 2
-        assert [seq for seq, _ in replay_wal(path)] == [0, 1, 2]
+        # The log divides only between records: a seq inside one raises and
+        # leaves the log as it was.
+        with pytest.raises(ConfigurationError, match="inside the record"):
+            wal.truncate_to_seq(3)
+        assert wal.last_seq == 7 and scan_wal(path).num_records == 4
+        wal.truncate_to_seq(4)
+        assert wal.last_seq == 4
+        assert [seq for seq, _ in logged(path)] == [0, 1, 2, 3, 4]
         # The writer resumes exactly after the kept prefix.
-        assert wal.append(EdgeUpdate.insert(50, 51)) == 3
+        assert wal.append(EdgeUpdate.insert(50, 51)) == 5
+        wal.truncate_to_seq(1)
+        assert [seq for seq, _ in logged(path)] == [0, 1]
+        assert list(wal.append_batch(some_updates(2))) == [2, 3]
         wal.close()
+        assert [seq for seq, _ in logged(path)] == [0, 1, 2, 3]
 
     def test_truncate_after_compaction_keeps_the_sequence(self, tmp_path):
         # A rollback on a freshly compacted (empty) log must continue the
@@ -141,15 +225,20 @@ class TestWriter:
         assert wal.last_seq == 3
         assert wal.append(EdgeUpdate.insert(80, 81)) == 4
         wal.close()
-        assert [seq for seq, _ in replay_wal(path)] == [4]
+        assert [seq for seq, _ in logged(path)] == [4]
 
     def test_compact_preserves_sequence_numbers(self, tmp_path):
         path = tmp_path / "log.wal"
+        write_windows(path, [3, 1, 2])  # records 0..2, 3, 4..5
+        kept_bytes = path.read_bytes().splitlines(keepends=True)[2]
         wal = WriteAheadLog(path)
-        wal.append_batch(some_updates(6))
+        with pytest.raises(ConfigurationError, match="inside the record"):
+            wal.compact(keep_after_seq=4)
         kept = wal.compact(keep_after_seq=3)
-        assert kept == 2
-        assert [seq for seq, _ in replay_wal(path)] == [4, 5]
+        assert kept == 1
+        # The kept record is copied byte for byte, not re-encoded.
+        assert path.read_bytes() == kept_bytes
+        assert [seq for seq, _ in logged(path)] == [4, 5]
         assert wal.append(EdgeUpdate.insert(60, 61)) == 6
         wal.close()
         reopened = WriteAheadLog(path)
@@ -170,10 +259,11 @@ class TestWriter:
     def test_every_policy_writes_identical_bytes(self, tmp_path, policy):
         path = tmp_path / f"{policy}.wal"
         with WriteAheadLog(path, fsync_policy=policy) as wal:
-            wal.append_batch(some_updates(4))
+            wal.append_batch(some_updates(4)[:3])
+            wal.append(some_updates(4)[3])
             wal.commit()
-        reference = b"".join(
-            encode_wal_record(update, seq) for seq, update in enumerate(some_updates(4))
+        reference = encode_wal_record(some_updates(4)[:3], 0) + encode_wal_record(
+            some_updates(4)[3], 3
         )
         assert path.read_bytes() == reference
 
@@ -200,13 +290,16 @@ class TestFsyncAccounting:
         monkeypatch.setattr(os, "fsync", counting_fsync)
         return calls
 
-    def test_always_policy_syncs_once_per_update(self, tmp_path, fsync_calls):
-        # append() already synced, so the engine's per-update commit() must
-        # not pay a second fsync.
+    def test_always_policy_syncs_once_per_record(self, tmp_path, fsync_calls):
+        # append_batch() already synced the window's one record, so the
+        # engine's commit() must not pay a second fsync.
         with WriteAheadLog(tmp_path / "log.wal", fsync_policy="always") as wal:
-            wal.append(EdgeUpdate.insert(0, 1))
+            wal.append_batch(some_updates(4))
             wal.commit()
             assert len(fsync_calls) == 1
+            wal.append(EdgeUpdate.insert(9, 10))
+            wal.commit()
+            assert len(fsync_calls) == 2
 
     def test_commit_is_a_noop_when_clean(self, tmp_path, fsync_calls):
         with WriteAheadLog(tmp_path / "log.wal", fsync_policy="batch") as wal:
@@ -217,7 +310,8 @@ class TestFsyncAccounting:
 
     def test_compact_respects_the_never_policy(self, tmp_path, fsync_calls):
         wal = WriteAheadLog(tmp_path / "log.wal", fsync_policy="never")
-        wal.append_batch(some_updates(4))
+        wal.append_batch(some_updates(2))
+        wal.append_batch(some_updates(4)[2:])
         wal.compact(keep_after_seq=1)
         # Only the atomic-rewrite tmp file is synced; the live log never is.
         assert len(fsync_calls) == 1

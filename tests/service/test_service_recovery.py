@@ -4,14 +4,17 @@ The scenario the always-on layer exists for: a durable tenant fail-stops in
 the middle of an ingestion batch (injected WAL-append crash), the service
 answers 503 for that tenant from then on, and a *restarted* service re-creates
 the tenant from its write-ahead log with bit-identical counts — everything the
-service acknowledged before the crash survives, nothing from the doomed batch
-leaks in.
+service acknowledged before the crash survives, and the doomed batch, logged
+as one record, comes back all or nothing: none of it when the crash beat the
+write, all of it when the record was written first.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+
+import pytest
 
 from repro.api import EngineConfig, FourCycleEngine
 from repro.faults import ACTION_CRASH, SITE_WAL_APPEND, Fault, FaultInjector
@@ -38,7 +41,8 @@ def to_payload(batch):
 
 
 class TestServedEngineRecovery:
-    def test_crash_mid_batch_then_restart_recovers_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_crash_mid_batch_then_restart_recovers_bit_identical(self, tmp_path, when):
         wal_path = str(tmp_path / "served.wal")
         config = {"counter": "wedge", "wal_path": wal_path, "track_costs": False}
         updates = list(random_dynamic_stream(num_vertices=10, num_updates=60, seed=33))
@@ -46,9 +50,11 @@ class TestServedEngineRecovery:
         batches = [
             updates[i : i + batch_size] for i in range(0, len(updates), batch_size)
         ]
-        # Crash while appending the 18th record: mid-batch 4 (records 15-19),
-        # so batches 1-3 are acknowledged history and batch 4 must vanish.
+        # Crash while logging the 18th update: mid-batch 4 (updates 15-19),
+        # so batches 1-3 are acknowledged history and batch 4's one record is
+        # either never written or written whole.
         crash_record = 17
+        payload = {"when": "after"} if when == "after" else {}
 
         acknowledged = []
         with ServiceRunner() as runner:
@@ -57,7 +63,7 @@ class TestServedEngineRecovery:
                     "served",
                     config,
                     fault_injector=FaultInjector(
-                        [Fault(SITE_WAL_APPEND, ACTION_CRASH, at=crash_record)]
+                        [Fault(SITE_WAL_APPEND, ACTION_CRASH, at=crash_record, payload=payload)]
                     ),
                 )
             )
@@ -95,12 +101,14 @@ class TestServedEngineRecovery:
             )
             assert status == 201, summary
             assert summary["recovered"] is True
-            # Every acknowledged update survived the crash; the doomed batch
-            # died mid-append, so at most a durable *prefix* of it can appear
-            # in the log (the 503 told the client the batch is indeterminate).
+            # Every acknowledged update survived the crash, and the doomed
+            # batch is all or nothing: its record either never reached the log
+            # or reached it whole before the crash.
             recovered = summary["updates_processed"]
-            assert last_good["updates_processed"] <= recovered
-            assert recovered < (crashed_at + 1) * batch_size
+            if when == "after":
+                assert recovered == (crashed_at + 1) * batch_size
+            else:
+                assert recovered == last_good["updates_processed"]
             assert summary["last_durable_seq"] == recovered - 1
             # Bit-identical to an engine that replayed exactly the durable
             # prefix of the stream and never crashed at all.
@@ -111,15 +119,16 @@ class TestServedEngineRecovery:
             status, verdict = request(runner, "GET", "/engines/served/consistency")
             assert status == 200 and verdict["consistent"] is True
 
-            # The recovered tenant ingests the rest of the doomed batch and
-            # carries on exactly where the durable prefix left off.
-            remainder = updates[recovered : (crashed_at + 1) * batch_size]
+            # The recovered tenant ingests what the log lacks (the doomed
+            # batch unless it was written, then the next batch) and carries on
+            # exactly where the durable history left off.
+            remainder = updates[recovered : (crashed_at + 2) * batch_size]
             reference.apply_batch(remainder)
             status, body = request(
                 runner, "POST", "/engines/served/updates", to_payload(remainder)
             )
             assert status == 200 and body["count"] == reference.count
-            assert body["updates_processed"] == (crashed_at + 1) * batch_size
+            assert body["updates_processed"] == (crashed_at + 2) * batch_size
 
     def test_restart_with_auto_recovery_resumes_quietly(self, tmp_path):
         """``recover="auto"`` (the default) picks up an existing log without
