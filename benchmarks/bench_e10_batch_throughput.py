@@ -17,7 +17,7 @@ from repro.analysis import (
     text_table,
     write_bench_artifact,
 )
-from repro.core.registry import available_counters
+from repro.api import available_counter_names
 
 BATCH_SIZES = (1, 8, 64, 256)
 
@@ -40,7 +40,7 @@ def test_e10_batch_throughput(benchmark, report_sink):
     report_sink.append(("E10 batch-pipeline throughput", text_table(rows, float_digits=2)))
     write_bench_artifact("E10", {"batch_sizes": list(BATCH_SIZES)}, rows)
     # Every registered counter ran at every batch size, and stayed exact.
-    assert {row.counter for row in rows} == set(available_counters())
+    assert {row.counter for row in rows} == set(available_counter_names())
     assert all(row.consistent for row in rows)
     # The amortized fast paths pay off: >= 3x updates/sec at batch size >= 64.
     # This is the repo's one wall-clock assertion (the acceptance claim is a

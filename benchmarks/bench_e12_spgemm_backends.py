@@ -1,22 +1,23 @@
-"""E12 — CSR SpGEMM versus the dict and dense product backends.
+"""E12 — CSR SpGEMM versus a dict-of-dicts baseline and dense BLAS.
 
 Multiplies three instance families (clique-community adjacency at < 2%
 density, uniform 1%-density integer matrices, and 30%-dense small matrices)
-on the dict ``SparseBackend``, the vectorized ``CsrBackend``, and the BLAS
-``DenseBackend``, and replays a standing-graph churn stream through the wedge
-counter's full-rebuild, incremental, and automatic batch-hook modes.  The
-acceptance claims:
+with the dict baseline (``dict_product``), the CSR SpGEMM product
+(``repro.matmul.engine.multiply``), and one dense BLAS product
+(``dense_product``), and replays a standing-graph churn stream through the
+wedge counter's full-rebuild, incremental, and automatic batch-hook modes.
+The acceptance claims:
 
-* on the sparse structured instance the CSR backend is at least **3x** the
-  dict backend and at least **1.5x** dense BLAS (the full-size profile of
+* on the sparse structured instance CSR SpGEMM is at least **3x** the dict
+  baseline and at least **1.5x** dense BLAS (the full-size profile of
   ``repro-4cycles bench --experiments e12``, recorded in ``BENCH_E12.json``
   at n=6144 / 0.77% density, measures ~9-10x over dict and >20x over dense);
 * the incremental wedge hook is at least **1.3x** the full rebuild on the
   churn stream, and the automatic mode never loses to rebuilding by more
   than measurement noise;
-* every backend and every hook mode produces **bit-identical results** — the
-  experiment raises on any divergence, and ``consistent`` is true on every
-  row (this, not timing, is what CI gates on).
+* every product variant and every hook mode produces **bit-identical
+  results** — the experiment raises on any divergence, and ``consistent`` is
+  true on every row (this, not timing, is what CI gates on).
 
 This wrapper runs a medium-size profile (so tier-1 stays fast) and records it
 as ``BENCH_E12_MEDIUM.json`` — a different artifact name than the CLI's
@@ -51,7 +52,7 @@ def _speedups(rows):
     }
     wedge = {row.variant: row for row in rows if row.kernel == "wedge-batch-hook"}
     return {
-        "csr_vs_sparse": communities["csr"].speedup_vs_baseline,
+        "csr_vs_dict": communities["csr"].speedup_vs_baseline,
         "csr_vs_dense": communities["dense"].seconds / communities["csr"].seconds,
         "incremental": wedge["incremental"].speedup_vs_baseline,
     }
@@ -64,7 +65,7 @@ def test_e12_spgemm_backends(benchmark, report_sink):
         rounds=1,
         iterations=1,
     )
-    report_sink.append(("E12 sparse-vs-dense product backends", text_table(rows, float_digits=2)))
+    report_sink.append(("E12 sparse-vs-dense products", text_table(rows, float_digits=2)))
     write_bench_artifact("E12_MEDIUM", PARAMS, rows)
     # Exactness is non-negotiable (the experiment also raises on divergence).
     assert all(row.consistent for row in rows)
@@ -73,14 +74,14 @@ def test_e12_spgemm_backends(benchmark, report_sink):
     # one clean re-measurement before failing, as in E10/E11.
     best = _speedups(rows)
     if (
-        best["csr_vs_sparse"] < 3.0
+        best["csr_vs_dict"] < 3.0
         or best["csr_vs_dense"] < 1.5
         or best["incremental"] < 1.3
     ):
         best = _speedups(experiment_e12_spgemm_backends(**PARAMS))
-    assert best["csr_vs_sparse"] >= 3.0, (
-        f"CSR SpGEMM: expected >= 3x over the dict backend on the sparse "
-        f"structured instance, got {best['csr_vs_sparse']:.2f}x"
+    assert best["csr_vs_dict"] >= 3.0, (
+        f"CSR SpGEMM: expected >= 3x over the dict baseline on the sparse "
+        f"structured instance, got {best['csr_vs_dict']:.2f}x"
     )
     assert best["csr_vs_dense"] >= 1.5, (
         f"CSR SpGEMM: expected >= 1.5x over dense BLAS on the sparse "

@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark module regenerates one experiment of DESIGN.md (E1–E9) and
-prints its result table; run with ``-s`` to see the tables inline, e.g.::
+Every benchmark module regenerates one experiment (E1–E15) and prints its
+result table; run with ``-s`` to see the tables inline, e.g.::
 
     pytest benchmarks/ --benchmark-only -s
 """

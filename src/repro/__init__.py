@@ -14,9 +14,8 @@ The package provides:
   and a brute-force reference; plus the layered 4-cycle counter of Theorem 2.
 * :mod:`repro.graph` — dynamic simple graphs, 4-layered graphs, the general↔
   layered reduction of Section 8, degree classes, and static counting oracles.
-* :mod:`repro.matmul` — matrix representations, (fast) multiplication
-  backends, rectangular products, the ``omega`` cost models, and the phase
-  work scheduler.
+* :mod:`repro.matmul` — label-keyed count matrices, the exact SpGEMM product,
+  the dense-vs-CSR product dispatcher, and the phase work scheduler.
 * :mod:`repro.theory` — the paper's constraint systems, parameter solving
   (Theorem 1/2 constants), and exponent tables.
 * :mod:`repro.db` — binary relations, cyclic joins, and the incrementally
@@ -59,9 +58,6 @@ from repro.core import (
     LayeredFourCycleCounter,
     PhaseFMMCounter,
     WedgeCounter,
-    available_counters,
-    create_counter,
-    register_counter,
 )
 from repro.db import CyclicJoinCountView, TupleUpdate
 from repro.graph import (
@@ -104,9 +100,6 @@ __all__ = [
     "PhaseFMMCounter",
     "AssadiShahCounter",
     "LayeredFourCycleCounter",
-    "available_counters",
-    "create_counter",
-    "register_counter",
     "DynamicGraph",
     "VertexInterner",
     "LayeredGraph",

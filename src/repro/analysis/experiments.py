@@ -1,10 +1,10 @@
-"""Experiment implementations (E1–E10 of DESIGN.md).
+"""Experiment implementations (E1–E15).
 
 Each function runs one of the reproduction's experiments and returns a
 structured result object.  The benchmark modules under ``benchmarks/`` are thin
 wrappers that call these functions (so ``pytest-benchmark`` can time them),
-and ``EXPERIMENTS.md`` is generated from the same results, which keeps the
-three views — library, benchmarks, and documentation — consistent.
+and ``repro-4cycles bench`` runs the perf experiments and writes their
+``BENCH_E*.json`` artifacts from the same rows.
 
 The experiments:
 
@@ -23,13 +23,12 @@ The experiments:
 * **E10** — batched-pipeline throughput: updates/sec versus batch size for
   every registered counter, with batch/unbatch exactness checked at the end.
 * **E11** — kernel throughput: the integer-interned vectorized fast paths
-  (counter batch hooks, cached-CSR dense ``multiply_chain``, interned graph
-  microkernels) against the label-keyed scalar paths, with bit-identical
-  counts asserted across every variant.
-* **E12** — sparse-versus-dense product backends: the CSR SpGEMM backend
-  against the dict sparse backend and dense BLAS on sparse, uniform, and
-  dense instances, plus the wedge counter's incremental batch hook against
-  its full rebuild — bit-identical results enforced on every row.
+  (counter batch hooks, interned graph microkernels) against the label-keyed
+  scalar paths, with bit-identical counts asserted across every variant.
+* **E12** — sparse-versus-dense products: CSR SpGEMM against a dict-of-dicts
+  baseline and dense BLAS on sparse, uniform, and dense instances, plus the
+  wedge counter's incremental batch hook against its full rebuild —
+  bit-identical results enforced on every row.
 * **E14** — shard-parallel scaling: the whole-product ``csr_spgemm`` and the
   hhh22 masked rebuild on the E12 community instance at ``workers`` in
   {1, 2, 4}, bit-identity against the serial path enforced on every row.
@@ -51,7 +50,8 @@ from repro.db.ivm import CyclicJoinCountView
 from repro.exceptions import ConfigurationError, CounterStateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.instrumentation.harness import run_config, run_engine, run_validated, time_replay
-from repro.matmul.engine import CountMatrix, CsrBackend, DenseBackend, MatmulEngine, SparseBackend
+from repro.kernels import exact_integer_matmul
+from repro.matmul.engine import CountMatrix, aligned_left_operand, multiply, right_operand
 from repro.instrumentation.metrics import fit_power_law
 from repro.theory.exponents import comparison_table, omega_sweep, update_time_exponent
 from repro.theory.parameters import (
@@ -60,7 +60,7 @@ from repro.theory.parameters import (
     solve_warmup_parameters,
     verify_published_parameters,
 )
-from repro.matmul.omega import best_omega_model, current_omega_model
+from repro.theory.omega import best_omega_model, current_omega_model
 from repro.workloads.generators import (
     erdos_renyi_stream,
     hub_adversarial_stream,
@@ -554,10 +554,10 @@ class KernelThroughputRow:
     ``variant`` is ``scalar`` (label-keyed code, interning disabled — the seed
     implementation), ``scalar-batch`` (the batch pipeline without interning)
     or ``vectorized`` (the interned numpy fast path).  ``per_second`` counts
-    updates for the counter kernels and matrix products for the multiply
-    kernel; ``speedup_vs_scalar`` is relative to the ``scalar`` variant of the
-    same kernel.  ``exact`` records the count/result identity check — it must
-    be true on every row, timing never excuses a wrong answer.
+    updates for the counter kernels and scans plus histograms for the graph
+    microkernels; ``speedup_vs_scalar`` is relative to the ``scalar`` variant
+    of the same kernel.  ``exact`` records the count/result identity check —
+    it must be true on every row, timing never excuses a wrong answer.
     """
 
     kernel: str
@@ -570,28 +570,11 @@ class KernelThroughputRow:
     exact: bool
 
 
-def _random_count_matrix(
-    num_rows: int, num_columns: int, density: float, rng: random.Random
-) -> CountMatrix:
-    """A random integer matrix with string labels (realistic repr-sort cost)."""
-    matrix = CountMatrix()
-    for i in range(num_rows):
-        row = f"r{i:04d}"
-        for j in range(num_columns):
-            if rng.random() < density:
-                matrix.add(row, f"c{j:04d}", rng.randint(1, 5))
-    return matrix
-
-
 def experiment_e11_kernel_throughput(
     num_vertices: int = 32,
     num_updates: int = 2560,
     batch_size: int = 256,
     counters: Sequence[str] = ("wedge", "hhh22", "assadi-shah"),
-    chain_dimension: int = 160,
-    chain_length: int = 3,
-    chain_density: float = 0.25,
-    chain_repeats: int = 5,
     seed: int = 0,
     backend: str = "auto",
 ) -> List[KernelThroughputRow]:
@@ -607,9 +590,8 @@ def experiment_e11_kernel_throughput(
       counts**, each verified against a from-scratch recount; a mismatch
       raises :class:`~repro.exceptions.CounterStateError` — the CI perf-smoke
       job gates on that, not on timing.
-    * **Dense ``multiply_chain``** — a chain of random label-keyed matrices
-      multiplied on the dense backend with and without the cached interned
-      CSR export; the products must be identical matrices.
+    * **Graph microkernels** — common-neighbor scans and degree histograms
+      on the label-keyed graph against its interned mirror.
 
     Returns one row per (kernel, variant); speedups are computed against the
     scalar variant of the same kernel.
@@ -654,53 +636,8 @@ def experiment_e11_kernel_throughput(
             raise CounterStateError(
                 f"E11: counter {name!r} counts diverged across paths: {final_counts}"
             )
-    rows.extend(
-        _e11_multiply_chain_rows(
-            chain_dimension, chain_length, chain_density, chain_repeats, seed
-        )
-    )
     rows.extend(_e11_graph_microkernel_rows(stream, seed))
     return rows
-
-
-def _e11_multiply_chain_rows(
-    dimension: int, length: int, density: float, repeats: int, seed: int
-) -> List[KernelThroughputRow]:
-    """Dense ``multiply_chain`` with and without the cached CSR export."""
-    import time
-
-    rng = random.Random(seed + 1)
-    matrices = [
-        _random_count_matrix(dimension, dimension, density, rng) for _ in range(length)
-    ]
-    parameters = f"chain={length}x{dimension} density={density}"
-    results: Dict[str, CountMatrix] = {}
-    timings: Dict[str, float] = {}
-    for variant, use_cache in (("scalar", False), ("vectorized", True)):
-        engine = MatmulEngine(_dense=DenseBackend(use_csr_cache=use_cache))
-        started = time.perf_counter()
-        for _ in range(repeats):
-            # Fresh copies for the uncached variant would change the measured
-            # work; both variants multiply the same persistent operands, which
-            # is exactly the reuse pattern the CSR cache targets.
-            results[variant] = engine.multiply_chain(matrices, backend="dense")
-        timings[variant] = max(time.perf_counter() - started, 1e-9)
-    if results["scalar"] != results["vectorized"]:
-        raise CounterStateError("E11: dense multiply_chain results diverged across paths")
-    products = (length - 1) * repeats
-    return [
-        KernelThroughputRow(
-            kernel="multiply-chain-dense",
-            variant=variant,
-            parameters=parameters,
-            operations=products,
-            seconds=timings[variant],
-            per_second=products / timings[variant],
-            speedup_vs_scalar=timings["scalar"] / timings[variant],
-            exact=True,
-        )
-        for variant in ("scalar", "vectorized")
-    ]
 
 
 def _e11_graph_microkernel_rows(stream, seed: int) -> List[KernelThroughputRow]:
@@ -764,16 +701,16 @@ def _e11_graph_microkernel_rows(stream, seed: int) -> List[KernelThroughputRow]:
 
 
 # ---------------------------------------------------------------------------
-# E12 — sparse-vs-dense SpGEMM backends and the incremental wedge hook
+# E12 — sparse-vs-dense products and the incremental wedge hook
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SpgemmBackendRow:
-    """Throughput of one backend (or batch-hook mode) on one instance.
+    """Throughput of one product variant (or batch-hook mode) on one instance.
 
     For the product family ``operations`` is the expansion work (the
-    backend-independent multiplication count) and ``speedup_vs_baseline`` is
-    relative to the dict :class:`~repro.matmul.engine.SparseBackend` on the
-    same instance; for the wedge family ``operations`` counts stream updates
+    variant-independent multiplication count) and ``speedup_vs_baseline`` is
+    relative to the dict baseline (:func:`dict_product`) on the same
+    instance; for the wedge family ``operations`` counts stream updates
     and the baseline is the forced full rebuild.  ``consistent`` records the
     bit-identity check — it must be true on every row (the CI perf-smoke job
     gates on it); timing is reported, never gated.
@@ -789,8 +726,38 @@ class SpgemmBackendRow:
     consistent: bool
 
 
-#: Backends the E12 product family can sweep.
-E12_PRODUCT_BACKENDS = ("sparse", "csr", "dense")
+#: The E12 product variants: the dict baseline, which always runs, and the
+#: two kernels raced against it.
+E12_PRODUCT_VARIANTS = ("dict", "csr", "dense")
+
+
+def dict_product(left: CountMatrix, right: CountMatrix) -> tuple[CountMatrix, int]:
+    """``left · right`` by one dict probe and one ``add`` per multiply-add.
+
+    Returns the product and its expansion work, as
+    :func:`~repro.matmul.engine.multiply` does.  E12's baseline, and the
+    independent reference the kernel tests compare against.
+    """
+    result = CountMatrix()
+    work = 0
+    for row, middle, left_value in left.items():
+        right_row = right.row(middle)
+        work += len(right_row)
+        for column, right_value in right_row.items():
+            result.add(row, column, left_value * right_value)
+    return result, work
+
+
+def dense_product(left: CountMatrix, right: CountMatrix) -> tuple[CountMatrix, int]:
+    """``left · right`` as one dense BLAS product over the operands' CSR
+    exports; returns the product and the dense multiply-add count.  E12's
+    dense variant."""
+    left_csr, right_csr = left.csr(), right.csr()
+    left_dense = aligned_left_operand(left_csr, right_csr).to_dense()
+    right_dense = right_operand(right_csr).to_dense()
+    product = exact_integer_matmul(left_dense, right_dense)
+    flops = left_dense.shape[0] * left_dense.shape[1] * right_dense.shape[1]
+    return CountMatrix.from_dense(product, left_csr.row_order, right_csr.col_order), flops
 
 
 def _community_count_matrix(num_communities: int, size: int) -> CountMatrix:
@@ -801,7 +768,7 @@ def _community_count_matrix(num_communities: int, size: int) -> CountMatrix:
     community collides once per common neighbor), which is where SpGEMM's
     per-operation advantage over dict probing shows fully.  Labels are
     composite tuples — the case the interned kernels target (tuples do not
-    cache their hash, so every dict probe of the scalar backend re-hashes;
+    cache their hash, so every dict probe of the dict baseline re-hashes;
     see the E11 microkernel rationale).
     """
     matrix = CountMatrix()
@@ -858,26 +825,27 @@ def experiment_e12_spgemm_backends(
     wedge_base_edges: int = 12288,
     wedge_churn_updates: int = 2560,
     wedge_batch_size: int = 128,
-    backends: Sequence[str] = E12_PRODUCT_BACKENDS,
+    backends: Sequence[str] = E12_PRODUCT_VARIANTS,
     product_repeats: int = 1,
     seed: int = 0,
 ) -> List[SpgemmBackendRow]:
-    """E12: CSR SpGEMM versus the dict and dense backends, plus the
+    """E12: CSR SpGEMM versus the dict baseline and dense BLAS, plus the
     incremental wedge batch hook versus its full rebuild.
 
     Two families:
 
-    * **Product backends** — each instance of
-      :func:`_e12_product_instances` is multiplied on every selected backend;
-      the products must be identical matrices and must report the identical
-      multiplication count (the expansion work is backend-independent), or
-      :class:`~repro.exceptions.CounterStateError` is raised.  The interned
-      CSR snapshots are warmed before timing: they are shared mutation-keyed
-      state (built at most once per matrix, amortized across any product
-      chain) and the dict baseline never uses them.  ``product_repeats`` runs
-      every backend that many times and reports the minimum (applied to all
-      backends equally — min-of-N removes scheduler noise from the recorded
-      artifact without favouring any kernel).
+    * **Products** — each instance of :func:`_e12_product_instances` is
+      multiplied by :func:`dict_product`, :func:`~repro.matmul.engine.multiply`
+      (``csr``) and :func:`dense_product`; ``backends`` selects among the
+      last two, and the dict baseline always runs.  The products must be
+      identical matrices and the CSR expansion work must equal the dict
+      baseline's, or :class:`~repro.exceptions.CounterStateError` is raised.
+      The interned CSR snapshots are warmed before timing: they are shared
+      mutation-keyed state (built at most once per matrix) and the dict
+      baseline never uses them.  ``product_repeats`` runs every variant that
+      many times and reports the minimum (applied to all variants equally —
+      min-of-N removes scheduler noise from the recorded artifact without
+      favouring any kernel).
     * **Wedge batch hook** — a large random graph is built in bulk and then
       churned with small delete/insert windows
       (:func:`_e12_wedge_churn_stream`: a standing graph with
@@ -890,23 +858,17 @@ def experiment_e12_spgemm_backends(
     ``consistent`` is true on every returned row by construction — a mismatch
     raises instead of being reported.
     """
-    unknown = sorted(set(backends) - set(E12_PRODUCT_BACKENDS))
+    unknown = sorted(set(backends) - set(E12_PRODUCT_VARIANTS))
     if unknown:
         raise ConfigurationError(
             f"unknown E12 backend{'s' if len(unknown) > 1 else ''}: {', '.join(unknown)}; "
-            f"expected a subset of {', '.join(E12_PRODUCT_BACKENDS)}"
+            f"expected a subset of {', '.join(E12_PRODUCT_VARIANTS)}"
         )
     import time
 
     rows: List[SpgemmBackendRow] = []
-    factories = {
-        "sparse": SparseBackend,
-        "csr": CsrBackend,
-        "dense": DenseBackend,
-    }
-    ordered = [name for name in E12_PRODUCT_BACKENDS if name in backends]
-    if "sparse" not in ordered:
-        ordered.insert(0, "sparse")  # the baseline always runs
+    products = {"dict": dict_product, "csr": multiply, "dense": dense_product}
+    chosen = [name for name in E12_PRODUCT_VARIANTS if name == "dict" or name in backends]
     for instance, left, right in _e12_product_instances(
         community_count, community_size, uniform_dimension, dense_dimension, seed
     ):
@@ -915,33 +877,26 @@ def experiment_e12_spgemm_backends(
         timings: Dict[str, float] = {}
         results: Dict[str, CountMatrix] = {}
         work: Dict[str, int] = {}
-        for name in ordered:
-            backend = factories[name]()
+        for name in chosen:
             best = None
             for _ in range(max(product_repeats, 1)):
                 started = time.perf_counter()
-                product, stats = backend.multiply(left, right)
+                results[name], work[name] = products[name](left, right)
                 elapsed = max(time.perf_counter() - started, 1e-9)
                 best = elapsed if best is None else min(best, elapsed)
             timings[name] = best
-            results[name] = product
-            # The dense backend reports dense flops; the combinatorial work
-            # column uses the sparse expansion size shared by dict and CSR.
-            work[name] = stats.multiplications
-        for name in ordered:
-            if results[name] != results["sparse"]:
-                raise CounterStateError(
-                    f"E12: backend {name!r} product diverged on {instance}"
-                )
-        if "csr" in work and work["csr"] != work["sparse"]:
+        for name in chosen:
+            if results[name] != results["dict"]:
+                raise CounterStateError(f"E12: the {name} product diverged on {instance}")
+        if "csr" in work and work["csr"] != work["dict"]:
             raise CounterStateError(
                 f"E12: CSR expansion work {work['csr']} does not match the dict "
-                f"backend's {work['sparse']} on {instance}"
+                f"baseline's {work['dict']} on {instance}"
             )
-        operations = work["sparse"]
-        for name in ordered:
-            if name not in backends and name == "sparse":
-                continue  # baseline ran for verification only
+        # The dense variant counts dense flops; every row reports the
+        # expansion work the dict baseline and CSR share.
+        operations = work["dict"]
+        for name in chosen:
             rows.append(
                 SpgemmBackendRow(
                     kernel=f"product:{instance}",
@@ -950,7 +905,7 @@ def experiment_e12_spgemm_backends(
                     operations=operations,
                     seconds=timings[name],
                     per_second=operations / timings[name],
-                    speedup_vs_baseline=timings["sparse"] / timings[name],
+                    speedup_vs_baseline=timings["dict"] / timings[name],
                     consistent=True,
                 )
             )

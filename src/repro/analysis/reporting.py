@@ -1,8 +1,8 @@
-"""Rendering experiment results as text and Markdown tables.
+"""Rendering experiment results as text tables.
 
-The benchmark modules print these tables so that running
-``pytest benchmarks/ --benchmark-only`` regenerates, in one place, the same
-rows reported in ``EXPERIMENTS.md``.
+The benchmark modules and ``repro-4cycles bench`` print these tables, so
+running ``pytest benchmarks/ --benchmark-only -s`` shows every experiment's
+rows in one place.
 """
 
 from __future__ import annotations
@@ -50,20 +50,6 @@ def text_table(rows: Sequence[object], float_digits: int = 4, columns: Sequence[
     lines = [header, separator]
     for row in formatted:
         lines.append("  ".join(row[column].ljust(widths[column]) for column in chosen))
-    return "\n".join(lines)
-
-
-def markdown_table(rows: Sequence[object], float_digits: int = 4, columns: Sequence[str] | None = None) -> str:
-    """Render rows as a GitHub-flavored Markdown table."""
-    dict_rows = rows_to_dicts(rows)
-    if not dict_rows:
-        return "(no rows)"
-    chosen = list(columns) if columns is not None else list(dict_rows[0].keys())
-    lines = ["| " + " | ".join(chosen) + " |", "|" + "|".join("---" for _ in chosen) + "|"]
-    for row in dict_rows:
-        lines.append(
-            "| " + " | ".join(_format_value(row.get(column, ""), float_digits) for column in chosen) + " |"
-        )
     return "\n".join(lines)
 
 

@@ -269,7 +269,7 @@ class EngineConfig:
     def from_counter_kwargs(
         cls, name: str, kwargs: Mapping[str, object], batch_size: int = 1
     ) -> "EngineConfig":
-        """Build a config from a legacy ``create_counter``-style kwargs dict.
+        """Build a config from a flat dict of counter keyword arguments.
 
         The shared ``interned``/``record_metrics`` keywords are lifted into
         the matching config fields; everything else stays counter-specific.

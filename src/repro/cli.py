@@ -24,15 +24,15 @@ Installed as ``repro-4cycles``.  Subcommands:
   exiting.  Recovery sizes its replay windows from the graph (at least
   ``n + m`` updates each), so there is no window option.
 * ``bench`` — run the performance experiments (E10 batch throughput, E11
-  interned-kernel throughput, E12 sparse-vs-dense product backends) in one
-  invocation, print their tables, and write the machine-readable
-  ``BENCH_E10.json``/``BENCH_E11.json``/``BENCH_E12.json`` artifacts.
-  ``--quick`` shrinks the workloads for CI smoke runs; exactness (identical
-  counts between scalar and vectorized paths, identical products across
-  backends) is always enforced — a mismatch exits non-zero — while timing is
-  reported, never gated.  ``--backend {auto,dense,csr,sparse}`` restricts the
-  E12 product sweep to one backend (plus the dict baseline) and pins the
-  counters' batch-kernel backend for E10/E11.
+  interned-kernel throughput, E12 sparse-vs-dense products, E14 shard
+  scaling, E15 service load) in one invocation, print their tables, and
+  write the machine-readable ``BENCH_E*.json`` artifacts.  ``--quick``
+  shrinks the workloads for CI smoke runs; exactness (identical counts
+  between scalar and vectorized paths, identical products across variants)
+  is always enforced — a mismatch exits non-zero — while timing is reported,
+  never gated.  ``--backend {auto,dense,csr}`` restricts the E12 product
+  sweep to one kernel (plus the dict baseline) and pins the counters'
+  batch-kernel backend for E10/E11.
 
 Every subcommand that runs counters goes through the :mod:`repro.api` facade:
 workloads are :class:`~repro.api.GeneratorSource` instances and counters are
@@ -228,13 +228,7 @@ _BENCH_PROFILES = {
     },
     "quick": {
         "e10": {"num_vertices": 16, "num_updates": 384, "batch_sizes": (1, 64)},
-        "e11": {
-            "num_vertices": 20,
-            "num_updates": 768,
-            "batch_size": 64,
-            "chain_dimension": 64,
-            "chain_repeats": 2,
-        },
+        "e11": {"num_vertices": 20, "num_updates": 768, "batch_size": 64},
         "e12": {
             "community_count": 24,
             "community_size": 16,
@@ -282,7 +276,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     runners = {
         "e10": ("E10", "batch-pipeline throughput", experiment_e10_batch_throughput),
         "e11": ("E11", "interned kernel throughput", experiment_e11_kernel_throughput),
-        "e12": ("E12", "sparse-vs-dense product backends", experiment_e12_spgemm_backends),
+        "e12": ("E12", "sparse-vs-dense products", experiment_e12_spgemm_backends),
         "e14": ("E14", "shard-parallel scaling", experiment_e14_shard_scaling),
         "e15": ("E15", "always-on service load", experiment_e15_service_load),
     }
@@ -301,14 +295,11 @@ def _command_bench(args: argparse.Namespace) -> int:
             ) or (1,)
         elif name == "e12":
             # --backend restricts the product sweep; the dict baseline always
-            # runs for verification.
-            params["backends"] = (
-                ("sparse", "csr", "dense") if args.backend == "auto" else (args.backend,)
-            )
-        elif name != "e15" and args.backend in ("dense", "csr"):
-            # Pin the counters' batch-kernel backend; "sparse" has no counter
-            # meaning (the dict backend only exists at the matmul layer).
-            # E15 load-tests the service protocol, not a kernel backend.
+            # runs.
+            params["backends"] = ("csr", "dense") if args.backend == "auto" else (args.backend,)
+        elif name != "e15" and args.backend != "auto":
+            # Pin the counters' batch-kernel backend.  E15 load-tests the
+            # service protocol, not a kernel backend.
             params["backend"] = args.backend
         # Exactness between scalar and vectorized paths is asserted inside the
         # experiments; a mismatch raises and exits non-zero.
@@ -490,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--backend",
-        choices=("auto", "dense", "csr", "sparse"),
+        choices=("auto", "dense", "csr"),
         default="auto",
         help=(
             "matmul backend passthrough: restricts the E12 product sweep to one "
-            "backend (dict baseline always runs) and, for dense/csr, pins the "
-            "counters' batch-kernel backend in E10/E11 (default: auto)"
+            "kernel (dict baseline always runs) and pins the counters' "
+            "batch-kernel backend in E10/E11 (default: auto)"
         ),
     )
     bench.add_argument(

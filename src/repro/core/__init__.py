@@ -17,11 +17,6 @@ from repro.core.oracles import (
     ThreePathOracle,
 )
 from repro.core.phase_fmm import PhaseFMMCounter
-from repro.core.registry import (
-    available_counters,
-    create_counter,
-    register_counter,
-)
 from repro.core.warmup import WarmupThreePathOracle
 from repro.core.wedge_counter import WedgeCounter
 
@@ -43,7 +38,4 @@ __all__ = [
     "LayeredFourCycleCounter",
     "CHAINS",
     "query_direction",
-    "available_counters",
-    "create_counter",
-    "register_counter",
 ]

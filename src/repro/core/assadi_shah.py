@@ -37,7 +37,8 @@ import numpy as np
 
 from repro.core.oracles import OracleBackedCounter, PhaseThreePathOracle
 from repro.instrumentation.cost_model import CostModel
-from repro.matmul.engine import CountMatrix, CsrMatrix, exact_integer_matmul
+from repro.kernels import CsrMatrix, exact_integer_matmul
+from repro.matmul.engine import CountMatrix
 from repro.theory.parameters import solve_main_parameters
 
 if TYPE_CHECKING:  # typing only; avoids a runtime import cycle

@@ -36,11 +36,8 @@ import numpy as np
 
 from repro.core.base import DynamicFourCycleCounter
 from repro.graph.updates import UpdateBatch
-from repro.matmul.engine import (
-    CountMatrix,
-    csr_linear_combination,
-    exact_integer_matmul,
-)
+from repro.kernels import csr_linear_combination, exact_integer_matmul
+from repro.matmul.engine import CountMatrix
 
 Vertex = Hashable
 

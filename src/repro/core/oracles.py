@@ -35,14 +35,8 @@ from repro.core.base import DynamicFourCycleCounter
 from repro.exceptions import ConfigurationError, InvalidUpdateError
 from repro.graph.static_counts import four_cycles_from_adjacency, four_cycles_from_csr_square
 from repro.instrumentation.cost_model import CostModel
-from repro.matmul.engine import (
-    CountMatrix,
-    CountMatrixCSR,
-    CsrMatrix,
-    csr_spgemm,
-    exact_integer_matmul,
-    spgemm_work,
-)
+from repro.kernels import CsrMatrix, exact_integer_matmul
+from repro.matmul.engine import CountMatrix, CountMatrixCSR, csr_spgemm, spgemm_work
 from repro.matmul.scheduler import ChainProductJob, PhaseScheduler
 from repro.theory.parameters import solve_main_parameters
 
@@ -117,7 +111,6 @@ class _ChainRelation:
             version=0,
             row_order=row_order,
             col_order=col_order,
-            col_index=col_index,
             indptr=indptr,
             col_ids=col_ids,
             data=np.ones(self.size, dtype=np.int64),
@@ -310,7 +303,7 @@ class PhaseThreePathOracle(ThreePathOracle):
     block of product rows with one exact SpGEMM call
     (:class:`~repro.matmul.scheduler.IncrementalMatrixProduct`); the paper's
     fast matrix multiplication appears only through the exponent models of
-    :mod:`repro.matmul.omega`.  Snapshots and products stay positional
+    :mod:`repro.theory.omega`.  Snapshots and products stay positional
     (:class:`~repro.matmul.engine.CountMatrixCSR`) from the relation export to
     the query, which builds a product row's dict only when it first reads
     that row.  Consequently the

@@ -4,7 +4,7 @@
 specialised to :class:`~repro.core.oracles.PhaseThreePathOracle`: the exact
 phase decomposition with old-phase products computed by row-block SpGEMM
 spread across the phase (the code's stand-in for the paper's fast matrix
-multiplication, whose exponent is modelled in :mod:`repro.matmul.omega`).
+multiplication, whose exponent is modelled in :mod:`repro.theory.omega`).
 It exposes the phase parameters so benchmarks (E6, E9) can sweep them.
 
 Under ``apply_batch`` the counter inherits the oracle's batch deferral: phase

@@ -1,10 +1,9 @@
 """Capability-aware registry of the dynamic 4-cycle counters.
 
 This module is the single source of truth for counter registration; it lives
-in the core layer (next to the counters it describes) so that neither
-:mod:`repro.core.registry` nor anything else in core ever has to import the
-higher-level :mod:`repro.api` package — :mod:`repro.api.registry` simply
-re-exports these names.
+in the core layer (next to the counters it describes) so that nothing in core
+ever has to import the higher-level :mod:`repro.api` package —
+:mod:`repro.api.registry` simply re-exports these names.
 
 The registry maps counter names to :class:`CounterSpec` descriptors instead of
 bare factories.  A spec carries everything a caller can know about a counter
@@ -20,12 +19,9 @@ without instantiating it:
 * the **asymptotic class** of its worst-case update time, for the CLI's
   capability table and for documentation.
 
-:mod:`repro.core.registry` keeps its historical ``register_counter`` /
-``available_counters`` / ``create_counter`` names as thin shims over this
-module; new code goes through :func:`counter_spec` and
-:meth:`CounterSpec.create` (usually indirectly, via
-:class:`repro.api.config.EngineConfig` and
-:class:`repro.api.engine.FourCycleEngine`).
+Counters are built through :func:`counter_spec` and :meth:`CounterSpec.create`,
+usually indirectly, via :class:`repro.api.config.EngineConfig` and
+:class:`repro.api.engine.FourCycleEngine`.
 """
 
 from __future__ import annotations
@@ -77,8 +73,7 @@ class CounterSpec:
     """Descriptor for one registered counter.
 
     ``options`` lists every keyword the factory accepts; ``None`` disables
-    validation entirely (used for third-party factories registered through the
-    legacy :func:`repro.core.registry.register_counter`, whose signatures the
+    validation entirely (for a third-party factory whose signature the
     registry cannot know).
     """
 
@@ -97,7 +92,7 @@ class CounterSpec:
     def validate_options(self, options: Mapping[str, object]) -> None:
         """Reject unknown options with a :class:`ConfigurationError`.
 
-        No-op when the spec carries no option list (legacy factories).
+        No-op when the spec carries no option list.
         """
         if self.options is None:
             return
@@ -114,17 +109,6 @@ class CounterSpec:
         """Instantiate the counter after validating ``options``."""
         self.validate_options(options)
         return self.factory(**options)
-
-    @classmethod
-    def from_factory(cls, name: str, factory: CounterFactory) -> "CounterSpec":
-        """Wrap a bare factory (legacy registration) in an unvalidated spec."""
-        description = (factory.__doc__ or "").strip().splitlines()
-        return cls(
-            name=name,
-            factory=factory,
-            description=description[0] if description else "",
-            options=None,
-        )
 
 
 _SPECS: Dict[str, CounterSpec] = {}

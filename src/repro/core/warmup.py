@@ -36,8 +36,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 from repro.core.oracles import ThreePathOracle
 from repro.exceptions import ConfigurationError, InvalidUpdateError
 from repro.instrumentation.cost_model import CostModel
-from repro.matmul.engine import CountMatrix, MatmulEngine
-from repro.matmul.rectangular import restrict
+from repro.matmul.engine import CountMatrix, multiply
 from repro.theory.parameters import solve_warmup_parameters
 
 Vertex = Hashable
@@ -89,9 +88,8 @@ class WarmupThreePathOracle(ThreePathOracle):
         # Cached fixed matrices for the chunk folds.
         self._matrix_a = self.relation(1).to_count_matrix()
         self._matrix_c = self.relation(3).to_count_matrix()
-        self._matrix_a_high = restrict(self._matrix_a, rows=self._high_left)
-        self._matrix_c_high = restrict(self._matrix_c, columns=self._high_right)
-        self._engine = MatmulEngine()
+        self._matrix_a_high = _restrict(self._matrix_a, rows=self._high_left)
+        self._matrix_c_high = _restrict(self._matrix_c, columns=self._high_right)
         # Aggregated structures over the old (folded) chunks.
         self._wedges_ab = CountMatrix()
         self._wedges_bc = CountMatrix()
@@ -160,14 +158,11 @@ class WarmupThreePathOracle(ThreePathOracle):
                 self._b_old[key] = value
         if not chunk_matrix:
             return
-        product_ab = self._engine.multiply(self._matrix_a, chunk_matrix, backend="auto")
-        product_bc = self._engine.multiply(chunk_matrix, self._matrix_c, backend="auto")
-        product_ah_b = self._engine.multiply(self._matrix_a_high, chunk_matrix, backend="auto")
-        product_hh = self._engine.multiply(product_ah_b, self._matrix_c_high, backend="auto")
-        self.cost.charge(
-            "matmul_ops",
-            product_ab.nnz + product_bc.nnz + product_hh.nnz,
-        )
+        product_ab, work_ab = multiply(self._matrix_a, chunk_matrix)
+        product_bc, work_bc = multiply(chunk_matrix, self._matrix_c)
+        product_ah_b, work_ah_b = multiply(self._matrix_a_high, chunk_matrix)
+        product_hh, work_hh = multiply(product_ah_b, self._matrix_c_high)
+        self.cost.charge("matmul_ops", work_ab + work_bc + work_ah_b + work_hh)
         self._wedges_ab.add_matrix(product_ab)
         self._wedges_bc.add_matrix(product_bc)
         self._paths_hh.add_matrix(product_hh)
@@ -207,6 +202,18 @@ class WarmupThreePathOracle(ThreePathOracle):
             self.cost.charge("structure_lookup")
             total += self._wedges_bc.get(x, v)
         return total
+
+
+def _restrict(
+    matrix: CountMatrix, rows: Optional[Set[Vertex]] = None, columns: Optional[Set[Vertex]] = None
+) -> CountMatrix:
+    """The submatrix of ``matrix`` with rows/columns limited to the given sets;
+    ``None`` keeps every row/column (the paper's ``*``, as in ``A^{H*}``)."""
+    result = CountMatrix()
+    for row, column, value in matrix.items():
+        if (rows is None or row in rows) and (columns is None or column in columns):
+            result.add(row, column, value)
+    return result
 
 
 #: Shared immutable empty set.

@@ -27,12 +27,8 @@ import numpy as np
 
 from repro.core.base import DynamicFourCycleCounter
 from repro.graph.updates import UpdateBatch
-from repro.matmul.engine import (
-    CountMatrix,
-    CsrMatrix,
-    csr_linear_combination,
-    exact_integer_matmul,
-)
+from repro.kernels import CsrMatrix, csr_linear_combination, exact_integer_matmul
+from repro.matmul.engine import CountMatrix
 from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST, VECTORIZED_PRODUCT_OVERHEAD
 
 Vertex = Hashable

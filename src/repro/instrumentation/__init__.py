@@ -7,7 +7,6 @@ from repro.instrumentation.harness import (
     compare_counters,
     format_table,
     run_config,
-    run_counter,
     run_engine,
     run_validated,
     summary_table,
@@ -32,7 +31,6 @@ __all__ = [
     "fit_power_law",
     "RunResult",
     "run_config",
-    "run_counter",
     "run_engine",
     "run_validated",
     "time_replay",

@@ -8,15 +8,12 @@ against a reference counter, and produces comparable summaries.
 Counters are constructed through the :mod:`repro.api` facade:
 :func:`run_config` takes an :class:`~repro.api.EngineConfig`,
 :func:`run_engine` a live :class:`~repro.api.FourCycleEngine`, and the
-validation/comparison helpers accept either an engine or a bare counter.  The
-historical :func:`run_counter` (caller-constructed counter) still works but is
-deprecated.
+validation/comparison helpers accept either an engine or a bare counter.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
@@ -88,27 +85,6 @@ def run_engine(
     ``counts`` holds the (exact) batch-boundary counts.
     """
     return _replay(engine, stream, _resolve_batch_size(engine, batch_size), record_counts)
-
-
-def run_counter(
-    counter: "DynamicFourCycleCounter",
-    stream: UpdateStream,
-    record_counts: bool = True,
-    batch_size: int = 1,
-) -> RunResult:
-    """Replay ``stream`` through a caller-constructed counter.
-
-    .. deprecated::
-        Construct through the facade and use :func:`run_config` /
-        :func:`run_engine` instead.
-    """
-    warnings.warn(
-        "run_counter() is deprecated; use run_config()/run_engine() with "
-        "repro.api.EngineConfig / FourCycleEngine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _replay(counter, stream, batch_size, record_counts)
 
 
 def _replay(
@@ -290,8 +266,7 @@ def compare_counters(
     counts are additionally cross-checked against each other.  ``batch_size``
     selects the batched pipeline (see :func:`run_engine`).  Each counter is
     built through :class:`~repro.api.EngineConfig` (``counter_kwargs`` entries
-    are legacy ``create_counter``-style dicts and are validated against the
-    counter's spec).
+    are flat counter keyword dicts, validated against the counter's spec).
     """
     from repro.api.config import EngineConfig
 

@@ -4,7 +4,7 @@ This module is the bottom of the package's layering DAG (see README,
 "Static analysis"): it holds the *positional* (integer-indexed) sparse
 value type :class:`CsrMatrix` and the exact integer array helpers that both
 :mod:`repro.graph` (CSR adjacency exports) and :mod:`repro.matmul` (the
-SpGEMM kernel and the dense backend) are built on.  Keeping them below both
+SpGEMM kernel) are built on.  Keeping them below both
 layers is what lets ``graph`` expose CSR views without importing upward into
 ``matmul``.
 
@@ -19,24 +19,18 @@ a recognized bound guard or carries an ``exact-ok`` pragma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError
 
 
-def expand_csr_rows(indptr: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-entry row indices for a CSR structure.
-
-    Expands ``indptr`` into one row index per stored entry — the shared core
-    of every CSR-to-dense scatter (graph adjacency exports and the cached
-    dense backend).  ``rows`` remaps row positions (defaults to
-    ``0..len(indptr)-2``, the identity).
-    """
-    if rows is None:
-        rows = np.arange(len(indptr) - 1, dtype=np.int64)
-    return np.repeat(rows, np.diff(indptr))
+def expand_csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """Per-entry row indices for a CSR structure: ``indptr`` expanded into one
+    row index per stored entry, the shared core of every CSR-to-dense
+    scatter."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 def _indptr_from_rows(rows: np.ndarray, num_rows: int) -> np.ndarray:
@@ -249,8 +243,8 @@ def exact_integer_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     the batched kernels use.  When every possible dot product is bounded below
     ``2^53`` (``max|left| * max|right| * inner_dim``), the float64 product is
     exact, so it is computed there and cast back; otherwise the integer loop
-    is used.  All vectorized counter kernels and the cached dense backend
-    funnel their products through this helper.
+    is used.  All vectorized counter kernels and E12's dense variant funnel
+    their products through this helper.
     """
     if left.size == 0 or right.size == 0:
         return left @ right

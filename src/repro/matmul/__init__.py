@@ -1,66 +1,14 @@
-"""Matrix-multiplication engine, rectangular products, exponent cost models,
-and the phase work scheduler."""
+"""Label-keyed count matrices and their exact product, the concrete product
+cost model, and the phase work scheduler."""
 
-from repro.matmul.engine import (
-    CountMatrix,
-    CountMatrixCSR,
-    DenseBackend,
-    MatmulEngine,
-    MultiplyStats,
-    SparseBackend,
-    exact_integer_matmul,
-    multiply_dense_arrays,
-)
-from repro.matmul.omega import (
-    OMEGA_BEST,
-    OMEGA_CURRENT,
-    OMEGA_IMPROVEMENT_THRESHOLD,
-    OMEGA_NAIVE,
-    OMEGA_STRASSEN,
-    BestPossibleRectangularModel,
-    BlockPartitionRectangularModel,
-    OmegaModel,
-    PublishedValuesRectangularModel,
-    best_omega_model,
-    current_omega_model,
-    model_for_omega,
-    naive_omega_model,
-)
-from repro.matmul.rectangular import (
-    RectangularProductReport,
-    rectangular_multiply,
-    restrict,
-    restrict_by_predicate,
-)
+from repro.matmul.engine import CountMatrix, CountMatrixCSR, multiply
 from repro.matmul.scheduler import ChainProductJob, IncrementalMatrixProduct, PhaseScheduler
 from repro.matmul.sharding import SHARD_POLICIES, ShardExecutor, ShardPlan
 
 __all__ = [
     "CountMatrix",
-    "DenseBackend",
-    "SparseBackend",
-    "MatmulEngine",
-    "MultiplyStats",
-    "multiply_dense_arrays",
     "CountMatrixCSR",
-    "exact_integer_matmul",
-    "OMEGA_CURRENT",
-    "OMEGA_BEST",
-    "OMEGA_NAIVE",
-    "OMEGA_STRASSEN",
-    "OMEGA_IMPROVEMENT_THRESHOLD",
-    "OmegaModel",
-    "BlockPartitionRectangularModel",
-    "BestPossibleRectangularModel",
-    "PublishedValuesRectangularModel",
-    "current_omega_model",
-    "best_omega_model",
-    "naive_omega_model",
-    "model_for_omega",
-    "RectangularProductReport",
-    "rectangular_multiply",
-    "restrict",
-    "restrict_by_predicate",
+    "multiply",
     "ChainProductJob",
     "IncrementalMatrixProduct",
     "PhaseScheduler",

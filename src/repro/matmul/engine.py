@@ -1,4 +1,4 @@
-"""Matrix representations and multiplication backends.
+"""Label-keyed integer matrices and their exact product.
 
 The algorithms of the paper manipulate two kinds of matrices:
 
@@ -11,39 +11,21 @@ Both are naturally sparse and indexed by vertex labels rather than integer
 positions, so the workhorse representation here is :class:`CountMatrix` — a
 dictionary-of-dictionaries sparse integer matrix keyed by arbitrary hashable
 labels.  It supports the operations the counters need: point updates, row and
-column access, addition (used for the "negative edge" trick of Section 3.3),
-and multiplication.
+column access, and addition (used for the "negative edge" trick of Section
+3.3).  :class:`CountMatrixCSR` puts labels on a positional matrix for reading
+only: the phase oracles keep their old-phase snapshots and products in that
+form.
 
-Multiplication can run on three backends:
-
-* :class:`SparseBackend` — dictionary-based sparse-sparse product, cheap when
-  the operands are tiny (a handful of non-zeros, where numpy call overhead
-  dominates).
-* :class:`CsrBackend` — vectorized integer CSR×CSR SpGEMM (Gustavson-style
-  row-block expansion over numpy gathers with sort-reduce merges; exact int64
-  accumulation, no scipy).  This is the workhorse for sparse operands: cost is
-  proportional to the same combinatorial quantity as the dict backend but the
-  per-operation constant is numpy's, not the interpreter's.
-* :class:`DenseBackend` — converts to dense ``numpy`` arrays and uses BLAS,
-  the cheapest choice once the operands are dense enough.
-
-None of them is a sub-cubic algorithm: the paper's fast matrix
-multiplication enters through the exponent models of
-:mod:`repro.matmul.omega`, while the code computes the same products exactly
-with SpGEMM or BLAS.
-
-The positional (integer-indexed) :class:`CsrMatrix` value type and the
-:func:`csr_spgemm` kernel underneath :class:`CsrBackend` are also used
-directly: by the phase scheduler, which computes the old-phase products in
-row blocks (:class:`repro.matmul.scheduler.IncrementalMatrixProduct`), and by
-the counters' batched rebuild hooks, which dispatch between the dense and
-CSR kernels through :class:`repro.matmul.scheduler.ProductDispatcher`.
-:class:`CountMatrixCSR` puts labels on a positional matrix for reading only:
-the phase oracles keep their old-phase snapshots and products in that form.
-
-:class:`MatmulEngine` picks a backend (or honours an explicit choice) and
-reports the work it performed to an optional cost callback, which the
-instrumentation layer uses to account matrix work against the phase budget.
+Every product is exact and runs on :func:`csr_spgemm`, a vectorized integer
+CSR×CSR SpGEMM (Gustavson-style row-block expansion over numpy gathers with
+exact merges, no scipy).  :func:`multiply` multiplies two label-keyed
+matrices through it.  The phase scheduler computes the old-phase products in
+row blocks of the same kernel
+(:class:`repro.matmul.scheduler.IncrementalMatrixProduct`), and the counters'
+batched rebuild hooks choose between it and dense BLAS through
+:class:`repro.matmul.scheduler.ProductDispatcher`.  None of this is a
+sub-cubic algorithm: the paper's fast matrix multiplication enters through
+the exponent models of :mod:`repro.theory.omega`.
 """
 
 from __future__ import annotations
@@ -51,20 +33,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.kernels import (
-    CsrMatrix,
-    _FLOAT64_EXACT_BOUND,
-    _coalesce_keys,
-    _indptr_from_rows,
-    csr_linear_combination,
-    exact_integer_matmul,
-    expand_csr_rows,
-)
+from repro.kernels import CsrMatrix, _coalesce_keys, _indptr_from_rows, expand_csr_rows
 
 Label = Hashable
 
@@ -73,8 +47,8 @@ def spgemm_work(left: CsrMatrix, right: CsrMatrix) -> int:
     """The exact expansion size of ``left · right``.
 
     ``sum over stored entries (i, k) of left of nnz(row k of right)`` — the
-    same combinatorial cost the dict backend pays and the paper's
-    "iterate over neighbors" arguments charge.  O(nnz(left)) to compute.
+    combinatorial cost the paper's "iterate over neighbors" arguments charge.
+    O(nnz(left)) to compute.
     """
     if not left.nnz:
         return 0
@@ -148,15 +122,14 @@ def csr_spgemm(
       :data:`SPGEMM_DENSE_MERGE_CELLS`, the expansion is dense enough in it to
       amortize the scan, and every per-cell sum is provably below ``2^53`` (so
       the float64 accumulation is exact — the same argument as
-      :func:`exact_integer_matmul`);
+      :func:`repro.kernels.exact_integer_matmul`);
     * **sort-reduce** — ``np.argsort`` + ``np.add.reduceat`` in pure int64,
       always exact, used everywhere else.
 
     Blocks are sized so the expanded intermediate stays under
     ``block_entries`` (and the dense scratch under its cell budget), bounding
     peak memory; a single row never splits.  ``work`` is the total expansion
-    size, the backend-independent multiplication count reported in
-    :class:`MultiplyStats`.
+    size: one unit per multiply-add, whichever merge ran.
     """
     if left.num_cols != right.num_rows:
         raise DimensionMismatchError(
@@ -296,8 +269,8 @@ class CountMatrixCSR:
 
     Two kinds of matrix use it.  :meth:`CountMatrix.csr` caches one per
     mutation version of a label-keyed matrix (insertion order, no repr
-    sorting), reused across every multiply in a chain (see
-    :class:`DenseBackend`).  The phase oracles keep their old-phase relation
+    sorting), which every product reads its operands through (see
+    :func:`multiply`).  The phase oracles keep their old-phase relation
     snapshots and products in this form from start to end (see
     :meth:`from_csr` and :class:`repro.matmul.scheduler.IncrementalMatrixProduct`)
     and read them through the same point-access API as :class:`CountMatrix`:
@@ -309,7 +282,6 @@ class CountMatrixCSR:
     version: int
     row_order: list
     col_order: list
-    col_index: Dict[Label, int]
     indptr: np.ndarray
     col_ids: np.ndarray
     data: np.ndarray
@@ -341,12 +313,10 @@ class CountMatrixCSR:
         col_ids = matrix.cols
         if len(present) < matrix.num_cols:
             col_ids = (np.cumsum(per_column > 0) - 1)[col_ids]
-        col_order = [column_labels[j] for j in present.tolist()]
         return cls(
             version=0,
             row_order=[row_labels[i] for i in rows.tolist()],
-            col_order=col_order,
-            col_index={label: position for position, label in enumerate(col_order)},
+            col_order=[column_labels[j] for j in present.tolist()],
             indptr=np.concatenate((np.zeros(1, dtype=np.int64), matrix.indptr[rows + 1])),
             col_ids=col_ids,
             data=matrix.data,
@@ -490,10 +460,6 @@ class CountMatrix:
         else:
             row_map[column] = updated
 
-    def set(self, row: Label, column: Label, value: int) -> None:
-        """Set the entry at ``(row, column)`` to ``value``."""
-        self.add(row, column, value - self.get(row, column))
-
     def add_row(self, row: Label, columns: Iterable[Label], deltas) -> None:
         """Bulk ``self[row, columns[k]] += deltas[k]`` over one row.
 
@@ -599,10 +565,6 @@ class CountMatrix:
         """The non-zero entries of one row (live view; do not mutate)."""
         return self._rows.get(row, _EMPTY_DICT)
 
-    def rows(self) -> Iterator[tuple[Label, Mapping[Label, int]]]:
-        """Iterate over ``(row_label, row_mapping)`` pairs."""
-        return iter(self._rows.items())
-
     def items(self) -> Iterator[tuple[Label, Label, int]]:
         """Iterate over all non-zero entries as ``(row, column, value)``."""
         for row, row_map in self._rows.items():
@@ -626,11 +588,6 @@ class CountMatrix:
         return len(self._rows)
 
     @property
-    def num_column_labels(self) -> int:
-        """Number of distinct column labels (without materializing the set)."""
-        return len(self._col_counts)
-
-    @property
     def nnz(self) -> int:
         """Number of non-zero entries."""
         return self._nnz
@@ -644,9 +601,8 @@ class CountMatrix:
         """The cached interned CSR snapshot of the current contents.
 
         Built lazily on first use after a mutation and shared by every reader
-        until the next mutation; the dense multiply backend keys its exports
-        on it so a ``multiply_chain`` re-uses each operand's interning instead
-        of re-walking label dicts per product.
+        until the next mutation, so repeated products over an unchanged
+        operand intern it once (see :func:`multiply`).
         """
         cache = self._csr_cache
         if cache is not None and cache.version == self._version:
@@ -668,7 +624,6 @@ class CountMatrix:
             version=self._version,
             row_order=row_order,
             col_order=col_order,
-            col_index=col_index,
             indptr=indptr,
             col_ids=col_ids,
             data=data,
@@ -705,26 +660,6 @@ class CountMatrix:
         """
         for row, column, value in other.items():
             self.add(row, column, scale * value)
-
-    def transpose(self) -> "CountMatrix":
-        result = CountMatrix()
-        for row, column, value in self.items():
-            result.add(column, row, value)
-        return result
-
-    def to_dense(
-        self, row_order: list[Label], column_order: list[Label], dtype=np.int64
-    ) -> np.ndarray:
-        """Densify using explicit row/column orders."""
-        row_index = {label: position for position, label in enumerate(row_order)}
-        column_index = {label: position for position, label in enumerate(column_order)}
-        dense = np.zeros((len(row_order), len(column_order)), dtype=dtype)
-        for row, column, value in self.items():
-            i = row_index.get(row)
-            j = column_index.get(column)
-            if i is not None and j is not None:
-                dense[i, j] = value
-        return dense
 
     @classmethod
     def from_dense(
@@ -829,97 +764,6 @@ class CountMatrix:
         result._version += 1
         return result
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Label, Label]], value: int = 1) -> "CountMatrix":
-        """Build a 0/1 (or constant-valued) matrix from an iterable of pairs."""
-        result = cls()
-        for row, column in pairs:
-            result.add(row, column, value)
-        return result
-
-
-@dataclass
-class MultiplyStats:
-    """Work accounting for one matrix product."""
-
-    backend: str
-    left_shape: tuple[int, int]
-    right_shape: tuple[int, int]
-    multiplications: int
-    output_nnz: int
-
-
-class SparseBackend:
-    """Dictionary-based sparse-sparse multiplication.
-
-    Cost is proportional to ``sum over non-zeros (i, k) of left of
-    nnz(row k of right)``, which is exactly the combinatorial cost the paper's
-    "iterate over neighbors" arguments charge.
-    """
-
-    name = "sparse"
-
-    def multiply(self, left: CountMatrix, right: CountMatrix) -> tuple[CountMatrix, MultiplyStats]:
-        result = CountMatrix()
-        multiplications = 0
-        for row, row_map in left.rows():
-            for middle, left_value in row_map.items():
-                right_row = right.row(middle)
-                multiplications += len(right_row)
-                for column, right_value in right_row.items():
-                    result.add(row, column, left_value * right_value)
-        stats = MultiplyStats(
-            backend=self.name,
-            left_shape=(left.num_row_labels, left.num_column_labels),
-            right_shape=(right.num_row_labels, right.num_column_labels),
-            multiplications=multiplications,
-            output_nnz=result.nnz,
-        )
-        return result, stats
-
-
-class CsrBackend:
-    """Vectorized integer CSR×CSR SpGEMM over the cached interned snapshots.
-
-    Operands are read through :meth:`CountMatrix.csr` (so a ``multiply_chain``
-    interns each matrix at most once per mutation), the middle axis is aligned
-    by remapping the (few) distinct left column labels onto right row
-    positions, and the product runs through :func:`csr_spgemm` — Gustavson
-    row-block expansion with exact int64 sort-reduce merges.  Work is the same
-    combinatorial quantity :class:`SparseBackend` pays (and reports), executed
-    at numpy constants instead of dict-probe constants.
-    """
-
-    name = "csr"
-
-    def __init__(self, block_entries: int = SPGEMM_BLOCK_ENTRIES) -> None:
-        self.block_entries = block_entries
-
-    def multiply(self, left: CountMatrix, right: CountMatrix) -> tuple[CountMatrix, MultiplyStats]:
-        left_csr = left.csr()
-        right_csr = right.csr()
-        row_order = left_csr.row_order
-        column_order = right_csr.col_order
-        middles = len(right_csr.row_order)
-        stats = MultiplyStats(
-            backend=self.name,
-            left_shape=(len(row_order), len(left_csr.col_order)),
-            right_shape=(middles, len(column_order)),
-            multiplications=0,
-            output_nnz=0,
-        )
-        if not left_csr.data.size or not right_csr.data.size:
-            return CountMatrix(), stats
-        product, work = csr_spgemm(
-            aligned_left_operand(left_csr, right_csr),
-            right_operand(right_csr),
-            block_entries=self.block_entries,
-        )
-        result = CountMatrix.from_csr(product, row_order, column_order)
-        stats.multiplications = work
-        stats.output_nnz = result.nnz
-        return result, stats
-
 
 def aligned_left_operand(left_csr: CountMatrixCSR, right_csr: CountMatrixCSR) -> CsrMatrix:
     """The left operand of ``left · right`` with columns renumbered into
@@ -960,211 +804,21 @@ def right_operand(right_csr: CountMatrixCSR) -> CsrMatrix:
     )
 
 
-class DenseBackend:
-    """Dense ``numpy``/BLAS multiplication over the trimmed label sets.
+def multiply(
+    left: CountMatrix | CountMatrixCSR, right: CountMatrix | CountMatrixCSR
+) -> tuple[CountMatrix, int]:
+    """The exact product ``left · right`` of two label-keyed matrices.
 
-    The label universe is trimmed to rows/columns that actually appear, the
-    analogue of the paper's observation (Claim 3.4) that zero rows and columns
-    "effectively reduce the dimension for computational purposes".
-
-    With ``use_csr_cache=True`` (the default) the dense operands are built
-    from each matrix's cached interned CSR snapshot (:meth:`CountMatrix.csr`):
-    label interning happens once per matrix per mutation, the middle axis is
-    aligned by remapping the (few) distinct labels rather than every entry,
-    and the scatter into the dense arrays is vectorized.  A ``multiply_chain``
-    therefore skips the per-entry label->position dict round-trips of the
-    scalar path entirely.  ``use_csr_cache=False`` keeps the original
-    label-dict export (used by the E11 benchmark as the scalar baseline).
+    Returns ``(product, work)``, where ``work`` is the SpGEMM expansion size:
+    one unit per multiply-add, ``sum over stored entries (i, k) of left of
+    nnz(row k of right)``.  Both operands are read through their cached CSR
+    exports and multiplied by :func:`csr_spgemm`; the product's rows keep the
+    left export's order and its columns the right export's.
     """
-
-    name = "dense"
-
-    def __init__(self, use_csr_cache: bool = True) -> None:
-        self.use_csr_cache = use_csr_cache
-
-    def multiply(self, left: CountMatrix, right: CountMatrix) -> tuple[CountMatrix, MultiplyStats]:
-        if self.use_csr_cache:
-            return self._multiply_cached(left, right)
-        return self._multiply_scalar(left, right)
-
-    def _empty_stats(self, rows: int, middles: int, columns: int) -> MultiplyStats:
-        return MultiplyStats(
-            backend=self.name,
-            left_shape=(rows, middles),
-            right_shape=(middles, columns),
-            multiplications=0,
-            output_nnz=0,
-        )
-
-    def _multiply_cached(
-        self, left: CountMatrix, right: CountMatrix
-    ) -> tuple[CountMatrix, MultiplyStats]:
-        left_csr = left.csr()
-        right_csr = right.csr()
-        row_order = left_csr.row_order
-        column_order = right_csr.col_order
-        # Align the middle axis: left columns first, then right rows that are
-        # new — only distinct labels are remapped, never individual entries.
-        # When the label sequences already coincide (typical inside a product
-        # chain, where each product's columns become the next left's middles)
-        # the left interning *is* the alignment: skip the per-label dict copy
-        # and remap entirely — it dominates small-matrix chains.
-        aligned = left_csr.col_order == right_csr.row_order
-        if aligned:
-            middles = len(left_csr.col_order)
-        else:
-            middle_index = dict(left_csr.col_index)
-            for label in right_csr.row_order:
-                if label not in middle_index:
-                    middle_index[label] = len(middle_index)
-            middles = len(middle_index)
-        if not row_order or not middles or not column_order:
-            return CountMatrix(), self._empty_stats(len(row_order), middles, len(column_order))
-        left_dense = np.zeros((len(row_order), middles), dtype=np.int64)
-        if left_csr.data.size:
-            left_dense[expand_csr_rows(left_csr.indptr), left_csr.col_ids] = left_csr.data
-        right_dense = np.zeros((middles, len(column_order)), dtype=np.int64)
-        if right_csr.data.size:
-            if aligned:
-                rows = expand_csr_rows(right_csr.indptr)
-            else:
-                row_map = np.fromiter(
-                    (middle_index[label] for label in right_csr.row_order),
-                    dtype=np.int64,
-                    count=len(right_csr.row_order),
-                )
-                rows = expand_csr_rows(right_csr.indptr, row_map)
-            right_dense[rows, right_csr.col_ids] = right_csr.data
-        product = exact_integer_matmul(left_dense, right_dense)
-        result = CountMatrix.from_dense(product, row_order, column_order)
-        stats = MultiplyStats(
-            backend=self.name,
-            left_shape=left_dense.shape,
-            right_shape=right_dense.shape,
-            multiplications=len(row_order) * middles * len(column_order),
-            output_nnz=result.nnz,
-        )
-        return result, stats
-
-    def _multiply_scalar(
-        self, left: CountMatrix, right: CountMatrix
-    ) -> tuple[CountMatrix, MultiplyStats]:
-        row_order = sorted(left.row_labels(), key=repr)
-        middle_order = sorted(left.column_labels() | right.row_labels(), key=repr)
-        column_order = sorted(right.column_labels(), key=repr)
-        if not row_order or not middle_order or not column_order:
-            return CountMatrix(), self._empty_stats(
-                len(row_order), len(middle_order), len(column_order)
-            )
-        left_dense = left.to_dense(row_order, middle_order)
-        right_dense = right.to_dense(middle_order, column_order)
-        product = left_dense @ right_dense
-        result = CountMatrix.from_dense(product, row_order, column_order)
-        stats = MultiplyStats(
-            backend=self.name,
-            left_shape=left_dense.shape,
-            right_shape=right_dense.shape,
-            multiplications=len(row_order) * len(middle_order) * len(column_order),
-            output_nnz=result.nnz,
-        )
-        return result, stats
-
-
-CostCallback = Callable[[MultiplyStats], None]
-
-
-@dataclass
-class MatmulEngine:
-    """Facade that selects a backend and reports work to a cost callback.
-
-    The automatic choice compares the constant-aware cost estimates of
-    :func:`repro.matmul.omega.product_cost_estimates`: tiny products stay on
-    the dict backend (no numpy launch overhead), sparse products go through
-    the CSR SpGEMM kernel, and products dense enough that the BLAS cube wins
-    go dense.  ``dense_threshold`` scales the dense estimate (values above 1.0
-    bias the choice away from dense).  The warm-up counter and
-    :func:`repro.matmul.rectangular.rectangular_multiply` use the automatic
-    choice; the phase oracles' old-phase products do not pass through here
-    (see :class:`repro.matmul.scheduler.IncrementalMatrixProduct`).
-    """
-
-    dense_threshold: float = 1.0
-    cost_callback: Optional[CostCallback] = None
-    _sparse: SparseBackend = field(default_factory=SparseBackend)
-    _dense: DenseBackend = field(default_factory=DenseBackend)
-    _csr: CsrBackend = field(default_factory=CsrBackend)
-
-    def multiply(
-        self, left: CountMatrix, right: CountMatrix, backend: str = "auto"
-    ) -> CountMatrix:
-        """Multiply two count matrices and return the product."""
-        chosen = self._choose_backend(left, right, backend)
-        result, stats = chosen.multiply(left, right)
-        if self.cost_callback is not None:
-            self.cost_callback(stats)
-        return result
-
-    def multiply_chain(self, matrices: list[CountMatrix], backend: str = "auto") -> CountMatrix:
-        """Multiply a chain of matrices left to right (e.g. ``A · B · C``)."""
-        if not matrices:
-            raise ConfigurationError("multiply_chain requires at least one matrix")
-        result = matrices[0]
-        for matrix in matrices[1:]:
-            result = self.multiply(result, matrix, backend=backend)
-        return result
-
-    def _choose_backend(self, left: CountMatrix, right: CountMatrix, backend: str):
-        if backend == "sparse":
-            return self._sparse
-        if backend == "dense":
-            return self._dense
-        if backend == "csr":
-            return self._csr
-        if backend != "auto":
-            raise ConfigurationError(
-                f"backend must be 'auto', 'sparse', 'csr' or 'dense', got {backend!r}"
-            )
-        from repro.matmul.omega import product_cost_estimates
-
-        expansion = self._estimate_sparse_cost(left, right)
-        rows = left.num_row_labels
-        middles = len(left.column_labels() | right.row_labels())
-        columns = right.num_column_labels
-        if rows * middles * columns == 0:
-            return self._sparse
-        costs = product_cost_estimates(rows, middles, columns, expansion)
-        dense_cost = self.dense_threshold * costs["dense"]
-        if costs["sparse"] <= min(costs["csr"], dense_cost):
-            return self._sparse
-        if costs["csr"] <= dense_cost:
-            return self._csr
-        return self._dense
-
-    @staticmethod
-    def _estimate_sparse_cost(left: CountMatrix, right: CountMatrix) -> int:
-        right_row_sizes = {row: len(row_map) for row, row_map in right.rows()}
-        cost = 0
-        for _, row_map in left.rows():
-            for middle in row_map:
-                cost += right_row_sizes.get(middle, 0)
-        return cost
-
-
-def multiply_dense_arrays(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Multiply two dense arrays with shape validation.
-
-    Part of the public :mod:`repro.matmul` API for callers that already hold
-    dense arrays; nothing inside the package calls it.
-    """
-    if left.ndim != 2 or right.ndim != 2:
-        raise DimensionMismatchError(
-            f"expected 2-D arrays, got shapes {left.shape} and {right.shape}"
-        )
-    if left.shape[1] != right.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply shapes {left.shape} and {right.shape}"
-        )
-    return left @ right
+    left_csr = left.csr()
+    right_csr = right.csr()
+    product, work = csr_spgemm(aligned_left_operand(left_csr, right_csr), right_operand(right_csr))
+    return CountMatrix.from_csr(product, left_csr.row_order, right_csr.col_order), work
 
 
 #: Shared immutable empty mapping returned for absent rows.

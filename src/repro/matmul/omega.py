@@ -1,57 +1,21 @@
-"""Concrete product cost model, plus re-exports of the asymptotic omega models.
+"""Concrete, constant-aware product cost model.
 
 The *asymptotic* exponent models (``omega``, rectangular ``omega(a, b, c)``,
-:class:`OmegaModel` and the canonical instances) live in
-:mod:`repro.theory.omega` — the theory layer sits below ``matmul`` in the
-package DAG and its constraint solvers are their primary consumer.  They are
-re-exported here unchanged because the matmul layer is where benchmark and
-scheduler code historically imported them from.
-
-What this module *owns* is the concrete, constant-aware cost model: the
-running code needs per-product estimates to dispatch between the dense BLAS
-backend and the vectorized CSR SpGEMM kernel, and per-shard estimates to
-choose a process pool over a thread pool.  The unit is one dense BLAS
-multiply-add; the other constants are calibrated ratios measured on the E12
-benchmark workloads (numpy gather/sort-reduce per expanded SpGEMM entry,
-interpreter dict probing per expanded dict-backend entry).
+:class:`~repro.theory.omega.OmegaModel` and the canonical instances) live in
+:mod:`repro.theory.omega`.  This module holds what the running code needs
+instead: per-product estimates to dispatch between the dense BLAS kernel and
+the vectorized CSR SpGEMM kernel, and per-shard estimates to choose a process
+pool over a thread pool.  The unit is one dense BLAS multiply-add; the other
+constants are calibrated ratios measured on the E12 benchmark workloads
+(numpy gather/sort-reduce per expanded SpGEMM entry, interpreter dict probing
+per merged dict entry).
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.theory.omega import (
-    BestPossibleRectangularModel,
-    BlockPartitionRectangularModel,
-    OMEGA_BEST,
-    OMEGA_CURRENT,
-    OMEGA_IMPROVEMENT_THRESHOLD,
-    OMEGA_NAIVE,
-    OMEGA_STRASSEN,
-    OmegaModel,
-    PublishedValuesRectangularModel,
-    RectangularModel,
-    best_omega_model,
-    current_omega_model,
-    model_for_omega,
-    naive_omega_model,
-)
-
 __all__ = [
-    "BestPossibleRectangularModel",
-    "BlockPartitionRectangularModel",
-    "OMEGA_BEST",
-    "OMEGA_CURRENT",
-    "OMEGA_IMPROVEMENT_THRESHOLD",
-    "OMEGA_NAIVE",
-    "OMEGA_STRASSEN",
-    "OmegaModel",
-    "PublishedValuesRectangularModel",
-    "RectangularModel",
-    "best_omega_model",
-    "current_omega_model",
-    "model_for_omega",
-    "naive_omega_model",
     "DENSE_FLOP_COST",
     "CSR_OP_COST",
     "DICT_OP_COST",
@@ -66,11 +30,11 @@ DENSE_FLOP_COST = 1.0
 #: Cost of one expanded SpGEMM entry (gather + repeat + sort-reduce share).
 CSR_OP_COST = 48.0
 
-#: Cost of one expanded dict-backend entry (hash, probe, boxed arithmetic).
+#: Cost of merging one entry into a label-keyed dict (hash, probe, boxed
+#: arithmetic); the wedge counter's incremental batch path pays it per entry.
 DICT_OP_COST = 600.0
 
 #: Fixed per-product overhead of a vectorized kernel launch, in cost units.
-#: Below roughly this much total work, python dicts win on constant overhead.
 VECTORIZED_PRODUCT_OVERHEAD = 20000.0
 
 #: Per-shard overhead of dispatching one SpGEMM shard to a *process* pool —
@@ -85,17 +49,15 @@ PROCESS_SHARD_OVERHEAD = 2e7
 def product_cost_estimates(
     rows: int, middles: int, columns: int, expansion_work: int
 ) -> Dict[str, float]:
-    """Estimated costs of one product on each backend, in dense-flop units.
+    """Estimated costs of one product on each kernel, in dense-flop units.
 
     ``expansion_work`` is the exact SpGEMM expansion size (see
     :func:`repro.matmul.engine.spgemm_work`); ``rows``/``middles``/``columns``
     are the trimmed dense dimensions.  Used by
-    :class:`repro.matmul.scheduler.ProductDispatcher` and by
-    :class:`repro.matmul.engine.MatmulEngine`'s automatic backend choice.
+    :class:`repro.matmul.scheduler.ProductDispatcher`.
     """
     return {
         "dense": float(rows) * float(middles) * float(columns) * DENSE_FLOP_COST
         + VECTORIZED_PRODUCT_OVERHEAD,
         "csr": float(expansion_work) * CSR_OP_COST + VECTORIZED_PRODUCT_OVERHEAD,
-        "sparse": float(expansion_work) * DICT_OP_COST,
     }

@@ -144,7 +144,7 @@ def warmup_constraint_system(model: OmegaModel, eps: float) -> ConstraintSystem:
     """The warm-up system over ``eps1`` and ``eps2`` for a fixed ``eps``.
 
     The rectangular exponent oracle of ``model`` supplies
-    ``omega(a, b, c)``; see :mod:`repro.matmul.omega` for the available models.
+    ``omega(a, b, c)``; see :mod:`repro.theory.omega` for the available models.
     """
 
     def eq2_lhs(params: Dict[str, float]) -> float:

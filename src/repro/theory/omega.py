@@ -14,11 +14,10 @@ the *running code* multiplies matrices with numpy/BLAS (see
 the theory constraint systems and by the benchmarks to report predicted
 asymptotic costs.  The exponent models live in the theory layer (below
 ``matmul`` in the package DAG) because the constraint solvers are their main
-consumer; :mod:`repro.matmul.omega` re-exports them alongside its concrete,
-constant-aware product cost model.
+consumer; the concrete, constant-aware product cost model is
+:mod:`repro.matmul.omega`.
 
-Three rectangular models are provided, mirroring the substitution documented
-in DESIGN.md:
+Three rectangular models are provided:
 
 * :class:`BlockPartitionRectangularModel` — the classic upper bound obtained by
   tiling the rectangular product into square blocks of side ``n^{min(a,b,c)}``.

@@ -223,7 +223,7 @@ def verify_published_parameters(which: str = "current", tolerance: float = 1e-6)
     """Re-run the Appendix B verification for the published constants.
 
     For ``which="current"`` the rectangular exponents use the published anchor
-    values (see :class:`repro.matmul.omega.PublishedValuesRectangularModel`);
+    values (see :class:`repro.theory.omega.PublishedValuesRectangularModel`);
     for ``which="best"`` the best-possible model is used, as in the paper.
     """
     published = published_parameters(which)

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import CounterSpec, OptionSpec, available_specs, counter_spec, register_spec
+from repro.api import (
+    CounterSpec,
+    OptionSpec,
+    available_counter_names,
+    available_specs,
+    counter_spec,
+    register_spec,
+)
 from repro.core.base import DynamicFourCycleCounter
+from repro.core.brute_force import BruteForceCounter
 from repro.core.wedge_counter import WedgeCounter
 from repro.exceptions import ConfigurationError
 
@@ -17,6 +25,11 @@ class TestSpecs:
         names = [spec.name for spec in available_specs()]
         assert set(BUILTINS).issubset(set(names))
         assert names == sorted(names)
+
+    def test_available_counter_names_lists_every_spec(self):
+        names = available_counter_names()
+        assert names == [spec.name for spec in available_specs()]
+        assert set(BUILTINS).issubset(names)
 
     def test_every_builtin_supports_batch_hook(self):
         for name in BUILTINS:
@@ -42,6 +55,7 @@ class TestValidationAndCreate:
     def test_create_builds_counter(self):
         counter = counter_spec("wedge").create()
         assert isinstance(counter, DynamicFourCycleCounter)
+        assert counter.name == "wedge"
 
     def test_unknown_option_names_option_and_counter(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -77,11 +91,23 @@ class TestRegistration:
             register_spec(spec)
         register_spec(spec, overwrite=True)
 
-    def test_from_factory_wraps_without_validation(self):
-        spec = CounterSpec.from_factory("api-test-factory", WedgeCounter)
+    @pytest.mark.usefixtures("scoped_counter_specs")
+    def test_registered_spec_is_listed_by_name(self):
+        assert "api-listed-counter" not in available_counter_names()
+        register_spec(CounterSpec(name="api-listed-counter", factory=BruteForceCounter))
+        assert "api-listed-counter" in available_counter_names()
+
+    @pytest.mark.usefixtures("scoped_counter_specs")
+    def test_spec_without_options_skips_validation(self):
+        """A factory whose signature the registry cannot know: its kwargs
+        pass through unvalidated."""
+        spec = CounterSpec(name="api-test-factory", factory=BruteForceCounter)
         assert spec.options is None
         spec.validate_options({"anything": "goes"})  # no-op, must not raise
         assert spec.option_names() == ()
+        register_spec(spec, overwrite=True)
+        counter = counter_spec("api-test-factory").create(interned=False)
+        assert isinstance(counter, BruteForceCounter)
 
 
 class TestImportLayering:

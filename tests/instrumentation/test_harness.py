@@ -10,7 +10,6 @@ from repro.instrumentation.harness import (
     compare_counters,
     format_table,
     run_config,
-    run_counter,
     run_engine,
     run_validated,
     summary_table,
@@ -136,11 +135,3 @@ class TestRunEngine:
         result = run_engine(engine, stream, batch_size=1)
         assert len(result.counts) == len(stream)
 
-
-class TestDeprecatedShims:
-    def test_run_counter_warns_and_still_works(self):
-        stream = UpdateStream.from_edges(k4_edges())
-        counter = FourCycleEngine("wedge").counter
-        with pytest.warns(DeprecationWarning, match="run_counter"):
-            result = run_counter(counter, stream)
-        assert result.final_count == 3

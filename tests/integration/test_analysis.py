@@ -1,4 +1,4 @@
-"""Tests for the analysis (experiment) layer and report generation."""
+"""Tests for the analysis (experiment) layer and its table rendering."""
 
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ from repro.analysis import (
     experiment_e7_ivm_join,
     experiment_e8_omega_ablation,
     experiment_e9_phase_ablation,
-    markdown_table,
+    experiment_e12_spgemm_backends,
     rows_to_dicts,
     text_table,
 )
-from repro.analysis.document import build_experiments_markdown
+from repro.analysis.experiments import E12_PRODUCT_VARIANTS
+from repro.exceptions import ConfigurationError
 
 
 class TestAnalyticExperiments:
@@ -73,15 +74,45 @@ class TestEmpiricalExperiments:
         )
         assert rows[0].phases_completed > rows[1].phases_completed
 
+    E12_SMALL = dict(
+        community_count=3,
+        community_size=4,
+        uniform_dimension=24,
+        dense_dimension=8,
+        wedge_vertices=48,
+        wedge_base_edges=120,
+        wedge_churn_updates=64,
+        wedge_batch_size=16,
+    )
+
+    def test_e12_small(self):
+        rows = experiment_e12_spgemm_backends(**self.E12_SMALL)
+        assert all(row.consistent for row in rows)
+        products = [row for row in rows if row.kernel.startswith("product:")]
+        assert len(products) == 3 * len(E12_PRODUCT_VARIANTS)
+        for instance in {row.kernel for row in products}:
+            variants = [row for row in products if row.kernel == instance]
+            assert [row.variant for row in variants] == list(E12_PRODUCT_VARIANTS)
+            # Every variant reports the expansion work of the dict baseline.
+            assert len({row.operations for row in variants}) == 1
+        hook = [row.variant for row in rows if row.kernel == "wedge-batch-hook"]
+        assert hook == ["full-rebuild", "incremental", "auto"]
+
+    def test_e12_dict_baseline_always_runs(self):
+        rows = experiment_e12_spgemm_backends(backends=("csr",), **self.E12_SMALL)
+        variants = {row.variant for row in rows if row.kernel.startswith("product:")}
+        assert variants == {"dict", "csr"}
+
+    def test_e12_rejects_unknown_variants(self):
+        with pytest.raises(ConfigurationError, match="sparse"):
+            experiment_e12_spgemm_backends(backends=("csr", "sparse"), **self.E12_SMALL)
+
 
 class TestReporting:
-    def test_text_and_markdown_tables(self):
+    def test_text_table(self):
         rows = experiment_e1_theorem_constants()
         text = text_table(rows)
-        markdown = markdown_table(rows)
         assert "regime" in text and "current" in text
-        assert markdown.startswith("| regime")
-        assert "| --- |" in markdown.replace("|---|", "| --- |") or "|---|" in markdown
 
     def test_tables_accept_mappings(self):
         rows = [{"a": 1, "b": True}, {"a": 2.5, "b": False}]
@@ -95,7 +126,6 @@ class TestReporting:
 
     def test_empty_tables(self):
         assert text_table([]) == "(no rows)"
-        assert markdown_table([]) == "(no rows)"
 
     def test_column_selection(self):
         rows = [{"a": 1, "b": 2}]
@@ -104,9 +134,3 @@ class TestReporting:
     def test_banner(self):
         rendered = banner("E1")
         assert "E1" in rendered and "=" in rendered
-
-    def test_build_experiments_markdown_quick(self):
-        document = build_experiments_markdown(quick=True)
-        assert document.startswith("# EXPERIMENTS")
-        for section in ("## E1", "## E3", "## E5", "## E7", "## E9"):
-            assert section in document

@@ -1,13 +1,14 @@
-"""Tests for the CSR SpGEMM kernel, its backend, and the dispatcher.
+"""Tests for the CSR SpGEMM kernel, the label-keyed product, and the dispatcher.
 
-The load-bearing property: ``CsrBackend``, ``SparseBackend`` and
-``DenseBackend`` compute the *same product* on any pair of integer matrices —
-the CSR path is a pure acceleration, never an approximation.  Hypothesis
-drives the equivalence over random matrices including empty operands,
-single-row shapes, negative/cancelling values, and high-collision middles
-(many entries sharing one middle label); unit tests pin the kernel mechanics
-(row blocking, merge-strategy selection, COO coalescing) and the
-density-aware dispatcher.
+The load-bearing property: :func:`multiply` (and :func:`csr_spgemm` under
+it, at any row-block size) computes the *same product* as the dict-of-dicts
+reference :func:`dict_product` on any pair of integer matrices, and reports
+the same expansion work — the CSR path is a pure acceleration, never an
+approximation.  Hypothesis drives the equivalence over random matrices
+including empty operands, single-row shapes, negative/cancelling values, and
+high-collision middles (many entries sharing one middle label); unit tests
+pin the kernel mechanics (row blocking, merge-strategy selection, COO
+coalescing), the middle-axis alignment, and the density-aware dispatcher.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import dict_product
 from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.kernels import CsrMatrix, csr_linear_combination
 from repro.matmul.engine import (
     CountMatrix,
-    CsrBackend,
-    CsrMatrix,
-    DenseBackend,
-    MatmulEngine,
-    SparseBackend,
-    csr_linear_combination,
+    aligned_left_operand,
     csr_spgemm,
+    multiply,
+    right_operand,
     spgemm_work,
 )
 from repro.matmul.scheduler import ProductDispatcher
@@ -38,10 +38,11 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def entries_strategy(row_prefix: str, column_prefix: str, max_dim: int = 7):
-    """Random (row, column) -> value maps over small label universes."""
+def entries_strategy(row_prefix: str, column_prefix: str, max_dim: int = 7, rows: int = 0):
+    """Random (row, column) -> value maps over small label universes;
+    ``rows`` caps the row universe (``0``: ``max_dim``)."""
     coordinate = st.tuples(
-        st.integers(0, max_dim - 1), st.integers(0, max_dim - 1)
+        st.integers(0, (rows or max_dim) - 1), st.integers(0, max_dim - 1)
     )
     return st.dictionaries(
         coordinate, st.integers(-4, 4).filter(bool), max_size=30
@@ -55,17 +56,29 @@ def entries_strategy(row_prefix: str, column_prefix: str, max_dim: int = 7):
     )
 
 
+def blocked_multiply(left: CountMatrix, right: CountMatrix, block_entries: int):
+    """:func:`multiply` with an explicit SpGEMM row-block budget."""
+    left_csr, right_csr = left.csr(), right.csr()
+    product, work = csr_spgemm(
+        aligned_left_operand(left_csr, right_csr),
+        right_operand(right_csr),
+        block_entries=block_entries,
+    )
+    return CountMatrix.from_csr(product, left_csr.row_order, right_csr.col_order), work
+
+
 @PROPERTY_SETTINGS
-@given(left=entries_strategy("r", "m"), right=entries_strategy("m", "c"))
-def test_backends_agree_on_random_matrices(left, right):
-    sparse_result, sparse_stats = SparseBackend().multiply(left, right)
-    csr_result, csr_stats = CsrBackend().multiply(left, right)
-    dense_result, _ = DenseBackend().multiply(left, right)
-    assert csr_result == sparse_result
-    assert dense_result == sparse_result
-    # The expansion work is backend-independent.
-    assert csr_stats.multiplications == sparse_stats.multiplications
-    assert csr_stats.output_nnz == sparse_result.nnz
+@given(
+    left=st.one_of(entries_strategy("r", "m"), entries_strategy("r", "m", rows=1)),
+    right=st.one_of(entries_strategy("m", "c"), entries_strategy("m", "c", rows=1)),
+)
+def test_multiply_matches_dict_reference(left, right):
+    expected, expected_work = dict_product(left, right)
+    result, work = multiply(left, right)
+    assert result == expected
+    assert result.nnz == expected.nnz
+    # The expansion work is the same count the dict loop pays.
+    assert work == expected_work
 
 
 @PROPERTY_SETTINGS
@@ -75,53 +88,72 @@ def test_backends_agree_on_random_matrices(left, right):
     block_entries=st.sampled_from([1, 3, 17, 1 << 22]),
 )
 def test_row_blocking_never_changes_the_product(left, right, block_entries):
-    expected, _ = SparseBackend().multiply(left, right)
-    blocked, _ = CsrBackend(block_entries=block_entries).multiply(left, right)
+    expected, expected_work = dict_product(left, right)
+    blocked, work = blocked_multiply(left, right, block_entries)
     assert blocked == expected
+    assert work == expected_work
 
 
 @PROPERTY_SETTINGS
-@given(entries=entries_strategy("m", "c", max_dim=5))
-def test_high_collision_middles(entries):
+@given(
+    entries=entries_strategy("m", "c", max_dim=5),
+    block_entries=st.sampled_from([1, 3, 17, 1 << 22]),
+)
+def test_high_collision_middles(entries, block_entries):
     """Every left entry funnels through one middle label: maximal collisions."""
     left = CountMatrix({(f"r{i}", "m0"): i + 1 for i in range(6)})
     right = CountMatrix()
     for _, column, value in entries.items():
         right.add("m0", column, value)
-    expected, _ = SparseBackend().multiply(left, right)
-    result, _ = CsrBackend().multiply(left, right)
-    assert result == expected
+    expected, expected_work = dict_product(left, right)
+    assert multiply(left, right) == (expected, expected_work)
+    assert blocked_multiply(left, right, block_entries) == (expected, expected_work)
 
 
-class TestCsrBackendEdgeCases:
+@PROPERTY_SETTINGS
+@given(
+    left=entries_strategy("r", "m"),
+    right=entries_strategy("m", "c"),
+    block_entries=st.sampled_from([1, 3, 17, 1 << 22]),
+)
+def test_cancelling_middles(left, right, block_entries):
+    """Every middle gets a twin whose right row is negated, so every product
+    entry cancels inside the kernel's merge, at every block size."""
+    _, work = dict_product(left, right)
+    for row, middle, value in list(left.items()):
+        left.add(row, ("twin", middle), value)
+    for middle, column, value in list(right.items()):
+        right.add(("twin", middle), column, -value)
+    product, twin_work = blocked_multiply(left, right, block_entries)
+    assert product.nnz == 0 and not product.row_labels()
+    assert twin_work == 2 * work
+
+
+class TestMultiplyEdgeCases:
     def test_empty_operands(self):
         empty = CountMatrix()
-        result, stats = CsrBackend().multiply(empty, empty)
-        assert result.nnz == 0 and stats.multiplications == 0
-        result, _ = CsrBackend().multiply(empty, CountMatrix({(1, 2): 1}))
-        assert result.nnz == 0
-        result, _ = CsrBackend().multiply(CountMatrix({(1, 2): 1}), empty)
-        assert result.nnz == 0
+        assert multiply(empty, empty) == (CountMatrix(), 0)
+        assert multiply(empty, CountMatrix({(1, 2): 1}))[0].nnz == 0
+        assert multiply(CountMatrix({(1, 2): 1}), empty)[0].nnz == 0
 
     def test_single_row_and_column(self):
         left = CountMatrix({("r", "m"): 3})
         right = CountMatrix({("m", "c"): -2})
-        result, stats = CsrBackend().multiply(left, right)
+        result, work = multiply(left, right)
         assert result.get("r", "c") == -6
-        assert stats.multiplications == 1
-        assert stats.backend == "csr"
+        assert work == 1
 
     def test_disjoint_middles_produce_nothing(self):
         left = CountMatrix({("r", "m1"): 1})
         right = CountMatrix({("m2", "c"): 1})
-        result, _ = CsrBackend().multiply(left, right)
-        assert result.nnz == 0
+        assert multiply(left, right) == (CountMatrix(), 0)
 
     def test_cancellation_drops_entries(self):
         left = CountMatrix({("r", "a"): 1, ("r", "b"): 1})
         right = CountMatrix({("a", "c"): 5, ("b", "c"): -5})
-        result, _ = CsrBackend().multiply(left, right)
-        assert result.nnz == 0
+        result, work = multiply(left, right)
+        assert result.nnz == 0 and not result.row_labels()
+        assert work == 2
 
     def test_large_values_stay_exact(self):
         # Above the float64-exact window (2^53) but inside int64 — the
@@ -129,16 +161,47 @@ class TestCsrBackendEdgeCases:
         big = 1 << 29
         left = CountMatrix({("r", f"m{k}"): big for k in range(8)})
         right = CountMatrix({(f"m{k}", "c"): big for k in range(8)})
-        result, _ = CsrBackend().multiply(left, right)
+        result, _ = multiply(left, right)
         assert result.get("r", "c") == 8 * big * big  # 2^61, not float64-exact
 
-    def test_engine_accepts_csr_backend(self):
-        engine = MatmulEngine()
+    def test_reads_label_keyed_snapshots(self):
         left = CountMatrix({("a", "m"): 2})
         right = CountMatrix({("m", "b"): 3})
-        assert engine.multiply(left, right, backend="csr").get("a", "b") == 6
-        with pytest.raises(ConfigurationError):
-            engine.multiply(left, right, backend="quantum")
+        assert multiply(left.csr(), right.csr()) == multiply(left, right)
+
+
+class TestMiddleAlignment:
+    def test_aligned_middle_orders_skip_remap(self):
+        """Chained products share the middle label order; the identity
+        alignment must give the reference product."""
+        left = CountMatrix()
+        right = CountMatrix()
+        for k in range(6):
+            left.add("r", f"m{k}", k + 1)
+            right.add(f"m{k}", "c", 2 * k + 1)
+        assert left.csr().col_order == right.csr().row_order
+        operand = aligned_left_operand(left.csr(), right.csr())
+        assert operand.cols.tolist() == left.csr().col_ids.tolist()
+        assert multiply(left, right) == dict_product(left, right)
+
+    def test_misaligned_orders_are_remapped(self):
+        left = CountMatrix({("r", "m1"): 2, ("r", "m0"): 3})
+        right = CountMatrix({("m0", "c"): 5, ("m1", "c"): 7, ("mX", "c"): 11})
+        assert left.csr().col_order != right.csr().row_order
+        result, work = multiply(left, right)
+        assert (result, work) == dict_product(left, right)
+        assert result.get("r", "c") == 2 * 7 + 3 * 5
+
+    def test_left_columns_without_a_right_row_are_dropped(self):
+        left = CountMatrix({("r1", "m0"): 2, ("r1", "gone"): 9, ("r2", "gone"): 4})
+        right = CountMatrix({("m0", "c"): 5, ("m1", "c"): 1})
+        operand = aligned_left_operand(left.csr(), right.csr())
+        # r2's only entry has no right row: the row survives, empty.
+        assert operand.nnz == 1 and operand.num_rows == 2
+        assert operand.row_lengths().tolist() == [1, 0]
+        result, work = multiply(left, right)
+        assert (result, work) == dict_product(left, right)
+        assert result.row_labels() == {"r1"} and work == 1
 
 
 class TestCsrMatrix:
@@ -220,28 +283,6 @@ class TestDispatcher:
         dispatcher = ProductDispatcher(dense_cells_limit=1 << 10)
         # Tiny work but a huge dense footprint: the cap must win.
         assert dispatcher.decide_square(10 ** 6, 100).backend == "csr"
-
-
-class TestDenseBackendAlignment:
-    def test_aligned_middle_orders_skip_remap(self):
-        """Chained products share the middle label order; the cached dense
-        backend must produce the same product through its aligned fast path."""
-        left = CountMatrix()
-        right = CountMatrix()
-        for k in range(6):
-            left.add("r", f"m{k}", k + 1)
-            right.add(f"m{k}", "c", 2 * k + 1)
-        assert left.csr().col_order == right.csr().row_order
-        result, _ = DenseBackend().multiply(left, right)
-        expected, _ = SparseBackend().multiply(left, right)
-        assert result == expected
-
-    def test_misaligned_orders_still_agree(self):
-        left = CountMatrix({("r", "m1"): 2, ("r", "m0"): 3})
-        right = CountMatrix({("m0", "c"): 5, ("m1", "c"): 7, ("mX", "c"): 11})
-        result, _ = DenseBackend().multiply(left, right)
-        expected, _ = SparseBackend().multiply(left, right)
-        assert result == expected
 
 
 class TestAddRow:

@@ -1,19 +1,15 @@
-"""Tests for the CountMatrix interned CSR cache and the cached dense backend."""
+"""Tests for the CountMatrix interned CSR cache, the products that read
+through it, and the dense export helpers."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.matmul.engine import (
-    CountMatrix,
-    DenseBackend,
-    MatmulEngine,
-    SparseBackend,
-    exact_integer_matmul,
-)
+from repro.analysis.experiments import dense_product, dict_product
+from repro.kernels import exact_integer_matmul
+from repro.matmul.engine import CountMatrix, multiply
 
 FAST_SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -24,6 +20,14 @@ entries_strategy = st.dictionaries(
 )
 
 
+def dense_of(matrix: CountMatrix, rows, columns) -> np.ndarray:
+    """``matrix`` as a dense array over the given label orders."""
+    dense = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for row, column, value in matrix.items():
+        dense[rows.index(row), columns.index(column)] = value
+    return dense
+
+
 class TestMaintainedColumnLabels:
     def test_column_labels_track_adds_and_cancellations(self):
         matrix = CountMatrix()
@@ -31,14 +35,12 @@ class TestMaintainedColumnLabels:
         matrix.add("r2", "c1", 1)
         matrix.add("r1", "c2", 3)
         assert matrix.column_labels() == {"c1", "c2"}
-        assert matrix.num_column_labels == 2
         matrix.add("r1", "c2", -3)  # cancels the only c2 entry
         assert matrix.column_labels() == {"c1"}
         matrix.add("r2", "c1", -1)
         assert matrix.column_labels() == {"c1"}  # r1 still holds c1
         matrix.add("r1", "c1", -2)
         assert matrix.column_labels() == set()
-        assert matrix.num_column_labels == 0
 
     @given(entries=entries_strategy)
     @FAST_SETTINGS
@@ -53,7 +55,7 @@ class TestMaintainedColumnLabels:
     def test_copy_and_from_dense_preserve_column_counts(self):
         matrix = CountMatrix({("a", "x"): 1, ("b", "x"): 2, ("a", "y"): 3})
         assert matrix.copy().column_labels() == {"x", "y"}
-        dense = matrix.to_dense(["a", "b"], ["x", "y"])
+        dense = dense_of(matrix, ["a", "b"], ["x", "y"])
         rebuilt = CountMatrix.from_dense(dense, ["a", "b"], ["x", "y"])
         assert rebuilt == matrix
         assert rebuilt.column_labels() == {"x", "y"}
@@ -92,43 +94,53 @@ class TestCsrCache:
         assert matrix.csr().data.size == 0
 
 
-class TestCachedDenseBackend:
+class TestProductsReadTheCache:
     @given(left=entries_strategy, right=entries_strategy)
     @FAST_SETTINGS
-    def test_cached_dense_equals_scalar_dense_and_sparse(self, left, right):
+    def test_csr_and_dense_products_match_dict_reference(self, left, right):
         left_matrix = CountMatrix(left)
         right_matrix = CountMatrix(right)
-        cached, cached_stats = DenseBackend(use_csr_cache=True).multiply(left_matrix, right_matrix)
-        scalar, scalar_stats = DenseBackend(use_csr_cache=False).multiply(left_matrix, right_matrix)
-        sparse, _ = SparseBackend().multiply(left_matrix, right_matrix)
-        assert cached == scalar
-        assert cached == sparse
-        assert cached_stats.multiplications == scalar_stats.multiplications
+        expected, work = dict_product(left_matrix, right_matrix)
+        assert multiply(left_matrix, right_matrix) == (expected, work)
+        assert dense_product(left_matrix, right_matrix)[0] == expected
 
-    def test_multiply_chain_reuses_operand_caches(self):
+    def test_repeated_products_reuse_operand_caches(self):
         matrices = [
             CountMatrix({(i, j): i + j + 1 for i in range(4) for j in range(4)})
             for _ in range(3)
         ]
-        engine = MatmulEngine()
-        first = engine.multiply_chain(matrices, backend="dense")
-        versions = [matrix.csr().version for matrix in matrices]
-        second = engine.multiply_chain(matrices, backend="dense")
+        first, _ = multiply(multiply(matrices[0], matrices[1])[0], matrices[2])
+        snapshots = [matrix.csr() for matrix in matrices]
+        second, _ = multiply(multiply(matrices[0], matrices[1])[0], matrices[2])
         assert first == second
         # Operands were not mutated, so their cached CSR snapshots survived.
-        assert [matrix.csr().version for matrix in matrices] == versions
-        for matrix in matrices:
-            assert matrix.csr() is matrix.csr()
+        assert [matrix.csr() for matrix in matrices] == snapshots
+        assert all(matrix.csr() is snapshot for matrix, snapshot in zip(matrices, snapshots))
 
     def test_mutation_between_multiplies_is_visible(self):
         left = CountMatrix({("a", "m"): 1})
         right = CountMatrix({("m", "z"): 1})
-        backend = DenseBackend()
-        product, _ = backend.multiply(left, right)
+        product, _ = multiply(left, right)
         assert product.get("a", "z") == 1
         left.add("a", "m", 2)  # invalidates the cached CSR
-        product, _ = backend.multiply(left, right)
+        product, _ = multiply(left, right)
         assert product.get("a", "z") == 3
+
+
+class TestDenseProduct:
+    def test_empty_operands(self):
+        assert dense_product(CountMatrix(), CountMatrix()) == (CountMatrix(), 0)
+        product, flops = dense_product(CountMatrix({("a", "m"): 1}), CountMatrix())
+        assert product.nnz == 0 and flops == 0
+
+    def test_counts_dense_multiply_adds(self):
+        left = CountMatrix({("a", "m0"): 1, ("b", "m1"): 2, ("b", "gone"): 5})
+        right = CountMatrix({("m0", "x"): 3, ("m1", "y"): 4, ("m2", "z"): 1})
+        product, flops = dense_product(left, right)
+        assert product == dict_product(left, right)[0]
+        # 2 left rows x 3 right rows x 3 right columns; the left column with
+        # no right row is dropped before the dense product.
+        assert flops == 2 * 3 * 3
 
 
 class TestExactIntegerMatmul:
@@ -156,7 +168,7 @@ class TestVectorizedFromDense:
         matrix = CountMatrix(entries)
         rows = sorted(matrix.row_labels())
         columns = sorted(matrix.column_labels())
-        dense = matrix.to_dense(rows, columns)
+        dense = dense_of(matrix, rows, columns)
         rebuilt = CountMatrix.from_dense(dense, rows, columns)
         assert rebuilt == matrix
         assert rebuilt.nnz == matrix.nnz
@@ -176,5 +188,5 @@ class TestVectorizedFromDense:
         assert matrix.csr().data.size == 2  # bookkeeping consistent with rows
         by_columns = CountMatrix.from_dense(dense, ["a", "b"], ["x", "x"])
         assert by_columns.get("a", "x") == 2 and by_columns.nnz == 2
-        product, _ = DenseBackend().multiply(matrix, CountMatrix({("x", "z"): 1}))
+        product, _ = multiply(matrix, CountMatrix({("x", "z"): 1}))
         assert product.get("a", "z") == 2

@@ -1,4 +1,5 @@
-"""Tests for the multiplication backends and the engine facade."""
+"""Tests for the label-keyed product :func:`multiply` against the dict-of-dicts
+reference on random rectangular operands."""
 
 from __future__ import annotations
 
@@ -6,113 +7,44 @@ import random
 
 import pytest
 
-from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.matmul.engine import (
-    CountMatrix,
-    DenseBackend,
-    MatmulEngine,
-    SparseBackend,
-    multiply_dense_arrays,
-)
-
-import numpy as np
+from repro.analysis.experiments import dict_product
+from repro.matmul.engine import CountMatrix, multiply
 
 
-def random_count_matrix(rng: random.Random, rows: int, columns: int, density: float) -> CountMatrix:
+def random_count_matrix(
+    rng: random.Random, rows: int, columns: int, density: float, prefixes=("r", "c")
+) -> CountMatrix:
     matrix = CountMatrix()
     for i in range(rows):
         for j in range(columns):
             if rng.random() < density:
-                matrix.add(f"r{i}", f"c{j}", rng.randint(-2, 3) or 1)
+                matrix.add(f"{prefixes[0]}{i}", f"{prefixes[1]}{j}", rng.randint(-2, 3) or 1)
     return matrix
 
 
-def reference_product(left: CountMatrix, right: CountMatrix) -> CountMatrix:
-    result = CountMatrix()
-    for row, middle, left_value in left.items():
-        for middle2, column, right_value in right.items():
-            if middle == middle2:
-                result.add(row, column, left_value * right_value)
-    return result
-
-
-class TestBackendsAgree:
+class TestMultiply:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_sparse_equals_dense_equals_reference(self, seed):
+    @pytest.mark.parametrize("density", [0.1, 0.4, 0.9])
+    def test_matches_reference(self, seed, density):
         rng = random.Random(seed)
-        left = random_count_matrix(rng, 6, 5, 0.4)
-        # Right matrix rows must use the left matrix's column labels.
-        right = CountMatrix()
-        for j in range(5):
-            for k in range(7):
-                if rng.random() < 0.4:
-                    right.add(f"c{j}", f"z{k}", rng.randint(-2, 2) or 1)
-        sparse_result, sparse_stats = SparseBackend().multiply(left, right)
-        dense_result, dense_stats = DenseBackend().multiply(left, right)
-        expected = reference_product(left, right)
-        assert sparse_result == expected
-        assert dense_result == expected
-        assert sparse_stats.backend == "sparse"
-        assert dense_stats.backend == "dense"
+        left = random_count_matrix(rng, 6, 5, density)
+        # Right matrix rows use the left matrix's column labels.
+        right = random_count_matrix(rng, 5, 7, density, prefixes=("c", "z"))
+        assert multiply(left, right) == dict_product(left, right)
 
-    def test_empty_operands(self):
-        empty = CountMatrix()
-        result, stats = DenseBackend().multiply(empty, empty)
-        assert result.nnz == 0
-        assert stats.multiplications == 0
-        result, _ = SparseBackend().multiply(empty, CountMatrix({(1, 2): 1}))
-        assert result.nnz == 0
-
-
-class TestEngine:
-    def test_explicit_backend_choice(self):
-        engine = MatmulEngine()
-        left = CountMatrix({("a", "m"): 1})
-        right = CountMatrix({("m", "b"): 1})
-        assert engine.multiply(left, right, backend="sparse").get("a", "b") == 1
-        assert engine.multiply(left, right, backend="dense").get("a", "b") == 1
-
-    def test_invalid_backend(self):
-        engine = MatmulEngine()
-        with pytest.raises(ConfigurationError):
-            engine.multiply(CountMatrix(), CountMatrix(), backend="quantum")
-
-    def test_auto_backend_runs(self):
-        engine = MatmulEngine()
-        rng = random.Random(7)
-        left = random_count_matrix(rng, 8, 8, 0.6)
-        right = CountMatrix()
-        for j in range(8):
-            for k in range(8):
-                if rng.random() < 0.6:
-                    right.add(f"c{j}", f"x{k}", 1)
-        assert engine.multiply(left, right) == reference_product(left, right)
-
-    def test_cost_callback_invoked(self):
-        calls = []
-        engine = MatmulEngine(cost_callback=calls.append)
-        engine.multiply(CountMatrix({(1, 2): 1}), CountMatrix({(2, 3): 1}))
-        assert len(calls) == 1
-        assert calls[0].multiplications >= 1
-
-    def test_multiply_chain(self):
-        engine = MatmulEngine()
+    def test_chain(self):
         a = CountMatrix({("u", "x"): 1})
         b = CountMatrix({("x", "y"): 1})
         c = CountMatrix({("y", "v"): 1})
-        assert engine.multiply_chain([a, b, c]).get("u", "v") == 1
-        with pytest.raises(ConfigurationError):
-            engine.multiply_chain([])
+        ab, first_work = multiply(a, b)
+        abc, second_work = multiply(ab, c)
+        assert abc.get("u", "v") == 1
+        assert first_work == second_work == 1
 
-
-class TestDenseHelpers:
-    def test_multiply_dense_arrays(self):
-        left = np.array([[1, 2], [0, 1]])
-        right = np.array([[1], [3]])
-        assert multiply_dense_arrays(left, right).tolist() == [[7], [3]]
-
-    def test_shape_validation(self):
-        with pytest.raises(DimensionMismatchError):
-            multiply_dense_arrays(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(DimensionMismatchError):
-            multiply_dense_arrays(np.ones(3), np.ones((3, 1)))
+    def test_orders_follow_the_operand_exports(self):
+        left = CountMatrix({("b", "m"): 1, ("a", "m"): 1})
+        right = CountMatrix({("m", "z"): 1, ("m", "y"): 1})
+        product, work = multiply(left, right)
+        assert list(product.csr().row_order) == ["b", "a"]
+        assert list(product.row("b")) == ["z", "y"]
+        assert work == 4

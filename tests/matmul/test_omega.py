@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.matmul.omega import (
+from repro.theory.omega import (
     OMEGA_BEST,
     OMEGA_CURRENT,
     OMEGA_IMPROVEMENT_THRESHOLD,

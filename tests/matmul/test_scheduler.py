@@ -15,12 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import dict_product
 from repro.core.assadi_shah import AssadiShahCounter
 from repro.core.phase_fmm import PhaseFMMCounter
 from repro.exceptions import ConfigurationError, CounterStateError, MatmulError
 from repro.graph.static_counts import count_four_cycles_edge_list
 from repro.matmul import scheduler as scheduler_module
-from repro.matmul.engine import CountMatrix, SparseBackend
+from repro.matmul.engine import CountMatrix
 from repro.matmul.scheduler import ChainProductJob, IncrementalMatrixProduct, PhaseScheduler
 
 from tests.conftest import random_dynamic_stream
@@ -174,7 +175,7 @@ class TestIncrementalMatrixProduct:
         assert job.remaining_rows() < 10 or job.operations_done > 0
         job.run_to_completion()
         assert job.is_complete
-        expected, _ = SparseBackend().multiply(left, right)
+        expected, _ = dict_product(left, right)
         assert job.result == expected
 
     def test_advance_respects_budget_roughly(self):
@@ -220,9 +221,8 @@ class TestChainProductJob:
                     c.add(f"y{k}", f"v{l}", 1)
         job = ChainProductJob([a, b, c], name="abc")
         job.run_to_completion()
-        backend = SparseBackend()
-        expected, _ = backend.multiply(a, b)
-        expected, _ = backend.multiply(expected, c)
+        expected, _ = dict_product(a, b)
+        expected, _ = dict_product(expected, c)
         assert job.result == expected
 
     def test_result_before_completion_raises(self):

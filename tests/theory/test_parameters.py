@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConstraintError
-from repro.matmul.omega import best_omega_model, current_omega_model, naive_omega_model
+from repro.theory.omega import best_omega_model, current_omega_model, naive_omega_model
 from repro.theory.constraints import warmup_constraint_system
 from repro.theory.parameters import (
     published_parameters,
