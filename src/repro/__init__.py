@@ -13,7 +13,7 @@ The package provides:
   the [HHH22] ``O(m^{2/3})`` baseline, the Appendix A ``O(n)`` wedge counter,
   and a brute-force reference; plus the layered 4-cycle counter of Theorem 2.
 * :mod:`repro.graph` — dynamic simple graphs, 4-layered graphs, the general↔
-  layered reduction of Section 8, degree classes, and static counting oracles.
+  layered reduction of Section 8, and static counting oracles.
 * :mod:`repro.matmul` — label-keyed count matrices, the exact SpGEMM product,
   the dense-vs-CSR product dispatcher, and the phase work scheduler.
 * :mod:`repro.theory` — the paper's constraint systems, parameter solving

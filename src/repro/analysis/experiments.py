@@ -22,9 +22,8 @@ The experiments:
 * **E9** — phase-length ablation for the phase/FMM counter.
 * **E10** — batched-pipeline throughput: updates/sec versus batch size for
   every registered counter, with batch/unbatch exactness checked at the end.
-* **E11** — kernel throughput: the integer-interned vectorized fast paths
-  (counter batch hooks, interned graph microkernels) against the label-keyed
-  scalar paths, with bit-identical counts asserted across every variant.
+* **E11** — kernel throughput: the counters' vectorized batch hooks against
+  their per-update paths, with bit-identical counts asserted across both.
 * **E12** — sparse-versus-dense products: CSR SpGEMM against a dict-of-dicts
   baseline and dense BLAS on sparse, uniform, and dense instances, plus the
   wedge counter's incremental batch hook against its full rebuild —
@@ -48,7 +47,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.api import EngineConfig, FourCycleEngine, available_counter_names
 from repro.db.ivm import CyclicJoinCountView
 from repro.exceptions import ConfigurationError, CounterStateError
-from repro.graph.dynamic_graph import DynamicGraph
 from repro.instrumentation.harness import run_config, run_engine, run_validated, time_replay
 from repro.kernels import exact_integer_matmul
 from repro.matmul.engine import CountMatrix, aligned_left_operand, multiply, right_operand
@@ -545,19 +543,18 @@ def experiment_e10_batch_throughput(
 
 
 # ---------------------------------------------------------------------------
-# E11 — interned/vectorized kernel throughput
+# E11 — vectorized batch hooks against the per-update paths
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class KernelThroughputRow:
-    """Throughput of one kernel variant.
+    """Throughput of one counter path.
 
-    ``variant`` is ``scalar`` (label-keyed code, interning disabled — the seed
-    implementation), ``scalar-batch`` (the batch pipeline without interning)
-    or ``vectorized`` (the interned numpy fast path).  ``per_second`` counts
-    updates for the counter kernels and scans plus histograms for the graph
-    microkernels; ``speedup_vs_scalar`` is relative to the ``scalar`` variant
-    of the same kernel.  ``exact`` records the count/result identity check —
-    it must be true on every row, timing never excuses a wrong answer.
+    ``variant`` is ``per-update`` (one ``apply`` per update) or ``batched``
+    (``apply_batch`` windows through the counter's vectorized batch hook).
+    ``per_second`` counts updates; ``speedup_vs_per_update`` is relative to
+    the ``per-update`` variant of the same kernel.  ``exact`` records the
+    count identity check — it must be true on every row, timing never excuses
+    a wrong answer.
     """
 
     kernel: str
@@ -566,7 +563,7 @@ class KernelThroughputRow:
     operations: int
     seconds: float
     per_second: float
-    speedup_vs_scalar: float
+    speedup_vs_per_update: float
     exact: bool
 
 
@@ -578,48 +575,36 @@ def experiment_e11_kernel_throughput(
     seed: int = 0,
     backend: str = "auto",
 ) -> List[KernelThroughputRow]:
-    """E11: vectorized kernels versus the label-keyed scalar paths.
+    """E11: the counters' vectorized batch hooks versus their per-update paths.
 
-    Two families of kernels are measured:
+    The standard dense churn stream is replayed through each counter twice:
+    one update at a time, and in windows of ``batch_size`` through the
+    vectorized batch hook.  Both must end with **bit-identical 4-cycle
+    counts**, each verified against a from-scratch recount; a mismatch raises
+    :class:`~repro.exceptions.CounterStateError` — the CI perf-smoke job gates
+    on that, not on timing.
 
-    * **End-to-end counter batch paths** — the standard dense churn stream is
-      replayed through each counter three ways: per-update with interning
-      disabled (the seed scalar path), batched with interning disabled (the
-      seed batch path, where one existed), and batched with the interned
-      vectorized hooks.  All three must end with **bit-identical 4-cycle
-      counts**, each verified against a from-scratch recount; a mismatch
-      raises :class:`~repro.exceptions.CounterStateError` — the CI perf-smoke
-      job gates on that, not on timing.
-    * **Graph microkernels** — common-neighbor scans and degree histograms
-      on the label-keyed graph against its interned mirror.
-
-    Returns one row per (kernel, variant); speedups are computed against the
-    scalar variant of the same kernel.
+    Returns one row per (counter, variant); speedups are computed against the
+    per-update variant of the same counter.
     """
     stream = erdos_renyi_stream(num_vertices, num_updates, seed=seed)
     rows: List[KernelThroughputRow] = []
     for name in counters:
-        variants = (
-            ("scalar", False, 1),
-            ("scalar-batch", False, batch_size),
-            ("vectorized", True, batch_size),
-        )
-        scalar_seconds: Optional[float] = None
+        per_update_seconds: Optional[float] = None
         final_counts: Dict[str, int] = {}
-        for variant, interned, size in variants:
+        for variant, size in (("per-update", 1), ("batched", batch_size)):
             engine = FourCycleEngine(
-                EngineConfig(counter=name, interned=interned, batch_size=size, backend=backend)
+                EngineConfig(counter=name, batch_size=size, backend=backend)
             )
             seconds = max(time_replay(engine, stream), 1e-9)
-            if variant == "scalar":
-                scalar_seconds = seconds
+            if per_update_seconds is None:
+                per_update_seconds = seconds
             if not engine.is_consistent():
                 raise CounterStateError(
                     f"E11: counter {name!r} variant {variant!r} is inconsistent "
                     f"with a from-scratch recount (count={engine.count})"
                 )
             final_counts[variant] = engine.count
-            assert scalar_seconds is not None
             rows.append(
                 KernelThroughputRow(
                     kernel=f"{name}-updates",
@@ -628,7 +613,7 @@ def experiment_e11_kernel_throughput(
                     operations=len(stream),
                     seconds=seconds,
                     per_second=len(stream) / seconds,
-                    speedup_vs_scalar=scalar_seconds / seconds,
+                    speedup_vs_per_update=per_update_seconds / seconds,
                     exact=True,
                 )
             )
@@ -636,67 +621,6 @@ def experiment_e11_kernel_throughput(
             raise CounterStateError(
                 f"E11: counter {name!r} counts diverged across paths: {final_counts}"
             )
-    rows.extend(_e11_graph_microkernel_rows(stream, seed))
-    return rows
-
-
-def _e11_graph_microkernel_rows(stream, seed: int) -> List[KernelThroughputRow]:
-    """Interned graph microkernels: common-neighbor scans and histograms.
-
-    Measured on composite (tuple) vertex labels — the case the interner
-    targets: tuples do not cache their hash, so every label-keyed set probe
-    re-hashes, while the interned path intersects integer-id sets and only
-    translates the (small) result.  The CSR view is warmed first, matching
-    the batched pipelines these kernels run inside (their hooks have just
-    exported it).
-    """
-    import time
-
-    num_pairs = 2000
-    histogram_repeats = 200
-    edges = sorted(
-        (("shard", u, u * u), ("shard", v, v * v)) for u, v in stream.final_edges()
-    )
-    rng = random.Random(seed + 2)
-    graphs = {
-        "scalar": DynamicGraph(edges=edges, interned=False),
-        "vectorized": DynamicGraph(edges=edges, interned=True),
-    }
-    graphs["vectorized"].csr_view()
-    vertices = sorted(graphs["vectorized"].vertices())
-    pairs = [
-        (rng.choice(vertices), rng.choice(vertices)) for _ in range(num_pairs)
-    ]
-    rows: List[KernelThroughputRow] = []
-    checks: Dict[str, int] = {}
-    timings: Dict[str, float] = {}
-    for variant, graph in graphs.items():
-        started = time.perf_counter()
-        total = 0
-        for u, v in pairs:
-            total += len(graph.common_neighbors(u, v))
-        for _ in range(histogram_repeats):
-            histogram = graph.degree_histogram()
-        timings[variant] = max(time.perf_counter() - started, 1e-9)
-        checks[variant] = total + sum(d * c for d, c in histogram.items())
-    if len(set(checks.values())) > 1:
-        raise CounterStateError(f"E11: graph microkernels diverged: {checks}")
-    operations = len(pairs) + histogram_repeats
-    for variant in ("scalar", "vectorized"):
-        rows.append(
-            KernelThroughputRow(
-                kernel="graph-microkernels",
-                variant=variant,
-                parameters=(
-                    f"pairs={len(pairs)} histograms={histogram_repeats} labels=tuple"
-                ),
-                operations=operations,
-                seconds=timings[variant],
-                per_second=operations / timings[variant],
-                speedup_vs_scalar=timings["scalar"] / timings[variant],
-                exact=True,
-            )
-        )
     return rows
 
 
@@ -768,8 +692,7 @@ def _community_count_matrix(num_communities: int, size: int) -> CountMatrix:
     community collides once per common neighbor), which is where SpGEMM's
     per-operation advantage over dict probing shows fully.  Labels are
     composite tuples — the case the interned kernels target (tuples do not
-    cache their hash, so every dict probe of the dict baseline re-hashes;
-    see the E11 microkernel rationale).
+    cache their hash, so every dict probe of the dict baseline re-hashes).
     """
     matrix = CountMatrix()
     for community in range(num_communities):

@@ -3,7 +3,7 @@
 :class:`EngineConfig` is the single description of "how to run a counter" that
 every consumer — CLI, harness, benchmarks, examples, checkpoints — shares.  It
 captures the counter name, its counter-specific options, the batch size the
-stream is windowed into, and the interning/metrics/cost-model switches, and it
+stream is windowed into, and the metrics/cost-model switches, and it
 round-trips through plain dictionaries (:meth:`EngineConfig.to_dict` /
 :meth:`EngineConfig.from_dict`) so it can live inside CLI arguments and JSON
 artifacts unchanged.
@@ -27,7 +27,7 @@ from repro.exceptions import ConfigurationError
 #: they must be set through the config fields, not the options mapping, so a
 #: config never says the same thing twice.
 _RESERVED_OPTIONS = (
-    "record_metrics", "interned", "backend", "workers", "shard_policy", "block_entries",
+    "record_metrics", "backend", "workers", "shard_policy", "block_entries",
     "wal_path", "snapshot_every", "fsync_policy",
 )
 
@@ -52,7 +52,7 @@ class EngineConfig:
 
     ``options`` holds only counter-specific knobs (e.g. ``phase_length`` for
     the phase-based counters); the switches shared by every counter —
-    ``interned``, ``record_metrics``, and the batch-kernel matmul ``backend``
+    ``record_metrics`` and the batch-kernel matmul ``backend``
     (``"auto"`` dispatches dense BLAS versus CSR SpGEMM per product by density;
     ``"dense"``/``"csr"`` pin the kernel) — are top-level fields.
     ``track_costs=False`` disables the operation-count cost model entirely,
@@ -62,7 +62,6 @@ class EngineConfig:
     counter: str = "assadi-shah"
     options: Mapping[str, object] = field(default_factory=dict)
     batch_size: int = 1
-    interned: bool = True
     record_metrics: bool = False
     track_costs: bool = True
     backend: str = "auto"
@@ -80,6 +79,16 @@ class EngineConfig:
     fsync_policy: str = "batch"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.counter, str):
+            raise ConfigurationError(
+                f"counter must be a string, got {type(self.counter).__name__}"
+            )
+        for name in ("record_metrics", "track_costs"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be a boolean, got {type(value).__name__}"
+                )
         if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
             raise ConfigurationError(
                 f"batch_size must be an integer, got {type(self.batch_size).__name__}"
@@ -190,9 +199,7 @@ class EngineConfig:
         so a third-party counter that predates an option keeps working under
         the default config.
         """
-        kwargs = dict(
-            self.options, record_metrics=self.record_metrics, interned=self.interned
-        )
+        kwargs = dict(self.options, record_metrics=self.record_metrics)
         spec = self.spec
         for name, value, default in self._kernel_fields():
             if name in spec.option_names() or (spec.options is None and value != default):
@@ -212,7 +219,6 @@ class EngineConfig:
             "counter": self.counter,
             "options": dict(self.options),
             "batch_size": self.batch_size,
-            "interned": self.interned,
             "record_metrics": self.record_metrics,
             "track_costs": self.track_costs,
             "backend": self.backend,
@@ -227,13 +233,25 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EngineConfig":
         """Inverse of :meth:`to_dict`; every key is optional, unknown keys are
-        rejected with a :class:`ConfigurationError`."""
+        rejected with a :class:`ConfigurationError`.
+
+        Snapshots and WAL meta files written while the label-only graph mode
+        existed carry ``"interned": true``; that key is accepted with that
+        value only, and dropped.
+        """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
                 f"engine config must be a mapping, got {type(payload).__name__}"
             )
+        if "interned" in payload:
+            if payload["interned"] is not True:
+                raise ConfigurationError(
+                    f"interned={payload['interned']!r} is not supported: the label-only "
+                    "graph mode was removed and every graph is interned"
+                )
+            payload = {key: value for key, value in payload.items() if key != "interned"}
         known = {
-            "counter", "options", "batch_size", "interned", "record_metrics",
+            "counter", "options", "batch_size", "record_metrics",
             "track_costs", "backend", "workers", "shard_policy", "block_entries",
             "wal_path", "snapshot_every", "fsync_policy",
         }
@@ -253,7 +271,6 @@ class EngineConfig:
             counter=payload.get("counter", "assadi-shah"),
             options=dict(options),
             batch_size=payload.get("batch_size", 1),
-            interned=payload.get("interned", True),
             record_metrics=payload.get("record_metrics", False),
             track_costs=payload.get("track_costs", True),
             backend=payload.get("backend", "auto"),
@@ -271,11 +288,11 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Build a config from a flat dict of counter keyword arguments.
 
-        The shared ``interned``/``record_metrics`` keywords are lifted into
-        the matching config fields; everything else stays counter-specific.
+        The shared keywords (``record_metrics`` and the batch-kernel ones)
+        are lifted into the matching config fields; everything else stays
+        counter-specific.
         """
         options = dict(kwargs)
-        interned = bool(options.pop("interned", True))
         record_metrics = bool(options.pop("record_metrics", False))
         backend = str(options.pop("backend", "auto"))
         workers = int(options.pop("workers", 1))
@@ -285,7 +302,6 @@ class EngineConfig:
             counter=name,
             options=options,
             batch_size=batch_size,
-            interned=interned,
             record_metrics=record_metrics,
             backend=backend,
             workers=workers,

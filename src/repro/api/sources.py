@@ -135,18 +135,12 @@ class GeneratorSource:
 class ReplaySource:
     """Lazy replay of a stream saved by :func:`repro.io.serialization.save_stream`.
 
-    Each iteration re-opens the file and decodes one JSON line at a time, so
-    replaying never loads the whole stream into memory.  Use
-    :meth:`to_stream` when a materialized :class:`UpdateStream` is needed.
-
-    ``tolerate_torn_tail`` controls what a damaged record means.  In strict
-    mode (the default) a truncated or corrupt line raises a
+    Each iteration re-opens the file and decodes one JSON line at a time
+    (:func:`repro.io.serialization.iter_stream`), so replaying never loads the
+    whole stream into memory.  Use :meth:`to_stream` when a materialized
+    :class:`UpdateStream` is needed.  A damaged record raises a
     :class:`~repro.exceptions.ConfigurationError` naming the path and line
-    number.  In tolerant mode — the shape crash recovery needs, since a died
-    writer leaves at most one partial final line — iteration stops cleanly at
-    the last valid record, but *only* when the damaged record is the final
-    one: a bad record with more data after it is mid-file corruption and
-    raises in both modes.
+    number.
 
     A write-ahead log written by
     :class:`~repro.durability.wal.WriteAheadLog` is *not* a replay file: it
@@ -154,49 +148,20 @@ class ReplaySource:
     :func:`repro.durability.wal.replay_wal` reads.
     """
 
-    def __init__(self, path, tolerate_torn_tail: bool = False) -> None:
+    def __init__(self, path) -> None:
         from pathlib import Path
 
         self.path = Path(path)
-        self.tolerate_torn_tail = bool(tolerate_torn_tail)
 
     def __iter__(self) -> Iterator[EdgeUpdate]:
-        import json
+        from repro.io.serialization import iter_stream
 
-        from repro.io.serialization import edge_update_from_dict
-
-        pending_error: Optional[str] = None
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if pending_error is not None:
-                    # The damaged record was not the final one after all.
-                    raise ConfigurationError(pending_error)
-                try:
-                    payload = json.loads(line)
-                    update = edge_update_from_dict(payload)
-                except json.JSONDecodeError as error:
-                    message = f"{self.path}:{line_number}: not valid JSON: {line[:80]!r}"
-                    if not self.tolerate_torn_tail:
-                        raise ConfigurationError(message) from error
-                    pending_error = message
-                    continue
-                except ConfigurationError as error:
-                    message = f"{self.path}:{line_number}: {error}"
-                    if not self.tolerate_torn_tail:
-                        raise ConfigurationError(message) from error
-                    pending_error = message
-                    continue
-                yield update
+        return iter_stream(self.path)
 
     def to_stream(self) -> UpdateStream:
         return UpdateStream(self)
 
     def __repr__(self) -> str:
-        if self.tolerate_torn_tail:
-            return f"ReplaySource({str(self.path)!r}, tolerate_torn_tail=True)"
         return f"ReplaySource({str(self.path)!r})"
 
 

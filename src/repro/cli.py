@@ -24,11 +24,11 @@ Installed as ``repro-4cycles``.  Subcommands:
   exiting.  Recovery sizes its replay windows from the graph (at least
   ``n + m`` updates each), so there is no window option.
 * ``bench`` — run the performance experiments (E10 batch throughput, E11
-  interned-kernel throughput, E12 sparse-vs-dense products, E14 shard
+  batch-hook throughput, E12 sparse-vs-dense products, E14 shard
   scaling, E15 service load) in one invocation, print their tables, and
   write the machine-readable ``BENCH_E*.json`` artifacts.  ``--quick``
   shrinks the workloads for CI smoke runs; exactness (identical counts
-  between scalar and vectorized paths, identical products across variants)
+  between per-update and batched paths, identical products across variants)
   is always enforced — a mismatch exits non-zero — while timing is reported,
   never gated.  ``--backend {auto,dense,csr}`` restricts the E12 product
   sweep to one kernel (plus the dict baseline) and pins the counters'
@@ -275,7 +275,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     chosen = [name.strip().lower() for name in args.experiments.split(",") if name.strip()]
     runners = {
         "e10": ("E10", "batch-pipeline throughput", experiment_e10_batch_throughput),
-        "e11": ("E11", "interned kernel throughput", experiment_e11_kernel_throughput),
+        "e11": ("E11", "batch-hook throughput", experiment_e11_kernel_throughput),
         "e12": ("E12", "sparse-vs-dense products", experiment_e12_spgemm_backends),
         "e14": ("E14", "shard-parallel scaling", experiment_e14_shard_scaling),
         "e15": ("E15", "always-on service load", experiment_e15_service_load),
@@ -301,8 +301,8 @@ def _command_bench(args: argparse.Namespace) -> int:
             # Pin the counters' batch-kernel backend.  E15 load-tests the
             # service protocol, not a kernel backend.
             params["backend"] = args.backend
-        # Exactness between scalar and vectorized paths is asserted inside the
-        # experiments; a mismatch raises and exits non-zero.
+        # Exactness between per-update and batched paths is asserted inside
+        # the experiments; a mismatch raises and exits non-zero.
         rows = runner(**params)
         path = write_bench_artifact(artifact_name, params, rows, directory=args.output_dir)
         print(f"=== {artifact_name} {title} ===")

@@ -388,7 +388,6 @@ class AssadiShahCounter(OracleBackedCounter):
         delta: Optional[float] = None,
         min_phase_length: int = 16,
         record_metrics: bool = False,
-        interned: bool = True,
         backend: str = "auto",
         workers: int = 1,
         shard_policy: str = "auto",
@@ -403,7 +402,6 @@ class AssadiShahCounter(OracleBackedCounter):
         super().__init__(
             oracle=oracle,
             record_metrics=record_metrics,
-            interned=interned,
             backend=backend,
             workers=workers,
             shard_policy=shard_policy,

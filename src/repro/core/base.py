@@ -97,18 +97,15 @@ class DynamicFourCycleCounter(abc.ABC):
     def __init__(
         self,
         record_metrics: bool = False,
-        interned: bool = True,
         backend: str = "auto",
         workers: int = 1,
         shard_policy: str = "auto",
         block_entries: Optional[int] = None,
     ) -> None:
-        #: ``interned=True`` (default) keeps the graph's integer-interned
-        #: representation live, which the batched ``_batch_hook`` fast paths
-        #: build their vectorized kernels on; ``interned=False`` forces every
-        #: path back to the label-keyed scalar code (the reference the
-        #: property tests compare against).
-        self._graph = DynamicGraph(interned=interned)
+        #: The batched ``_batch_hook`` fast paths build their vectorized
+        #: kernels on the graph's interned representation; the per-update
+        #: paths read its label adjacency.
+        self._graph = DynamicGraph()
         self._count = 0
         self._updates_processed = 0
         self.cost = CostModel()

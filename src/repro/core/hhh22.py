@@ -50,7 +50,6 @@ class HHH22Counter(DynamicFourCycleCounter):
     def __init__(
         self,
         record_metrics: bool = False,
-        interned: bool = True,
         backend: str = "auto",
         workers: int = 1,
         shard_policy: str = "auto",
@@ -58,7 +57,6 @@ class HHH22Counter(DynamicFourCycleCounter):
     ) -> None:
         super().__init__(
             record_metrics=record_metrics,
-            interned=interned,
             backend=backend,
             workers=workers,
             shard_policy=shard_policy,
@@ -101,7 +99,7 @@ class HHH22Counter(DynamicFourCycleCounter):
         taken from the full wedge matrix, which is exact at the batch boundary
         — exactly where the batch contract requires it.
         """
-        if len(batch) < self.batch_fast_path_threshold or not self._graph.is_interned:
+        if len(batch) < self.batch_fast_path_threshold:
             return False
         self._graph.apply_batch(batch)
         self._vectorized_rebuild()

@@ -602,7 +602,6 @@ class OracleBackedCounter(DynamicFourCycleCounter):
         self,
         oracle: ThreePathOracle,
         record_metrics: bool = False,
-        interned: bool = True,
         backend: str = "auto",
         workers: int = 1,
         shard_policy: str = "auto",
@@ -610,7 +609,6 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     ) -> None:
         super().__init__(
             record_metrics=record_metrics,
-            interned=interned,
             backend=backend,
             workers=workers,
             shard_policy=shard_policy,
@@ -639,7 +637,7 @@ class OracleBackedCounter(DynamicFourCycleCounter):
         one — the density-aware dispatcher picks), and take the exact boundary
         count from the closed-walk trace formula over the same adjacency.
         """
-        if len(batch) < self.batch_fast_path_threshold or not self._graph.is_interned:
+        if len(batch) < self.batch_fast_path_threshold:
             return False
         self._graph.apply_batch(batch)
         if self._graph.num_edges == 0:

@@ -52,7 +52,6 @@ class OptionSpec:
 #: Options shared by every built-in counter (handled by the base class).
 COMMON_OPTIONS: Tuple[OptionSpec, ...] = (
     OptionSpec("record_metrics", False, "record one UpdateRecord per update/batch"),
-    OptionSpec("interned", True, "keep the integer-interned graph mirror live"),
     OptionSpec("backend", "auto", "batch-kernel matmul backend: auto|dense|csr"),
     OptionSpec("workers", 1, "shard-parallel SpGEMM worker count (1 = serial kernels)"),
     OptionSpec(

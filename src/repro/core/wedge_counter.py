@@ -42,7 +42,6 @@ class WedgeCounter(DynamicFourCycleCounter):
     def __init__(
         self,
         record_metrics: bool = False,
-        interned: bool = True,
         backend: str = "auto",
         workers: int = 1,
         shard_policy: str = "auto",
@@ -51,7 +50,6 @@ class WedgeCounter(DynamicFourCycleCounter):
     ) -> None:
         super().__init__(
             record_metrics=record_metrics,
-            interned=interned,
             backend=backend,
             workers=workers,
             shard_policy=shard_policy,
@@ -89,13 +87,6 @@ class WedgeCounter(DynamicFourCycleCounter):
         """
         if len(batch) < self.batch_fast_path_threshold:
             return False
-        if not self._graph.is_interned:
-            # Scalar-graph fallback: the original dense rebuild over the
-            # deterministic vertex order.
-            self._graph.apply_batch(batch)
-            matrix, order = self._graph.adjacency_matrix()
-            self._rebuild_dense(matrix, order)
-            return True
         self._graph.apply_batch(batch)
         decision = self._adjacency_product_decision()
         if self._choose_incremental(batch, decision):

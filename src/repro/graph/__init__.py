@@ -1,14 +1,7 @@
 """Graph substrate: dynamic simple graphs, vertex interning, 4-layered
-graphs, updates, degree classes, and static counting oracles."""
+graphs, updates, and static counting oracles."""
 
 from repro.graph.interning import VertexInterner
-from repro.graph.degree_classes import (
-    ChunkThresholds,
-    ClassThresholds,
-    EndpointClass,
-    HysteresisClassifier,
-    MiddleClass,
-)
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.layered_graph import (
     CLASSIFICATION_RELATIONS,
@@ -45,11 +38,6 @@ from repro.graph.updates import (
 )
 
 __all__ = [
-    "ChunkThresholds",
-    "ClassThresholds",
-    "EndpointClass",
-    "HysteresisClassifier",
-    "MiddleClass",
     "DynamicGraph",
     "VertexInterner",
     "LayeredGraph",

@@ -5,28 +5,25 @@
 sync, enforces the simple-graph invariants the paper assumes (Section 2.1:
 no self-loops, no multi-edges), and exposes exactly the primitives the
 algorithms need: neighborhood iteration, degree queries, membership tests, and
-an adjacency-matrix export used by the brute-force reference counter and by
-the matrix-multiplication engine.
+the adjacency exports the from-scratch recounts and the batch kernels read.
 
-Performance architecture.  By default the graph additionally maintains an
-**interned** representation: a :class:`~repro.graph.interning.VertexInterner`
-maps every label to a contiguous integer id, and adjacency is mirrored as
-int-id sets indexed by id.  A CSR view (``indptr``/``indices`` numpy arrays)
-of that representation is cached and rebuilt lazily whenever the graph has
-mutated since the last export.  The derived views — ``common_neighbors``,
-``degree_histogram``, ``adjacency_matrix``, ``edges`` — use the interned
-representation when present, which turns label-keyed Python loops into integer
-set operations and vectorized numpy scatters; counters build their batched
-numpy kernels on the same view (see :meth:`interned_adjacency_matrix`).
-Constructing with ``interned=False`` disables the mirror entirely and every
-consumer falls back to the original label-keyed scalar code, which is the
-reference the property tests compare the fast paths against.
+Vertex indexing.  The paper's algorithms index vertices as the rows and
+columns of an ``n x n`` adjacency matrix; here that indexing is a
+:class:`~repro.graph.interning.VertexInterner`, which maps every label to a
+contiguous integer id in first-seen order.  Adjacency is kept twice: as label
+sets, which the per-update counter paths read, and mirrored as int-id sets
+indexed by id.  A CSR view (``indptr``/``indices`` numpy arrays) of the int-id
+sets is cached and rebuilt lazily whenever the graph has mutated since the
+last export.  The derived views — ``common_neighbors``, ``degree_histogram``,
+``edges``, :meth:`DynamicGraph.interned_adjacency_matrix` — and the counters'
+batched numpy kernels all read the int-id side, which turns label-keyed Python
+loops into integer set operations and vectorized numpy scatters.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Union
 
 import numpy as np
 
@@ -36,7 +33,6 @@ from repro.exceptions import (
     SelfLoopError,
     UnknownVertexError,
 )
-from repro.exceptions import ConfigurationError
 from repro.graph.interning import VertexInterner
 from repro.graph.updates import (
     EdgeUpdate,
@@ -57,23 +53,20 @@ class DynamicGraph:
     endpoints, and :meth:`add_vertex` can pre-register isolated vertices (the
     paper's graphs have a fixed vertex set ``V`` with edges arriving over
     time).  Deleting the last edge of a vertex keeps the vertex registered so
-    degree-0 vertices remain queryable.
-
-    ``interned=True`` (the default) mirrors adjacency into integer-id sets
-    behind a shared :class:`~repro.graph.interning.VertexInterner`, enabling
-    the vectorized derived views documented in the module docstring.
+    degree-0 vertices remain queryable.  Adjacency is mirrored into
+    integer-id sets behind a :class:`~repro.graph.interning.VertexInterner`
+    (see the module docstring).
     """
 
     def __init__(
         self,
         vertices: Iterable[Vertex] = (),
         edges: Iterable[tuple[Vertex, Vertex]] = (),
-        interned: bool = True,
     ) -> None:
         self._adjacency: Dict[Vertex, Set[Vertex]] = {}
         self._num_edges = 0
-        self._interner: Optional[VertexInterner] = VertexInterner() if interned else None
-        #: Int-id adjacency, indexed by interned id (None when not interned).
+        self._interner = VertexInterner()
+        #: Int-id adjacency, indexed by interned id.
         self._int_adjacency: List[Set[int]] = []
         #: Bumped on every structural mutation; derived-view caches key on it.
         self._version = 0
@@ -95,13 +88,8 @@ class DynamicGraph:
         return self._num_edges
 
     @property
-    def is_interned(self) -> bool:
-        """Whether the integer-interned fast-path representation is active."""
-        return self._interner is not None
-
-    @property
-    def interner(self) -> Optional[VertexInterner]:
-        """The shared vertex interner (``None`` when ``interned=False``)."""
+    def interner(self) -> VertexInterner:
+        """The vertex interner: label <-> row/column id of the adjacency."""
         return self._interner
 
     @property
@@ -116,26 +104,24 @@ class DynamicGraph:
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         """Iterate over all edges, each reported once in canonical order.
 
-        On the interned path each edge is enumerated once by comparing integer
-        ids (``u_id < v_id``) instead of calling the label comparison helper
-        per *oriented* pair, and the emitted pair is canonicalized with one
-        inline label comparison; non-comparable label mixes fall back to the
+        Each edge is enumerated once by comparing integer ids
+        (``u_id < v_id``) instead of calling the label comparison helper per
+        *oriented* pair, and the emitted pair is canonicalized with one inline
+        label comparison; non-comparable label mixes fall back to the
         repr-keyed scalar path wholesale.
         """
-        if self._interner is not None:
-            labels = self._interner.labels
-            pairs: list[tuple[Vertex, Vertex]] = []
-            try:
-                for uid, neighbor_ids in enumerate(self._int_adjacency):
-                    u = labels[uid]
-                    for vid in neighbor_ids:
-                        if uid < vid:
-                            v = labels[vid]
-                            pairs.append((u, v) if u <= v else (v, u))  # type: ignore[operator]
-            except TypeError:
-                return iter(self._edges_scalar())
-            return iter(pairs)
-        return self._edges_scalar()
+        labels = self._interner.labels
+        pairs: list[tuple[Vertex, Vertex]] = []
+        try:
+            for uid, neighbor_ids in enumerate(self._int_adjacency):
+                u = labels[uid]
+                for vid in neighbor_ids:
+                    if uid < vid:
+                        v = labels[vid]
+                        pairs.append((u, v) if u <= v else (v, u))  # type: ignore[operator]
+        except TypeError:
+            return iter(self._edges_scalar())
+        return iter(pairs)
 
     def _edges_scalar(self) -> Iterator[tuple[Vertex, Vertex]]:
         """Label-keyed edge enumeration (repr fallback for exotic labels)."""
@@ -148,9 +134,8 @@ class DynamicGraph:
         """Register ``vertex`` (a no-op if it already exists)."""
         if vertex not in self._adjacency:
             self._adjacency[vertex] = set()
-            if self._interner is not None:
-                self._interner.intern(vertex)
-                self._int_adjacency.append(set())
+            self._interner.intern(vertex)
+            self._int_adjacency.append(set())
             self._version += 1
 
     def has_vertex(self, vertex: Vertex) -> bool:
@@ -178,13 +163,10 @@ class DynamicGraph:
         return self._adjacency.get(vertex, _EMPTY_SET)
 
     def neighbor_ids(self, vertex: Vertex) -> Set[int]:
-        """The interned neighbor-id set of ``vertex`` (fast-path only).
+        """The interned neighbor-id set of ``vertex``.
 
-        Empty set for unknown vertices; raises :class:`ConfigurationError`
-        when the graph is not interned.  Live internal set; do not mutate.
+        Empty set for unknown vertices.  Live internal set; do not mutate.
         """
-        if self._interner is None:
-            raise ConfigurationError("neighbor_ids requires an interned graph")
         vid = self._interner.get_id(vertex)
         if vid is None:
             return _EMPTY_INT_SET
@@ -193,21 +175,15 @@ class DynamicGraph:
     def common_neighbors(self, u: Vertex, v: Vertex) -> Set[Vertex]:
         """Vertices adjacent to both ``u`` and ``v`` (the wedges between them).
 
-        On the interned path the intersection runs over integer-id sets
-        (cheap hashing) and only the result crosses back to labels.
+        The intersection runs over integer-id sets (cheap hashing) and only
+        the result crosses back to labels.
         """
-        if self._interner is not None:
-            uid = self._interner.get_id(u)
-            vid = self._interner.get_id(v)
-            if uid is None or vid is None:
-                return set()
-            labels = self._interner.labels
-            return {labels[w] for w in self._int_adjacency[uid] & self._int_adjacency[vid]}
-        first = self._adjacency.get(u, _EMPTY_SET)
-        second = self._adjacency.get(v, _EMPTY_SET)
-        if len(first) > len(second):
-            first, second = second, first
-        return {w for w in first if w in second}
+        uid = self._interner.get_id(u)
+        vid = self._interner.get_id(v)
+        if uid is None or vid is None:
+            return set()
+        labels = self._interner.labels
+        return {labels[w] for w in self._int_adjacency[uid] & self._int_adjacency[vid]}
 
     # -- updates -----------------------------------------------------------
     def insert_edge(self, u: Vertex, v: Vertex) -> None:
@@ -224,11 +200,10 @@ class DynamicGraph:
             raise DuplicateEdgeError(f"edge ({u!r}, {v!r}) is already present")
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
-        if self._interner is not None:
-            uid = self._interner.id_of(u)
-            vid = self._interner.id_of(v)
-            self._int_adjacency[uid].add(vid)
-            self._int_adjacency[vid].add(uid)
+        uid = self._interner.id_of(u)
+        vid = self._interner.id_of(v)
+        self._int_adjacency[uid].add(vid)
+        self._int_adjacency[vid].add(uid)
         self._num_edges += 1
         self._version += 1
 
@@ -242,11 +217,10 @@ class DynamicGraph:
             raise MissingEdgeError(f"edge ({u!r}, {v!r}) is not present")
         neighbors.remove(v)
         self._adjacency[v].remove(u)
-        if self._interner is not None:
-            uid = self._interner.id_of(u)
-            vid = self._interner.id_of(v)
-            self._int_adjacency[uid].discard(vid)
-            self._int_adjacency[vid].discard(uid)
+        uid = self._interner.id_of(u)
+        vid = self._interner.id_of(v)
+        self._int_adjacency[uid].discard(vid)
+        self._int_adjacency[vid].discard(uid)
         self._num_edges -= 1
         self._version += 1
 
@@ -282,25 +256,22 @@ class DynamicGraph:
                 if neighbors_u is None:
                     neighbors_u = set()
                     adjacency[u] = neighbors_u
-                    if interner is not None:
-                        interner.intern(u)
-                        int_adjacency.append(set())
+                    interner.intern(u)
+                    int_adjacency.append(set())
                 neighbors_v = adjacency.get(v)
                 if neighbors_v is None:
                     neighbors_v = set()
                     adjacency[v] = neighbors_v
-                    if interner is not None:
-                        interner.intern(v)
-                        int_adjacency.append(set())
+                    interner.intern(v)
+                    int_adjacency.append(set())
                 if v in neighbors_u:
                     raise DuplicateEdgeError(f"edge ({u!r}, {v!r}) is already present")
                 neighbors_u.add(v)
                 neighbors_v.add(u)
-                if interner is not None:
-                    uid = interner.id_of(u)
-                    vid = interner.id_of(v)
-                    int_adjacency[uid].add(vid)
-                    int_adjacency[vid].add(uid)
+                uid = interner.id_of(u)
+                vid = interner.id_of(v)
+                int_adjacency[uid].add(vid)
+                int_adjacency[vid].add(uid)
                 self._num_edges += 1
                 inserted += 1
         finally:
@@ -322,11 +293,10 @@ class DynamicGraph:
                     raise MissingEdgeError(f"edge ({u!r}, {v!r}) is not present")
                 neighbors.remove(v)
                 adjacency[v].remove(u)
-                if interner is not None:
-                    uid = interner.id_of(u)
-                    vid = interner.id_of(v)
-                    int_adjacency[uid].discard(vid)
-                    int_adjacency[vid].discard(uid)
+                uid = interner.id_of(u)
+                vid = interner.id_of(v)
+                int_adjacency[uid].discard(vid)
+                int_adjacency[vid].discard(uid)
                 self._num_edges -= 1
                 deleted += 1
         finally:
@@ -358,12 +328,11 @@ class DynamicGraph:
     # -- derived views -----------------------------------------------------
     def copy(self) -> "DynamicGraph":
         """An independent deep copy of the graph."""
-        clone = DynamicGraph(interned=self._interner is not None)
+        clone = DynamicGraph()
         clone._adjacency = {vertex: set(neighbors) for vertex, neighbors in self._adjacency.items()}
         clone._num_edges = self._num_edges
-        if self._interner is not None:
-            clone._interner = self._interner.copy()
-            clone._int_adjacency = [set(neighbor_ids) for neighbor_ids in self._int_adjacency]
+        clone._interner = self._interner.copy()
+        clone._int_adjacency = [set(neighbor_ids) for neighbor_ids in self._int_adjacency]
         return clone
 
     def csr_view(self) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +344,6 @@ class DynamicGraph:
         kernel pays one O(n + m) rebuild, not one per export).  The returned
         arrays are shared with the cache; callers must not mutate them.
         """
-        if self._interner is None:
-            raise ConfigurationError("csr_view requires an interned graph")
         cache = self._csr_cache
         if cache is not None and cache[0] == self._version:
             return cache[1], cache[2]
@@ -416,8 +383,6 @@ class DynamicGraph:
         batch has been applied (so every endpoint is interned); the matrix is
         shaped to the current id universe.
         """
-        if self._interner is None:
-            raise ConfigurationError("interned_update_delta requires an interned graph")
         id_of = self._interner.id_of
         size = len(batch)
         rows = np.empty(2 * size, dtype=np.int64)
@@ -438,17 +403,15 @@ class DynamicGraph:
         """The dense adjacency matrix in interned-id order.
 
         Returns ``(matrix, labels)`` where row/column ``i`` belongs to
-        ``labels[i]`` (the interner's id order).  This skips the deterministic
-        sort of :meth:`vertex_order` entirely — batched kernels that only need
-        *some* consistent order (wedge rebuilds, trace counts) should use this
-        export; it is built by one vectorized scatter over the CSR view.
+        ``labels[i]`` (the interner's id order, which is first-seen order, not
+        a sorted one).  Built by one vectorized scatter over the CSR view.
         """
         indptr, indices = self.csr_view()
         n = len(indptr) - 1
         matrix = np.zeros((n, n), dtype=dtype)
         if len(indices):
             matrix[expand_csr_rows(indptr), indices] = 1
-        return matrix, self._interner.labels  # type: ignore[union-attr]
+        return matrix, self._interner.labels
 
     def degree_histogram(self) -> Dict[int, int]:
         """Map from degree value to the number of vertices with that degree.
@@ -493,55 +456,6 @@ class DynamicGraph:
             if at_least >= degree:
                 break
         return h
-
-    def vertex_order(self) -> list[Vertex]:
-        """A deterministic ordering of the vertices (sorted when comparable)."""
-        vertices = list(self._adjacency)
-        try:
-            return sorted(vertices)  # type: ignore[type-var]
-        except TypeError:
-            return sorted(vertices, key=repr)
-
-    def adjacency_matrix(
-        self, order: Sequence[Vertex] | None = None, dtype=np.int64
-    ) -> tuple[np.ndarray, list[Vertex]]:
-        """The dense adjacency matrix and the vertex order it uses.
-
-        ``order`` fixes the row/column ordering; by default the deterministic
-        :meth:`vertex_order` is used so repeated exports are comparable.  On
-        the interned path the matrix is filled by one vectorized scatter from
-        the CSR view (ids are translated to positions through one numpy take
-        instead of two dict lookups per edge).
-        """
-        ordered = list(order) if order is not None else self.vertex_order()
-        if self._interner is not None:
-            return self._adjacency_matrix_interned(ordered, dtype), ordered
-        index = {vertex: position for position, vertex in enumerate(ordered)}
-        matrix = np.zeros((len(ordered), len(ordered)), dtype=dtype)
-        for u, v in self.edges():
-            if u in index and v in index:
-                matrix[index[u], index[v]] = 1
-                matrix[index[v], index[u]] = 1
-        return matrix, ordered
-
-    def _adjacency_matrix_interned(self, ordered: list[Vertex], dtype) -> np.ndarray:
-        indptr, indices = self.csr_view()
-        n_ids = len(indptr) - 1
-        # position[vid] = row/column of that id in `ordered`, -1 when excluded.
-        position = np.full(n_ids, -1, dtype=np.int64)
-        interner = self._interner
-        assert interner is not None
-        for pos, vertex in enumerate(ordered):
-            vid = interner.get_id(vertex)
-            if vid is not None:
-                position[vid] = pos
-        matrix = np.zeros((len(ordered), len(ordered)), dtype=dtype)
-        if len(indices):
-            row_pos = position[expand_csr_rows(indptr)]
-            col_pos = position[indices]
-            keep = (row_pos >= 0) & (col_pos >= 0)
-            matrix[row_pos[keep], col_pos[keep]] = 1
-        return matrix
 
     def to_edge_set(self) -> set[tuple[Vertex, Vertex]]:
         """The current edge set as canonical pairs."""

@@ -2,8 +2,10 @@
 
 These are the ground-truth oracles the dynamic algorithms are validated
 against.  Two independent methods are provided for 4-cycle counting — the
-closed-walk trace formula and wedge enumeration — so the test suite can check
-them against each other as well as against the dynamic counters.
+closed-walk trace formula, which reads the graph's interned adjacency export,
+and wedge enumeration, which reads only the label-keyed neighbor sets — so the
+test suite can check them against each other as well as against the dynamic
+counters.
 """
 
 from __future__ import annotations
@@ -19,16 +21,12 @@ Vertex = Hashable
 
 
 def _export_adjacency(graph: DynamicGraph) -> np.ndarray:
-    """Adjacency matrix in whatever order is cheapest to produce.
+    """Adjacency matrix in interned-id order.
 
-    Order-insensitive callers (trace/walk formulas) take the interned export
-    when available — one vectorized scatter, no vertex sort — and fall back to
-    the label-keyed export otherwise.
+    The trace and walk formulas are order-insensitive, so they take the
+    interned export: one vectorized scatter, no vertex sort.
     """
-    if graph.is_interned:
-        matrix, _ = graph.interned_adjacency_matrix(dtype=np.int64)
-        return matrix
-    matrix, _ = graph.adjacency_matrix(dtype=np.int64)
+    matrix, _ = graph.interned_adjacency_matrix(dtype=np.int64)
     return matrix
 
 

@@ -16,9 +16,9 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, Iterator, List, Union
 
-from repro.exceptions import ConfigurationError, SnapshotCorruptionError
+from repro.exceptions import ConfigurationError, InvalidUpdateError, SnapshotCorruptionError
 from repro.graph.updates import EdgeUpdate, LayeredEdgeUpdate, UpdateKind, UpdateStream
 from repro.instrumentation.metrics import UpdateMetrics, UpdateRecord
 
@@ -38,7 +38,7 @@ def edge_update_from_dict(payload: dict) -> EdgeUpdate:
     try:
         kind = UpdateKind(payload["kind"])
         return EdgeUpdate(payload["u"], payload["v"], kind)
-    except (KeyError, ValueError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(f"malformed edge-update payload: {payload!r}") from error
 
 
@@ -69,23 +69,33 @@ def save_stream(stream: UpdateStream, path: PathLike) -> None:
             handle.write(json.dumps(edge_update_to_dict(update)) + "\n")
 
 
-def load_stream(path: PathLike) -> UpdateStream:
-    """Read an update stream written by :func:`save_stream`."""
+def iter_stream(path: PathLike) -> Iterator[EdgeUpdate]:
+    """Decode a stream written by :func:`save_stream`, one line at a time.
+
+    The file is never held in memory as a whole.  A line that is not valid
+    JSON, or whose payload is not a valid edge update (a self-loop
+    included), raises a :class:`ConfigurationError` naming ``path:line``.
+    """
     source = Path(path)
-    updates: List[EdgeUpdate] = []
     with source.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
+                update = edge_update_from_dict(json.loads(line))
             except json.JSONDecodeError as error:
                 raise ConfigurationError(
                     f"{source}:{line_number}: not valid JSON: {line[:80]!r}"
                 ) from error
-            updates.append(edge_update_from_dict(payload))
-    return UpdateStream(updates)
+            except (ConfigurationError, InvalidUpdateError) as error:
+                raise ConfigurationError(f"{source}:{line_number}: {error}") from error
+            yield update
+
+
+def load_stream(path: PathLike) -> UpdateStream:
+    """Read an update stream written by :func:`save_stream`."""
+    return UpdateStream(iter_stream(path))
 
 
 def save_layered_updates(updates: Iterable[LayeredEdgeUpdate], path: PathLike) -> None:

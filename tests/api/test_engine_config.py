@@ -23,8 +23,8 @@ class TestValidation:
             EngineConfig(counter="wedge", options={"bogus": 1})
 
     def test_reserved_options_must_use_fields(self):
-        with pytest.raises(ConfigurationError, match="interned"):
-            EngineConfig(counter="wedge", options={"interned": False})
+        with pytest.raises(ConfigurationError, match="backend"):
+            EngineConfig(counter="wedge", options={"backend": "csr"})
         with pytest.raises(ConfigurationError, match="record_metrics"):
             EngineConfig(counter="wedge", options={"record_metrics": True})
 
@@ -37,6 +37,21 @@ class TestValidation:
         config = EngineConfig(counter="phase-fmm", options={"phase_length": 9})
         assert config.counter_kwargs()["phase_length"] == 9
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"counter": ["wedge"]}, "counter"),
+            ({"counter": 7}, "counter"),
+            ({"counter": "wedge", "record_metrics": "false"}, "record_metrics"),
+            ({"counter": "wedge", "record_metrics": 1}, "record_metrics"),
+            ({"counter": "wedge", "track_costs": "false"}, "track_costs"),
+            ({"counter": "wedge", "track_costs": None}, "track_costs"),
+        ],
+    )
+    def test_outside_input_types_are_checked(self, payload, field):
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConfig.from_dict(payload)
+
 
 class TestRoundTrips:
     def test_to_from_dict_round_trip(self):
@@ -44,7 +59,7 @@ class TestRoundTrips:
             counter="assadi-shah",
             options={"phase_length": 32},
             batch_size=64,
-            interned=False,
+            backend="csr",
             record_metrics=True,
             track_costs=False,
         )
@@ -63,13 +78,32 @@ class TestRoundTrips:
     def test_from_counter_kwargs_lifts_common_options(self):
         config = EngineConfig.from_counter_kwargs(
             "phase-fmm",
-            {"phase_length": 5, "interned": False, "record_metrics": True},
+            {"phase_length": 5, "backend": "csr", "record_metrics": True},
             batch_size=8,
         )
-        assert config.interned is False
+        assert config.backend == "csr"
         assert config.record_metrics is True
         assert config.options == {"phase_length": 5}
         assert config.batch_size == 8
+
+    def test_legacy_interned_true_is_accepted_and_dropped(self):
+        """Snapshots and WAL meta files from before the label-only graph mode
+        was removed carry ``"interned": true``."""
+        legacy = dict(EngineConfig(counter="wedge", batch_size=4).to_dict(), interned=True)
+        config = EngineConfig.from_dict(legacy)
+        assert config == EngineConfig(counter="wedge", batch_size=4)
+        assert "interned" not in config.to_dict()
+
+    @pytest.mark.parametrize("value", [False, "true", 1, None])
+    def test_legacy_interned_other_values_are_refused(self, value):
+        with pytest.raises(ConfigurationError, match="label-only"):
+            EngineConfig.from_dict({"counter": "wedge", "interned": value})
+
+    def test_interned_is_no_longer_an_option(self):
+        with pytest.raises(ConfigurationError, match="'interned'"):
+            EngineConfig(counter="wedge", options={"interned": True})
+        with pytest.raises(ConfigurationError, match="'interned'"):
+            EngineConfig.from_counter_kwargs("wedge", {"interned": True})
 
     def test_with_updates(self):
         config = EngineConfig(counter="wedge")

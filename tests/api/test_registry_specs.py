@@ -44,7 +44,8 @@ class TestSpecs:
     def test_common_options_listed_everywhere(self):
         for name in BUILTINS:
             names = counter_spec(name).option_names()
-            assert "interned" in names and "record_metrics" in names
+            assert "backend" in names and "record_metrics" in names
+            assert "interned" not in names
 
     def test_unknown_counter(self):
         with pytest.raises(ConfigurationError, match="available"):
@@ -62,7 +63,7 @@ class TestValidationAndCreate:
             counter_spec("wedge").create(bogus=1)
         message = str(excinfo.value)
         assert "'bogus'" in message and "'wedge'" in message
-        assert "interned" in message  # the valid options are listed
+        assert "backend" in message  # the valid options are listed
 
     def test_multiple_unknown_options_all_named(self):
         with pytest.raises(ConfigurationError, match="'alpha'.*'beta'"):
@@ -83,7 +84,7 @@ class TestRegistration:
             description="test spec",
             asymptotic="O(n)",
             supports_batch_hook=True,
-            options=(OptionSpec("interned", True), OptionSpec("record_metrics", False)),
+            options=(OptionSpec("backend", "auto"), OptionSpec("record_metrics", False)),
         )
         register_spec(spec, overwrite=True)
         assert counter_spec("api-test-counter") is spec
@@ -106,8 +107,9 @@ class TestRegistration:
         spec.validate_options({"anything": "goes"})  # no-op, must not raise
         assert spec.option_names() == ()
         register_spec(spec, overwrite=True)
-        counter = counter_spec("api-test-factory").create(interned=False)
+        counter = counter_spec("api-test-factory").create(record_metrics=True)
         assert isinstance(counter, BruteForceCounter)
+        assert counter.metrics is not None
 
 
 class TestImportLayering:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +42,42 @@ def complete_bipartite_edges(left: int, right: int) -> list[tuple[str, str]]:
 
 def expected_bipartite_cycles(left: int, right: int) -> int:
     return (left * (left - 1) // 2) * (right * (right - 1) // 2)
+
+
+class AdjacencyModel:
+    """A plain ``label -> neighbor set`` adjacency, replayed update by update.
+
+    The independent reference that the graph's interned views and the
+    counters are checked against.  It exposes the two methods
+    :func:`~repro.graph.static_counts.count_four_cycles_wedges` reads.
+    """
+
+    def __init__(self, edges=()) -> None:
+        self.adjacency: dict = {}
+        for u, v in edges:
+            self.apply(EdgeUpdate.insert(u, v))
+
+    def apply(self, update: EdgeUpdate) -> None:
+        for a, b in ((update.u, update.v), (update.v, update.u)):
+            neighbors = self.adjacency.setdefault(a, set())
+            if update.is_insert:
+                neighbors.add(b)
+            else:
+                neighbors.discard(b)
+
+    def vertices(self):
+        return iter(self.adjacency)
+
+    def neighbors(self, vertex) -> set:
+        return self.adjacency.get(vertex, set())
+
+    def edge_set(self) -> set:
+        return {
+            frozenset((u, v)) for u, neighbors in self.adjacency.items() for v in neighbors
+        }
+
+    def degree_histogram(self) -> dict:
+        return dict(Counter(len(neighbors) for neighbors in self.adjacency.values()))
 
 
 def random_dynamic_stream(

@@ -18,7 +18,7 @@ from repro.durability import (
     scan_wal,
 )
 import repro.durability.wal as wal_module
-from repro.durability.wal import encode_wal_record, load_wal_meta
+from repro.durability.wal import encode_wal_record, load_wal_meta, save_wal_meta
 from repro.exceptions import (
     ConfigurationError,
     DuplicateEdgeError,
@@ -303,6 +303,76 @@ class TestRecovery:
         assert recovered.last_durable_seq == 40
         recovered.close()
         assert len(decoded) == 11
+
+
+class TestLegacyInternedKey:
+    """Snapshots and ``<wal>.meta.json`` files written while the label-only
+    graph mode existed carry ``"interned": true`` in their config."""
+
+    @staticmethod
+    def _rewrite_snapshot(path, interned):
+        from repro.io.serialization import load_engine_snapshot, save_engine_snapshot
+
+        payload = load_engine_snapshot(path)
+        payload["config"]["interned"] = interned
+        save_engine_snapshot(payload, path)
+
+    def test_snapshot_restores_bit_identically(self, tmp_path):
+        updates = stream(seed=4, n=90)
+        reference = FourCycleEngine("assadi-shah")
+        trajectory = [reference.apply(update) for update in updates]
+        engine = FourCycleEngine("assadi-shah")
+        engine.run(updates[:60])
+        path = tmp_path / "legacy.snapshot.json"
+        engine.checkpoint(path)
+        self._rewrite_snapshot(path, True)
+        restored = FourCycleEngine.restore(path)
+        assert restored.count == trajectory[59]
+        assert [restored.apply(update) for update in updates[60:]] == trajectory[60:]
+        assert restored.is_consistent()
+
+    def test_snapshot_generation_and_meta_recover_bit_identically(self, tmp_path):
+        updates = stream(seed=5, n=90)
+        reference = FourCycleEngine("wedge")
+        trajectory = [reference.apply(update) for update in updates]
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(
+            EngineConfig(counter="wedge", wal_path=str(wal), snapshot_every=25)
+        ) as engine:
+            engine.run(updates[:60])
+        save_wal_meta(wal, dict(load_wal_meta(wal), interned=True))
+        for _, path in list_snapshot_paths(wal):
+            self._rewrite_snapshot(path, True)
+        recovered, report = recover(wal, attach=False)
+        assert report.snapshot_path is not None
+        assert recovered.count == trajectory[59]
+        assert [recovered.apply(update) for update in updates[60:]] == trajectory[60:]
+
+    def test_meta_without_snapshot_recovers_bit_identically(self, tmp_path):
+        updates = stream(seed=6, n=40)
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="hhh22", wal_path=str(wal))) as engine:
+            final = engine.run(updates)
+        save_wal_meta(wal, dict(load_wal_meta(wal), interned=True))
+        recovered, report = recover(wal, attach=False)
+        assert report.snapshot_path is None
+        assert (recovered.name, recovered.count) == ("hhh22", final)
+        assert recovered.is_consistent()
+
+    def test_interned_false_is_refused(self, tmp_path):
+        engine = FourCycleEngine("wedge")
+        engine.run(stream(n=20))
+        path = tmp_path / "label-only.snapshot.json"
+        engine.checkpoint(path)
+        self._rewrite_snapshot(path, False)
+        with pytest.raises(ConfigurationError, match="label-only"):
+            FourCycleEngine.restore(path)
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as durable:
+            durable.run(stream(n=20))
+        save_wal_meta(wal, dict(load_wal_meta(wal), interned=False))
+        with pytest.raises(ConfigurationError, match="label-only"):
+            recover(wal, attach=False)
 
 
 class TestReplayWindows:

@@ -343,19 +343,3 @@ class TestReplaySourceTornTail:
         path.write_text('{"u": 1, "v": 2, "kind": "insert"}\n{"u": 3, "v":', encoding="utf-8")
         with pytest.raises(ConfigurationError, match=r"stream\.jsonl:2"):
             list(ReplaySource(path))
-
-    def test_tolerant_mode_stops_at_the_torn_final_record(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        path.write_text('{"u": 1, "v": 2, "kind": "insert"}\n{"u": 3, "v":', encoding="utf-8")
-        assert list(ReplaySource(path, tolerate_torn_tail=True)) == [EdgeUpdate.insert(1, 2)]
-
-    def test_tolerant_mode_still_rejects_mid_file_damage(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        path.write_text(
-            '{"u": 1, "v": 2, "kind": "insert"}\n'
-            "garbage\n"
-            '{"u": 3, "v": 4, "kind": "insert"}\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(ConfigurationError, match=r"stream\.jsonl:2"):
-            list(ReplaySource(path, tolerate_torn_tail=True))

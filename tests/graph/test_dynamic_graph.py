@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import DuplicateEdgeError, MissingEdgeError, SelfLoopError, UnknownVertexError
@@ -105,20 +104,6 @@ class TestDerivedViews:
         assert star.h_index() == 1
         clique = DynamicGraph(edges=k4_edges())
         assert clique.h_index() == 3
-
-    def test_adjacency_matrix(self):
-        graph = DynamicGraph(edges=square_edges())
-        matrix, order = graph.adjacency_matrix()
-        assert matrix.shape == (4, 4)
-        assert np.array_equal(matrix, matrix.T)
-        assert matrix.sum() == 8
-        assert order == sorted(order)
-
-    def test_adjacency_matrix_custom_order(self):
-        graph = DynamicGraph(edges=[(1, 2)])
-        matrix, order = graph.adjacency_matrix(order=[2, 1])
-        assert order == [2, 1]
-        assert matrix[0, 1] == 1
 
     def test_to_edge_set(self):
         graph = DynamicGraph(edges=[(2, 1)])

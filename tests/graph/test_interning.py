@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.interning import VertexInterner
+from repro.graph.updates import EdgeUpdate
+
+from tests.conftest import AdjacencyModel
 
 FAST_SETTINGS = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -73,62 +75,62 @@ class TestVertexInterner:
             assert interner.id_of(label) == vid
 
 
+def _assert_matrix_matches_model(graph, model):
+    matrix, labels = graph.interned_adjacency_matrix()
+    assert sorted(labels, key=repr) == sorted(model.adjacency, key=repr)
+    index = {label: i for i, label in enumerate(labels)}
+    expected = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for u, neighbors in model.adjacency.items():
+        for v in neighbors:
+            expected[index[u], index[v]] = 1
+    assert np.array_equal(matrix, expected)
+
+
 class TestInternedGraphFastPaths:
-    def _pair_graphs(self, edges):
-        return (
-            DynamicGraph(edges=edges, interned=True),
-            DynamicGraph(edges=edges, interned=False),
-        )
-
-    def test_is_interned_flag(self):
-        assert DynamicGraph().is_interned
-        assert not DynamicGraph(interned=False).is_interned
-        assert DynamicGraph(interned=False).interner is None
-
-    def test_edges_match_scalar_path(self):
+    def test_edges_match_model(self):
         edges = [(3, 1), (1, 2), (2, 5), (5, 3), (0, 4)]
-        interned, scalar = self._pair_graphs(edges)
-        assert sorted(interned.edges()) == sorted(scalar.edges())
-        assert interned.to_edge_set() == scalar.to_edge_set()
+        graph = DynamicGraph(edges=edges)
+        listed = list(graph.edges())
+        assert len(listed) == graph.num_edges == len(edges)
+        assert all(u < v for u, v in listed)
+        assert {frozenset(edge) for edge in listed} == AdjacencyModel(edges).edge_set()
 
     def test_edges_canonical_orientation_with_string_labels(self):
         graph = DynamicGraph(edges=[("z", "a"), ("m", "b")])
         assert set(graph.edges()) == {("a", "z"), ("b", "m")}
 
     def test_edges_fall_back_for_non_comparable_labels(self):
-        graph = DynamicGraph(edges=[(1, "a"), ("a", (2, 3))])
-        assert len(list(graph.edges())) == 2
-        assert graph.to_edge_set() == DynamicGraph(
-            edges=[(1, "a"), ("a", (2, 3))], interned=False
-        ).to_edge_set()
+        edges = [(1, "a"), ("a", (2, 3))]
+        listed = list(DynamicGraph(edges=edges).edges())
+        assert len(listed) == 2
+        assert {frozenset(edge) for edge in listed} == AdjacencyModel(edges).edge_set()
+        # The fallback orients each pair by repr.
+        assert all(repr(u) <= repr(v) for u, v in listed)
 
-    def test_common_neighbors_matches_scalar(self):
+    def test_common_neighbors_matches_model(self):
         edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)]
-        interned, scalar = self._pair_graphs(edges)
+        graph = DynamicGraph(edges=edges)
+        model = AdjacencyModel(edges)
         for u in range(5):
             for v in range(5):
-                assert interned.common_neighbors(u, v) == scalar.common_neighbors(u, v)
-        assert interned.common_neighbors(0, "ghost") == set()
+                assert graph.common_neighbors(u, v) == model.neighbors(u) & model.neighbors(v)
+        assert graph.common_neighbors(0, "ghost") == set()
 
-    def test_degree_histogram_matches_scalar_with_warm_and_cold_cache(self):
+    def test_degree_histogram_matches_model_with_warm_and_cold_cache(self):
         edges = [(0, 1), (0, 2), (0, 3), (1, 2)]
-        interned, scalar = self._pair_graphs(edges)
-        expected = scalar.degree_histogram()
-        assert interned.degree_histogram() == expected  # cold cache path
-        interned.csr_view()
-        assert interned.degree_histogram() == expected  # warm cache path
+        graph = DynamicGraph(edges=edges)
+        expected = AdjacencyModel(edges).degree_histogram()
+        assert expected == {3: 1, 2: 2, 1: 1}
+        assert graph.degree_histogram() == expected  # cold cache path
+        graph.csr_view()
+        assert graph.degree_histogram() == expected  # warm cache path
 
-    def test_adjacency_matrix_matches_scalar(self):
-        edges = [(2, 0), (0, 1), (1, 2), (2, 3)]
-        interned, scalar = self._pair_graphs(edges)
-        matrix_i, order_i = interned.adjacency_matrix()
-        matrix_s, order_s = scalar.adjacency_matrix()
-        assert order_i == order_s
-        assert np.array_equal(matrix_i, matrix_s)
-        custom = [3, 1]
-        matrix_i, _ = interned.adjacency_matrix(order=custom)
-        matrix_s, _ = scalar.adjacency_matrix(order=custom)
-        assert np.array_equal(matrix_i, matrix_s)
+    def test_interned_adjacency_matrix_matches_model(self):
+        edges = [(2, 0), (0, 1), (1, 2), (2, 3), ("x", (4, "y"))]
+        graph = DynamicGraph(vertices=["isolated"], edges=edges)
+        model = AdjacencyModel(edges)
+        model.adjacency["isolated"] = set()
+        _assert_matrix_matches_model(graph, model)
 
     def test_interned_adjacency_matrix_is_symmetric_and_labelled(self):
         graph = DynamicGraph(edges=[("b", "a"), ("a", "c")])
@@ -154,12 +156,6 @@ class TestInternedGraphFastPaths:
         }
         assert neighbors == {graph.interner.id_of(1), graph.interner.id_of(2)}
 
-    def test_csr_view_requires_interning(self):
-        with pytest.raises(ConfigurationError):
-            DynamicGraph(interned=False).csr_view()
-        with pytest.raises(ConfigurationError):
-            DynamicGraph(interned=False).neighbor_ids(0)
-
     def test_neighbor_ids(self):
         graph = DynamicGraph(edges=[("a", "b"), ("a", "c")])
         ids = graph.neighbor_ids("a")
@@ -175,39 +171,44 @@ class TestInternedGraphFastPaths:
         with pytest.raises(DuplicateEdgeError):
             graph.insert_edges([(3, 4), (1, 2)])  # (3, 4) lands, then the error
         assert graph.degree_histogram() == {1: 4}
-        matrix, _ = graph.adjacency_matrix()
+        matrix, _ = graph.interned_adjacency_matrix()
         assert matrix.shape == (4, 4)
         graph.csr_view()
         with pytest.raises(MissingEdgeError):
             graph.delete_edges([(3, 4), (9, 9)])
         assert graph.degree_histogram() == {0: 2, 1: 2}
 
-    def test_copy_preserves_interning_mode_and_independence(self):
+    def test_copy_is_independent(self):
         graph = DynamicGraph(edges=[(0, 1)])
         clone = graph.copy()
-        assert clone.is_interned
         clone.insert_edge(1, 2)
         assert not graph.has_edge(1, 2)
+        assert graph.interner.get_id(2) is None
         assert clone.to_edge_set() == {(0, 1), (1, 2)}
-        scalar_clone = DynamicGraph(edges=[(0, 1)], interned=False).copy()
-        assert not scalar_clone.is_interned
+        _assert_matrix_matches_model(clone, AdjacencyModel([(0, 1), (1, 2)]))
 
     @given(
-        edges=st.lists(
+        operations=st.lists(
             st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9)),
-            max_size=30,
+            max_size=40,
         )
     )
     @FAST_SETTINGS
-    def test_interned_views_always_match_scalar(self, edges):
-        interned = DynamicGraph()
-        scalar = DynamicGraph(interned=False)
-        for u, v in edges:
-            if u != v and not interned.has_edge(u, v):
-                interned.insert_edge(u, v)
-                scalar.insert_edge(u, v)
-        assert interned.to_edge_set() == scalar.to_edge_set()
-        assert interned.degree_histogram() == scalar.degree_histogram()
-        matrix_i, _ = interned.adjacency_matrix()
-        matrix_s, _ = scalar.adjacency_matrix()
-        assert np.array_equal(matrix_i, matrix_s)
+    def test_interned_views_always_match_model(self, operations):
+        """Toggle each drawn pair (insert if absent, delete if present) and
+        compare every interned view against the dict model."""
+        graph = DynamicGraph()
+        model = AdjacencyModel()
+        for u, v in operations:
+            if u == v:
+                continue
+            update = EdgeUpdate.delete(u, v) if graph.has_edge(u, v) else EdgeUpdate.insert(u, v)
+            graph.apply(update)
+            model.apply(update)
+        assert {frozenset(edge) for edge in graph.edges()} == model.edge_set()
+        assert graph.degree_histogram() == model.degree_histogram()  # cold cache
+        _assert_matrix_matches_model(graph, model)
+        assert graph.degree_histogram() == model.degree_histogram()  # warm cache
+        for u in model.adjacency:
+            for v in model.adjacency:
+                assert graph.common_neighbors(u, v) == model.neighbors(u) & model.neighbors(v)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.api.sources import ReplaySource
 from repro.exceptions import ConfigurationError
 from repro.graph.reduction import expand_general_update
 from repro.graph.updates import EdgeUpdate, UpdateStream
@@ -64,6 +65,24 @@ class TestStreamFiles:
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ConfigurationError):
             load_stream(path)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"u": 3}',
+            "not json",
+            "[1, 2]",
+            '{"u": 1, "v": 2, "kind": "replace"}',
+            '{"u": 5, "v": 5, "kind": "insert"}',
+        ],
+    )
+    def test_both_readers_name_path_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"u": 1, "v": 2, "kind": "insert"}\n' + bad_line + "\n")
+        with pytest.raises(ConfigurationError, match=r"s\.jsonl:2"):
+            load_stream(path)
+        with pytest.raises(ConfigurationError, match=r"s\.jsonl:2"):
+            list(ReplaySource(path))
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -74,12 +74,8 @@ class TestCli:
         assert payload["benchmark"] == "E11"
         assert payload["params"]["batch_size"] == 64
         kernels = {row["kernel"] for row in payload["rows"]}
-        assert kernels == {
-            "wedge-updates",
-            "hhh22-updates",
-            "assadi-shah-updates",
-            "graph-microkernels",
-        }
+        assert kernels == {"wedge-updates", "hhh22-updates", "assadi-shah-updates"}
+        assert {row["variant"] for row in payload["rows"]} == {"per-update", "batched"}
         assert all(row["exact"] for row in payload["rows"])
 
     def test_bench_command_rejects_unknown_experiment(self, capsys):

@@ -186,6 +186,20 @@ class TestProtocolErrors:
         )
         assert status == 400 and body["type"] == "ConfigurationError"
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"counter": ["wedge"]}, "counter"),
+            ({"counter": "wedge", "record_metrics": "false"}, "record_metrics"),
+            ({"counter": "wedge", "track_costs": "false"}, "track_costs"),
+        ],
+    )
+    def test_mistyped_config_400(self, service, config, field):
+        status, body = request(service, "POST", "/engines", {"name": "bad", "config": config})
+        assert status == 400 and body["type"] == "ConfigurationError"
+        assert field in body["error"]
+        assert request(service, "GET", "/engines/bad")[0] == 404
+
     def test_rejected_update_leaves_engine_healthy(self, service):
         make_engine(service, "alpha")
         status, body = request(
