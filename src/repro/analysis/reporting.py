@@ -51,9 +51,3 @@ def text_table(rows: Sequence[object], float_digits: int = 4, columns: Sequence[
     for row in formatted:
         lines.append("  ".join(row[column].ljust(widths[column]) for column in chosen))
     return "\n".join(lines)
-
-
-def banner(title: str) -> str:
-    """A section banner used by the benchmark output."""
-    line = "=" * max(len(title), 8)
-    return f"\n{line}\n{title}\n{line}"

@@ -13,12 +13,18 @@ Validation happens at construction time, against the counter's registered
 the counter does not accept raises
 :class:`~repro.exceptions.ConfigurationError` here, at the API boundary,
 instead of a ``TypeError`` deep inside a constructor.
+
+Which kernel runs a product is not configuration: the counters' product
+dispatcher picks dense BLAS or CSR SpGEMM, and their shard executor picks the
+execution vehicle, per product from its cost.  Configs persisted by earlier
+versions still name such settings; :meth:`EngineConfig.from_dict` accepts
+them with the values those versions accepted, and drops them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.api.registry import counter_spec
 from repro.exceptions import ConfigurationError
@@ -26,24 +32,40 @@ from repro.exceptions import ConfigurationError
 #: Options accepted by every counter but owned by :class:`EngineConfig` itself;
 #: they must be set through the config fields, not the options mapping, so a
 #: config never says the same thing twice.
-_RESERVED_OPTIONS = (
-    "record_metrics", "backend", "workers", "shard_policy", "block_entries",
-    "wal_path", "snapshot_every", "fsync_policy",
-)
-
-#: Matmul backends a counter's batch kernels accept (mirrors
-#: :data:`repro.matmul.scheduler.PRODUCT_BACKENDS`; duplicated literally so a
-#: config error does not require importing the matmul layer).
-_BACKEND_CHOICES = ("auto", "dense", "csr")
-
-#: Shard execution policies the counters' shard-parallel SpGEMM accepts
-#: (mirrors :data:`repro.matmul.sharding.SHARD_POLICIES`; duplicated literally
-#: for the same import-isolation reason as the backends above).
-_SHARD_POLICY_CHOICES = ("auto", "serial", "thread", "process")
+_RESERVED_OPTIONS = ("record_metrics", "workers", "wal_path", "snapshot_every", "fsync_policy")
 
 #: WAL fsync policies (mirrors :data:`repro.durability.wal.FSYNC_POLICIES`;
-#: duplicated literally for the same import-isolation reason).
+#: duplicated literally so a config error does not require importing the
+#: durability layer).
 _FSYNC_POLICY_CHOICES = ("always", "batch", "never")
+
+#: Keys of removed settings that persisted configs still carry (``to_dict``
+#: writes every field into snapshots and ``<wal>.meta.json``): for each, the
+#: values the versions that wrote it accepted, and what replaced it.  None of
+#: them ever changed a count, so :meth:`EngineConfig.from_dict` drops an
+#: accepted value and refuses any other.
+_REMOVED_KEYS: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "interned": (
+        lambda value: value is True,
+        "the label-only graph mode was removed and every graph is interned",
+    ),
+    "backend": (
+        lambda value: value in ("auto", "dense", "csr"),
+        "the setting was removed; the product dispatcher picks dense BLAS or "
+        "CSR SpGEMM for each product",
+    ),
+    "shard_policy": (
+        lambda value: value in ("auto", "serial", "thread", "process"),
+        "the setting was removed; the shard executor picks the serial, thread "
+        "or process vehicle for each product",
+    ),
+    "block_entries": (
+        lambda value: value is None
+        or (isinstance(value, int) and not isinstance(value, bool) and value >= 1),
+        "the setting was removed; every SpGEMM row block is bounded by the "
+        "constant SPGEMM_BLOCK_ENTRIES",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -52,11 +74,10 @@ class EngineConfig:
 
     ``options`` holds only counter-specific knobs (e.g. ``phase_length`` for
     the phase-based counters); the switches shared by every counter —
-    ``record_metrics`` and the batch-kernel matmul ``backend``
-    (``"auto"`` dispatches dense BLAS versus CSR SpGEMM per product by density;
-    ``"dense"``/``"csr"`` pin the kernel) — are top-level fields.
-    ``track_costs=False`` disables the operation-count cost model entirely,
-    which removes the per-operation accounting overhead from hot paths.
+    ``record_metrics`` and the shard-parallel SpGEMM ``workers`` count — are
+    top-level fields.  ``track_costs=False`` disables the operation-count cost
+    model entirely, which removes the per-operation accounting overhead from
+    hot paths.
     """
 
     counter: str = "assadi-shah"
@@ -64,10 +85,7 @@ class EngineConfig:
     batch_size: int = 1
     record_metrics: bool = False
     track_costs: bool = True
-    backend: str = "auto"
     workers: int = 1
-    shard_policy: str = "auto"
-    block_entries: "int | None" = None
     #: Durability: a write-ahead log path enables crash-safe operation (every
     #: apply/apply_batch window is logged as one record before it is applied;
     #: see :mod:`repro.durability`); ``snapshot_every`` checkpoints next to
@@ -95,32 +113,12 @@ class EngineConfig:
             )
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.backend not in _BACKEND_CHOICES:
-            raise ConfigurationError(
-                f"backend must be one of {', '.join(_BACKEND_CHOICES)}, "
-                f"got {self.backend!r}"
-            )
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise ConfigurationError(
                 f"workers must be an integer, got {type(self.workers).__name__}"
             )
         if self.workers < 1:
             raise ConfigurationError(f"workers must be positive, got {self.workers}")
-        if self.shard_policy not in _SHARD_POLICY_CHOICES:
-            raise ConfigurationError(
-                f"shard_policy must be one of {', '.join(_SHARD_POLICY_CHOICES)}, "
-                f"got {self.shard_policy!r}"
-            )
-        if self.block_entries is not None:
-            if not isinstance(self.block_entries, int) or isinstance(self.block_entries, bool):
-                raise ConfigurationError(
-                    f"block_entries must be an integer or None, "
-                    f"got {type(self.block_entries).__name__}"
-                )
-            if self.block_entries < 1:
-                raise ConfigurationError(
-                    f"block_entries must be positive, got {self.block_entries}"
-                )
         if self.wal_path is not None:
             if not isinstance(self.wal_path, (str, bytes)) and not hasattr(self.wal_path, "__fspath__"):
                 raise ConfigurationError(
@@ -158,31 +156,14 @@ class EngineConfig:
         # does not list (the reserved common options were handled above).
         spec = counter_spec(self.counter)
         spec.validate_options(self.options)
-        for name, value, default in self._kernel_fields():
-            if value != default and not self._spec_accepts(spec, name):
-                raise ConfigurationError(
-                    f"counter {self.counter!r} does not accept the {name!r} option; "
-                    f"only {name}={default!r} is valid for it"
-                )
-
-    def _kernel_fields(self) -> tuple:
-        """The shared batch-kernel fields forwarded like counter options."""
-        return (
-            ("backend", self.backend, "auto"),
-            ("workers", self.workers, 1),
-            ("shard_policy", self.shard_policy, "auto"),
-            ("block_entries", self.block_entries, None),
-        )
-
-    @staticmethod
-    def _spec_accepts(spec, name: str) -> bool:
-        """Whether the counter takes one of the shared kernel keywords.
-
-        Registered built-ins declare them in their option list; legacy specs
-        registered from a bare factory (``options is None``) are assumed to
-        follow the base-class signature and accept them.
-        """
-        return spec.options is None or name in spec.option_names()
+        # A spec registered from a bare factory (``options is None``) is
+        # assumed to follow the base-class signature and accept ``workers``.
+        accepts_workers = spec.options is None or "workers" in spec.option_names()
+        if self.workers != 1 and not accepts_workers:
+            raise ConfigurationError(
+                f"counter {self.counter!r} does not accept the 'workers' option; "
+                f"only workers=1 is valid for it"
+            )
 
     @property
     def spec(self):
@@ -192,69 +173,50 @@ class EngineConfig:
     def counter_kwargs(self) -> Dict[str, object]:
         """The full keyword set to instantiate the counter with.
 
-        The shared kernel fields (``backend``, ``workers``, ``shard_policy``,
-        ``block_entries``) are forwarded only to counters that declare the
-        option — and, for legacy bare-factory specs (``options is None``,
-        signature unknown), only when explicitly set to a non-default value —
-        so a third-party counter that predates an option keeps working under
-        the default config.
+        ``workers`` is forwarded only to counters that declare the option —
+        and, for bare-factory specs (``options is None``, signature unknown),
+        only when set above 1 — so a third-party counter that predates the
+        option keeps working under the default config.
         """
         kwargs = dict(self.options, record_metrics=self.record_metrics)
         spec = self.spec
-        for name, value, default in self._kernel_fields():
-            if name in spec.option_names() or (spec.options is None and value != default):
-                kwargs[name] = value
+        if "workers" in spec.option_names() or (spec.options is None and self.workers != 1):
+            kwargs["workers"] = self.workers
         return kwargs
 
     def with_updates(self, **changes) -> "EngineConfig":
-        """A copy of this config with the given fields replaced."""
-        payload = self.to_dict()
-        payload.update(changes)
-        return EngineConfig.from_dict(payload)
+        """A copy of this config with the given fields replaced (validated
+        again; a name that is not a field raises ``TypeError``)."""
+        return replace(self, **changes)
 
     # -- dict round-trips ---------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """A plain-dict representation (JSON-friendly, CLI-friendly)."""
-        return {
-            "counter": self.counter,
-            "options": dict(self.options),
-            "batch_size": self.batch_size,
-            "record_metrics": self.record_metrics,
-            "track_costs": self.track_costs,
-            "backend": self.backend,
-            "workers": self.workers,
-            "shard_policy": self.shard_policy,
-            "block_entries": self.block_entries,
-            "wal_path": self.wal_path,
-            "snapshot_every": self.snapshot_every,
-            "fsync_policy": self.fsync_policy,
-        }
+        payload = {item.name: getattr(self, item.name) for item in fields(self)}
+        payload["options"] = dict(self.options)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EngineConfig":
         """Inverse of :meth:`to_dict`; every key is optional, unknown keys are
         rejected with a :class:`ConfigurationError`.
 
-        Snapshots and WAL meta files written while the label-only graph mode
-        existed carry ``"interned": true``; that key is accepted with that
-        value only, and dropped.
+        Snapshots and WAL meta files written by earlier versions carry the
+        keys of removed settings (``interned``, ``backend``, ``shard_policy``,
+        ``block_entries``); each is accepted with any value those versions
+        accepted, and dropped.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
                 f"engine config must be a mapping, got {type(payload).__name__}"
             )
-        if "interned" in payload:
-            if payload["interned"] is not True:
+        for key, (accepted, replacement) in _REMOVED_KEYS.items():
+            if key in payload and not accepted(payload[key]):
                 raise ConfigurationError(
-                    f"interned={payload['interned']!r} is not supported: the label-only "
-                    "graph mode was removed and every graph is interned"
+                    f"{key}={payload[key]!r} is not supported: {replacement}"
                 )
-            payload = {key: value for key, value in payload.items() if key != "interned"}
-        known = {
-            "counter", "options", "batch_size", "record_metrics",
-            "track_costs", "backend", "workers", "shard_policy", "block_entries",
-            "wal_path", "snapshot_every", "fsync_policy",
-        }
+        payload = {key: value for key, value in payload.items() if key not in _REMOVED_KEYS}
+        known = {item.name for item in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigurationError(
@@ -267,20 +229,7 @@ class EngineConfig:
             raise ConfigurationError(
                 f"engine-config options must be a mapping, got {type(options).__name__}"
             )
-        return cls(
-            counter=payload.get("counter", "assadi-shah"),
-            options=dict(options),
-            batch_size=payload.get("batch_size", 1),
-            record_metrics=payload.get("record_metrics", False),
-            track_costs=payload.get("track_costs", True),
-            backend=payload.get("backend", "auto"),
-            workers=payload.get("workers", 1),
-            shard_policy=payload.get("shard_policy", "auto"),
-            block_entries=payload.get("block_entries", None),
-            wal_path=payload.get("wal_path", None),
-            snapshot_every=payload.get("snapshot_every", None),
-            fsync_policy=payload.get("fsync_policy", "batch"),
-        )
+        return cls(**payload)
 
     @classmethod
     def from_counter_kwargs(
@@ -288,23 +237,17 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Build a config from a flat dict of counter keyword arguments.
 
-        The shared keywords (``record_metrics`` and the batch-kernel ones)
-        are lifted into the matching config fields; everything else stays
+        The shared keywords (``record_metrics`` and ``workers``) are lifted
+        into the matching config fields; everything else stays
         counter-specific.
         """
         options = dict(kwargs)
         record_metrics = bool(options.pop("record_metrics", False))
-        backend = str(options.pop("backend", "auto"))
         workers = int(options.pop("workers", 1))
-        shard_policy = str(options.pop("shard_policy", "auto"))
-        block_entries = options.pop("block_entries", None)
         return cls(
             counter=name,
             options=options,
             batch_size=batch_size,
             record_metrics=record_metrics,
-            backend=backend,
             workers=workers,
-            shard_policy=shard_policy,
-            block_entries=block_entries,
         )

@@ -4,8 +4,8 @@ Every workload in this repo — CLI runs, the experiment harness, benchmarks,
 examples — drives a counter the same way: build it from a named registry
 entry, window an update stream into batches, apply the batches, and read the
 count at the boundaries.  :class:`FourCycleEngine` owns that loop behind one
-typed entry point, so scaling work (sharding, async ingestion, multi-backend)
-has a single seam to plug into:
+typed entry point, so scaling work (sharding, async ingestion) has a single
+seam to plug into:
 
 * construction from a validated :class:`~repro.api.config.EngineConfig`;
 * ``apply`` / ``apply_batch`` / ``stream`` over any
@@ -383,6 +383,21 @@ class FourCycleEngine:
             save_wal_meta(wal.path, self._config.to_dict())
         return wal
 
+    def _fail_stop(self, durable_seq: int, what: str, error: Exception) -> RecoverableEngineError:
+        """Roll the log back to ``durable_seq`` after the counter failed on
+        a logged window and stop accepting mutations; returns the error to
+        raise."""
+        try:
+            self._wal.truncate_to_seq(durable_seq)
+        finally:
+            self._failed_at_seq = durable_seq
+        return RecoverableEngineError(
+            f"{what} failed mid-apply ({type(error).__name__}: {error}); the "
+            f"engine is fail-stopped — recover() from {self._wal.path} resumes "
+            f"at seq {durable_seq}",
+            last_durable_seq=durable_seq,
+        )
+
     def _check_failed(self) -> None:
         if self._failed_at_seq is not None:
             raise RecoverableEngineError(
@@ -488,7 +503,9 @@ class FourCycleEngine:
         committed *before* it is applied (write-ahead).  A counter rejection
         (e.g. an invalid update) rolls the logged record back and re-raises:
         single updates are atomic, so the engine stays usable and the log
-        stays equal to applied history.
+        stays equal to applied history.  Any other failure also rolls the
+        record back, but the counter may be half-updated, so the engine
+        fail-stops as on a failed batch (see :meth:`apply_batch`).
         """
         self._check_failed()
         if self._wal is not None:
@@ -499,6 +516,8 @@ class FourCycleEngine:
             except ReproError:
                 self._wal.truncate_to_seq(seq - 1)
                 raise
+            except Exception as error:
+                raise self._fail_stop(seq - 1, f"update {update!r}", error) from error
             self._last_durable_seq = seq
             self._emit(EVENT_UPDATE_APPLIED, update=update)
             self._check_phase_rebuild()
@@ -513,16 +532,16 @@ class FourCycleEngine:
         """Apply one window of updates as a batch and return the new count.
 
         With a WAL attached the whole window is logged as one record and
-        committed first.  If the counter then fails mid-batch the engine cannot
-        know how much of the window took effect, so it *fail-stops*: the logged
-        window is rolled back (it never became applied history), every later
-        mutation raises, and the :class:`~repro.exceptions.RecoverableEngineError`
-        carries the last durable sequence number a fresh
-        :func:`repro.durability.recover` call will resume from.  A
-        WAL-attached engine takes raw windows only: an already-normalized
-        :class:`~repro.graph.updates.UpdateBatch` no longer holds the raw
-        window its ``raw_size`` counts, so no log could replay it and it is
-        refused with :class:`~repro.exceptions.ConfigurationError`.
+        committed first.  If the counter then fails mid-batch, with any
+        exception, the engine cannot know how much of the window took effect,
+        so it *fail-stops*: the logged window is rolled back (it never became
+        applied history), every later mutation raises, and the
+        :class:`~repro.exceptions.RecoverableEngineError` carries the last
+        durable sequence number a fresh :func:`repro.durability.recover` call
+        will resume from.  A WAL-attached engine takes raw windows only: an
+        already-normalized :class:`~repro.graph.updates.UpdateBatch` no longer
+        holds the raw window its ``raw_size`` counts, so no log could replay it
+        and it is refused with :class:`~repro.exceptions.ConfigurationError`.
         """
         self._check_failed()
         if isinstance(updates, UpdateBatch):
@@ -541,18 +560,8 @@ class FourCycleEngine:
             self._wal.commit()
             try:
                 count = self._counter.apply_batch(updates)
-            except ReproError as error:
-                try:
-                    self._wal.truncate_to_seq(seq_before)
-                finally:
-                    self._failed_at_seq = seq_before
-                raise RecoverableEngineError(
-                    f"batch of {size} updates failed mid-apply "
-                    f"({type(error).__name__}: {error}); the engine is "
-                    f"fail-stopped — recover() from {self._wal.path} resumes "
-                    f"at seq {seq_before}",
-                    last_durable_seq=seq_before,
-                ) from error
+            except Exception as error:
+                raise self._fail_stop(seq_before, f"batch of {size} updates", error) from error
             if logged:
                 self._last_durable_seq = logged[-1]
             self._emit(EVENT_BATCH_APPLIED, size=size)

@@ -31,8 +31,8 @@ Installed as ``repro-4cycles``.  Subcommands:
   between per-update and batched paths, identical products across variants)
   is always enforced — a mismatch exits non-zero — while timing is reported,
   never gated.  ``--backend {auto,dense,csr}`` restricts the E12 product
-  sweep to one kernel (plus the dict baseline) and pins the counters'
-  batch-kernel backend for E10/E11.
+  sweep to one kernel (plus the dict baseline); the counters in E10/E11/E14
+  always run the kernel their dispatcher picks.
 
 Every subcommand that runs counters goes through the :mod:`repro.api` facade:
 workloads are :class:`~repro.api.GeneratorSource` instances and counters are
@@ -297,10 +297,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             # --backend restricts the product sweep; the dict baseline always
             # runs.
             params["backends"] = ("csr", "dense") if args.backend == "auto" else (args.backend,)
-        elif name != "e15" and args.backend != "auto":
-            # Pin the counters' batch-kernel backend.  E15 load-tests the
-            # service protocol, not a kernel backend.
-            params["backend"] = args.backend
         # Exactness between per-update and batched paths is asserted inside
         # the experiments; a mismatch raises and exits non-zero.
         rows = runner(**params)
@@ -484,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "dense", "csr"),
         default="auto",
         help=(
-            "matmul backend passthrough: restricts the E12 product sweep to one "
-            "kernel (dict baseline always runs) and pins the counters' "
-            "batch-kernel backend in E10/E11 (default: auto)"
+            "restrict the E12 product sweep to one kernel (the dict baseline "
+            "always runs; default: auto, both kernels)"
         ),
     )
     bench.add_argument(

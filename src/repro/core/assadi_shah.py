@@ -388,10 +388,7 @@ class AssadiShahCounter(OracleBackedCounter):
         delta: Optional[float] = None,
         min_phase_length: int = 16,
         record_metrics: bool = False,
-        backend: str = "auto",
         workers: int = 1,
-        shard_policy: str = "auto",
-        block_entries: Optional[int] = None,
     ) -> None:
         oracle = AssadiShahThreePathOracle(
             phase_length=phase_length,
@@ -399,14 +396,7 @@ class AssadiShahCounter(OracleBackedCounter):
             delta=delta,
             min_phase_length=min_phase_length,
         )
-        super().__init__(
-            oracle=oracle,
-            record_metrics=record_metrics,
-            backend=backend,
-            workers=workers,
-            shard_policy=shard_policy,
-            block_entries=block_entries,
-        )
+        super().__init__(oracle=oracle, record_metrics=record_metrics, workers=workers)
 
     @property
     def main_oracle(self) -> AssadiShahThreePathOracle:

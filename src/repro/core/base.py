@@ -94,14 +94,7 @@ class DynamicFourCycleCounter(abc.ABC):
     #: rebuild-style fast paths pay a fixed per-batch kernel cost).
     batch_fast_path_threshold: int = 32
 
-    def __init__(
-        self,
-        record_metrics: bool = False,
-        backend: str = "auto",
-        workers: int = 1,
-        shard_policy: str = "auto",
-        block_entries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, record_metrics: bool = False, workers: int = 1) -> None:
         #: The batched ``_batch_hook`` fast paths build their vectorized
         #: kernels on the graph's interned representation; the per-update
         #: paths read its label adjacency.
@@ -111,25 +104,15 @@ class DynamicFourCycleCounter(abc.ABC):
         self.cost = CostModel()
         self.metrics: Optional[UpdateMetrics] = UpdateMetrics() if record_metrics else None
         #: Density-aware dense-BLAS vs CSR-SpGEMM choice for the batch hooks'
-        #: whole-graph products.  ``backend`` pins the kernel ("dense"/"csr");
-        #: the default "auto" compares cost estimates per product.  Validated
-        #: here so a bad value fails at construction, not mid-batch.
-        self.product_dispatcher = ProductDispatcher(backend=backend, workers=workers)
+        #: whole-graph products, decided per product from cost estimates.
+        self.product_dispatcher = ProductDispatcher(workers=workers)
         #: Shard-parallel SpGEMM executor for the batch hooks' CSR products.
         #: ``workers=1`` (the default) is an exact pass-through to the serial
         #: kernel; more workers row-partition each product into
-        #: column-compressed shards and fan them out per ``shard_policy``
-        #: (results are bit-identical under every setting — see
-        #: :mod:`repro.matmul.sharding`).  ``block_entries`` tunes the serial
-        #: kernel's row-block budget alongside the shard sizing.
-        self.shard_executor = ShardExecutor(
-            workers=workers, policy=shard_policy, block_entries=block_entries
-        )
-
-    @property
-    def matmul_backend(self) -> str:
-        """The configured product backend ("auto", "dense" or "csr")."""
-        return self.product_dispatcher.backend
+        #: column-compressed shards and fan them out on the vehicle the
+        #: executor picks per product (results are bit-identical either way —
+        #: see :mod:`repro.matmul.sharding`).
+        self.shard_executor = ShardExecutor(workers=workers)
 
     @property
     def workers(self) -> int:
@@ -142,7 +125,7 @@ class DynamicFourCycleCounter(abc.ABC):
         Batch hooks route their CSR products here instead of calling
         :func:`repro.matmul.engine.csr_spgemm` directly, so one constructor
         knob parallelizes every rebuild.  Bit-identical to the serial kernel
-        for every worker count and policy.
+        for every worker count.
         """
         return self.shard_executor.spgemm(left, right)
 

@@ -47,21 +47,8 @@ class HHH22Counter(DynamicFourCycleCounter):
 
     name = "hhh22"
 
-    def __init__(
-        self,
-        record_metrics: bool = False,
-        backend: str = "auto",
-        workers: int = 1,
-        shard_policy: str = "auto",
-        block_entries: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            record_metrics=record_metrics,
-            backend=backend,
-            workers=workers,
-            shard_policy=shard_policy,
-            block_entries=block_entries,
-        )
+    def __init__(self, record_metrics: bool = False, workers: int = 1) -> None:
+        super().__init__(record_metrics=record_metrics, workers=workers)
         self._high: Set[Vertex] = set()
         self._wedges_low = CountMatrix()    # W_low[a][b], low center
         self._wedges_high = CountMatrix()   # W_hh[a][b], high center, a and b high

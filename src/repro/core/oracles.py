@@ -599,21 +599,9 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     name = "oracle-backed"
 
     def __init__(
-        self,
-        oracle: ThreePathOracle,
-        record_metrics: bool = False,
-        backend: str = "auto",
-        workers: int = 1,
-        shard_policy: str = "auto",
-        block_entries: Optional[int] = None,
+        self, oracle: ThreePathOracle, record_metrics: bool = False, workers: int = 1
     ) -> None:
-        super().__init__(
-            record_metrics=record_metrics,
-            backend=backend,
-            workers=workers,
-            shard_policy=shard_policy,
-            block_entries=block_entries,
-        )
+        super().__init__(record_metrics=record_metrics, workers=workers)
         self._oracle = oracle
         # Share one cost model so oracle work shows up in the counter's totals,
         # and one shard executor so the oracle's rebuild products parallelize

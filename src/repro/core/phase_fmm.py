@@ -31,24 +31,14 @@ class PhaseFMMCounter(OracleBackedCounter):
         delta: Optional[float] = None,
         min_phase_length: int = 16,
         record_metrics: bool = False,
-        backend: str = "auto",
         workers: int = 1,
-        shard_policy: str = "auto",
-        block_entries: Optional[int] = None,
     ) -> None:
         oracle = PhaseThreePathOracle(
             phase_length=phase_length,
             delta=delta,
             min_phase_length=min_phase_length,
         )
-        super().__init__(
-            oracle=oracle,
-            record_metrics=record_metrics,
-            backend=backend,
-            workers=workers,
-            shard_policy=shard_policy,
-            block_entries=block_entries,
-        )
+        super().__init__(oracle=oracle, record_metrics=record_metrics, workers=workers)
 
     @property
     def phase_oracle(self) -> PhaseThreePathOracle:

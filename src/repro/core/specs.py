@@ -52,18 +52,7 @@ class OptionSpec:
 #: Options shared by every built-in counter (handled by the base class).
 COMMON_OPTIONS: Tuple[OptionSpec, ...] = (
     OptionSpec("record_metrics", False, "record one UpdateRecord per update/batch"),
-    OptionSpec("backend", "auto", "batch-kernel matmul backend: auto|dense|csr"),
     OptionSpec("workers", 1, "shard-parallel SpGEMM worker count (1 = serial kernels)"),
-    OptionSpec(
-        "shard_policy",
-        "auto",
-        "shard execution vehicle: auto|serial|thread|process (bit-identical results)",
-    ),
-    OptionSpec(
-        "block_entries",
-        None,
-        "SpGEMM row-block expansion budget (default: engine constant / env override)",
-    ),
 )
 
 

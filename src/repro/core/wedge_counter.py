@@ -42,19 +42,10 @@ class WedgeCounter(DynamicFourCycleCounter):
     def __init__(
         self,
         record_metrics: bool = False,
-        backend: str = "auto",
         workers: int = 1,
-        shard_policy: str = "auto",
-        block_entries: Optional[int] = None,
         incremental: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            record_metrics=record_metrics,
-            backend=backend,
-            workers=workers,
-            shard_policy=shard_policy,
-            block_entries=block_entries,
-        )
+        super().__init__(record_metrics=record_metrics, workers=workers)
         #: ``wedges[a][b]`` = number of common neighbors of ``a`` and ``b``;
         #: stored symmetrically (both orientations) for O(1) lookups.
         self._wedges = CountMatrix()

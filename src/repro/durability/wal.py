@@ -62,6 +62,7 @@ from repro.faults.injector import (
     FaultInjector,
 )
 from repro.graph.updates import EdgeUpdate, UpdateKind
+from repro.io.serialization import decode_label
 
 PathLike = Union[str, Path]
 
@@ -120,7 +121,16 @@ def decode_wal_record(
     try:
         payload = json.loads(body)
         seq = payload["seq"]
-        updates = [EdgeUpdate(u, v, _KINDS[kind]) for u, v, kind in payload["updates"]]
+        # JSON hands tuple labels back as arrays; the type check keeps the
+        # common int/str labels off the decoder's call.
+        updates = [
+            EdgeUpdate(
+                decode_label(u) if type(u) is list else u,
+                decode_label(v) if type(v) is list else v,
+                _KINDS[kind],
+            )
+            for u, v, kind in payload["updates"]
+        ]
     except (ValueError, KeyError, TypeError, InvalidUpdateError) as error:
         raise WalCorruptionError(f"{where}malformed record body: {error}") from error
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0 or not updates:

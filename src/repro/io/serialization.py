@@ -6,7 +6,9 @@ update stream they used (JSON lines) and the per-update metrics they measured
 re-generating the workload.
 
 Only plain-text formats are used; vertex labels must be JSON-serializable
-(ints and strings cover every built-in workload).
+(ints and strings cover every built-in workload).  JSON has no tuples, so a
+tuple label is written as an array, and every reader of labels here (and the
+WAL's) hands an array back as a tuple through :func:`decode_label`.
 """
 
 from __future__ import annotations
@@ -33,11 +35,28 @@ def edge_update_to_dict(update: EdgeUpdate) -> dict:
     return {"u": update.u, "v": update.v, "kind": update.kind.value}
 
 
+def decode_label(value):
+    """Undo JSON's tuple -> array encoding for one vertex label.
+
+    Unambiguous because vertex labels must be hashable: a decoded list can
+    only ever have started life as a tuple.
+    """
+    if type(value) is list:
+        return tuple(decode_label(item) for item in value)
+    return value
+
+
 def edge_update_from_dict(payload: dict) -> EdgeUpdate:
-    """Inverse of :func:`edge_update_to_dict`."""
+    """Inverse of :func:`edge_update_to_dict`.
+
+    A label that is still unhashable once decoded (a JSON object) raises
+    :class:`ConfigurationError`, like any other malformed payload.
+    """
     try:
         kind = UpdateKind(payload["kind"])
-        return EdgeUpdate(payload["u"], payload["v"], kind)
+        u, v = decode_label(payload["u"]), decode_label(payload["v"])
+        hash((u, v))
+        return EdgeUpdate(u, v, kind)
     except (KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(f"malformed edge-update payload: {payload!r}") from error
 
@@ -53,11 +72,14 @@ def layered_update_to_dict(update: LayeredEdgeUpdate) -> dict:
 
 
 def layered_update_from_dict(payload: dict) -> LayeredEdgeUpdate:
-    """Inverse of :func:`layered_update_to_dict`."""
+    """Inverse of :func:`layered_update_to_dict`; labels decode as in
+    :func:`edge_update_from_dict`."""
     try:
         kind = UpdateKind(payload["kind"])
-        return LayeredEdgeUpdate(payload["relation"], payload["left"], payload["right"], kind)
-    except (KeyError, ValueError) as error:
+        left, right = decode_label(payload["left"]), decode_label(payload["right"])
+        hash((left, right))
+        return LayeredEdgeUpdate(payload["relation"], left, right, kind)
+    except (KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(f"malformed layered-update payload: {payload!r}") from error
 
 
@@ -175,17 +197,6 @@ def save_engine_snapshot(snapshot: dict, path: PathLike) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _decode_snapshot_label(value):
-    """Undo JSON's tuple -> array encoding for one vertex label.
-
-    Unambiguous because vertex labels must be hashable: a decoded list can
-    only ever have started life as a tuple.
-    """
-    if isinstance(value, list):
-        return tuple(_decode_snapshot_label(item) for item in value)
-    return value
-
-
 def load_engine_snapshot(path: PathLike) -> dict:
     """Read a snapshot written by :func:`save_engine_snapshot`.
 
@@ -226,12 +237,9 @@ def load_engine_snapshot(path: PathLike) -> dict:
             f"{', '.join(missing)}"
         )
     try:
-        payload["vertices"] = [
-            _decode_snapshot_label(vertex) for vertex in payload["vertices"]
-        ]
+        payload["vertices"] = [decode_label(vertex) for vertex in payload["vertices"]]
         payload["edges"] = [
-            (_decode_snapshot_label(edge[0]), _decode_snapshot_label(edge[1]))
-            for edge in payload["edges"]
+            (decode_label(edge[0]), decode_label(edge[1])) for edge in payload["edges"]
         ]
     except (TypeError, IndexError, KeyError) as error:
         raise SnapshotCorruptionError(

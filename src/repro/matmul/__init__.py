@@ -3,7 +3,7 @@ cost model, and the phase work scheduler."""
 
 from repro.matmul.engine import CountMatrix, CountMatrixCSR, multiply
 from repro.matmul.scheduler import ChainProductJob, IncrementalMatrixProduct, PhaseScheduler
-from repro.matmul.sharding import SHARD_POLICIES, ShardExecutor, ShardPlan
+from repro.matmul.sharding import ShardExecutor, ShardPlan
 
 __all__ = [
     "CountMatrix",
@@ -12,7 +12,6 @@ __all__ = [
     "ChainProductJob",
     "IncrementalMatrixProduct",
     "PhaseScheduler",
-    "SHARD_POLICIES",
     "ShardExecutor",
     "ShardPlan",
 ]

@@ -30,7 +30,6 @@ the exponent models of :mod:`repro.theory.omega`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -55,38 +54,11 @@ def spgemm_work(left: CsrMatrix, right: CsrMatrix) -> int:
     return int(right.row_lengths()[left.cols].sum())
 
 
-def _block_entries_from_env(default: int = 1 << 22) -> int:
-    """Resolve the block-entry budget, honouring ``REPRO_SPGEMM_BLOCK_ENTRIES``.
-
-    The env var lets benchmarks tune block sizing together with shard sizing
-    without code changes; EngineConfig's ``block_entries`` field overrides it
-    per engine.  A set-but-invalid value raises
-    :class:`~repro.exceptions.ConfigurationError` naming the variable — a
-    silent fallback would bench the wrong block size and report it as tuned.
-    """
-    raw = os.environ.get("REPRO_SPGEMM_BLOCK_ENTRIES")
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SPGEMM_BLOCK_ENTRIES must be an integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"REPRO_SPGEMM_BLOCK_ENTRIES must be positive, got {value}"
-        )
-    return value
-
-
-#: Default bound on the expanded-intermediate size of one SpGEMM row block
-#: (entries, i.e. ~8 bytes each across a handful of scratch arrays).  Peak
-#: memory of the kernel stays proportional to this regardless of the product's
-#: total work; 1<<22 entries keeps the scratch well under ~200 MB.  Override
-#: via the ``REPRO_SPGEMM_BLOCK_ENTRIES`` environment variable (read once at
-#: import) or per engine through ``EngineConfig(block_entries=...)``.
-SPGEMM_BLOCK_ENTRIES = _block_entries_from_env()
+#: Bound on the expanded-intermediate size of one SpGEMM row block (entries,
+#: i.e. ~8 bytes each across a handful of scratch arrays).  Peak memory of the
+#: kernel stays proportional to this regardless of the product's total work;
+#: 1<<22 entries keeps the scratch well under ~200 MB.
+SPGEMM_BLOCK_ENTRIES = 1 << 22
 
 #: Largest key space (block rows x columns) merged through the dense-scratch
 #: ``np.bincount`` accumulator instead of the sort-reduce pass (1<<22 float64

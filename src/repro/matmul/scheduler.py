@@ -385,10 +385,6 @@ class PhaseScheduler:
 # ---------------------------------------------------------------------------
 # Density-aware product dispatch
 # ---------------------------------------------------------------------------
-#: Backend names a dispatcher (and the counters' ``backend`` option) accepts.
-PRODUCT_BACKENDS = ("auto", "dense", "csr")
-
-
 @dataclass(frozen=True)
 class ProductDecision:
     """Outcome of one dispatch: the chosen kernel and its cost estimates."""
@@ -414,34 +410,26 @@ class ProductDispatcher:
     work at calibrated per-operation constants
     (:func:`repro.matmul.omega.product_cost_estimates`), so sparse graphs run
     the Gustavson kernel and dense ones keep BLAS.  ``dense_cells_limit``
-    caps the dense operand/product sizes the automatic mode may materialize —
+    caps the dense operand/product sizes the dispatcher may materialize —
     beyond it the CSR path is forced regardless of estimated speed, bounding
-    peak memory at million-vertex scale.  ``backend`` pins the choice
-    (``"dense"``/``"csr"``); ``"auto"`` compares costs.
+    peak memory at million-vertex scale.  Nothing pins the choice: both
+    kernels return identical integers, so the decision is pure performance.
 
     ``workers > 1`` marks the CSR kernel as shard-parallel (see
     :class:`repro.matmul.sharding.ShardExecutor`): its estimate is divided by
     the parallelism the host can actually grant the pool, tilting the
-    automatic choice toward the kernel that scales out.  The dense BLAS path
+    choice toward the kernel that scales out.  The dense BLAS path
     keeps its serial estimate — its threading (if any) belongs to the BLAS
     library, not to this dispatcher.
     """
 
-    backend: str = "auto"
-    #: Bias applied to the dense estimate; > 1.0 steers the tie region to CSR.
-    dense_bias: float = 1.0
-    #: Never densify matrices with more cells than this in automatic mode
-    #: (2^24 int64 cells = 128 MB per operand).
+    #: Never densify matrices with more cells than this (2^24 int64 cells =
+    #: 128 MB per operand).
     dense_cells_limit: int = 1 << 24
     #: Shard-parallel worker count backing the CSR kernel (1 = serial).
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in PRODUCT_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {', '.join(PRODUCT_BACKENDS)}, "
-                f"got {self.backend!r}"
-            )
         if self.workers < 1:
             raise ConfigurationError(f"workers must be positive, got {self.workers}")
 
@@ -459,12 +447,10 @@ class ProductDispatcher:
         costs = product_cost_estimates(rows, middles, columns, expansion_work)
         if self.workers > 1:
             costs = dict(costs, csr=costs["csr"] / self._csr_parallelism())
-        if self.backend != "auto":
-            return ProductDecision(backend=self.backend, costs=costs)
         largest_cells = max(rows * middles, middles * columns, rows * columns)
         if largest_cells > self.dense_cells_limit:
             return ProductDecision(backend="csr", costs=costs)
-        if costs["csr"] <= self.dense_bias * costs["dense"]:
+        if costs["csr"] <= costs["dense"]:
             return ProductDecision(backend="csr", costs=costs)
         return ProductDecision(backend="dense", costs=costs)
 

@@ -59,13 +59,6 @@ from repro.faults.injector import (
 from repro.matmul.engine import CsrMatrix, csr_spgemm
 from repro.matmul.omega import CSR_OP_COST, PROCESS_SHARD_OVERHEAD
 
-#: Recognised shard execution policies.  ``auto`` picks per product: inline
-#: when the host gives the pool no parallelism, otherwise thread vs process
-#: by the cost model below.  ``serial`` forces inline execution of the shard
-#: plan (still sharded, still column-compressed — just no pool), which is
-#: also the degenerate choice on a single-core host.
-SHARD_POLICIES = ("auto", "serial", "thread", "process")
-
 #: Default shards-per-worker factor.  Oversharding keeps the pool busy when
 #: shards finish unevenly and shrinks each shard's key space; factor 4 is the
 #: measured sweet spot on the E14 community instance (below it the dense
@@ -206,7 +199,7 @@ def extract_shard_view(
     )
 
 
-def run_shard_task(view: ShardView, block_entries: Optional[int] = None) -> ShardResult:
+def run_shard_task(view: ShardView) -> ShardResult:
     """Multiply one shard view through the serial kernel.
 
     Module-level (not a closure) so process pools can pickle it; the view's
@@ -224,7 +217,7 @@ def run_shard_task(view: ShardView, block_entries: Optional[int] = None) -> Shar
         data=view.right_data,
         num_cols=len(view.local_cols),
     )
-    product, work = csr_spgemm(left, right, block_entries=block_entries)
+    product, work = csr_spgemm(left, right)
     return ShardResult(
         row_start=view.row_start,
         num_rows=left.num_rows,
@@ -263,12 +256,7 @@ def merge_shard_results(
     return product, int(sum(r.work for r in results))
 
 
-def run_faulty_shard_task(
-    view: ShardView,
-    block_entries: Optional[int],
-    action: str,
-    payload: dict,
-) -> ShardResult:
+def run_faulty_shard_task(view: ShardView, action: str, payload: dict) -> ShardResult:
     """:func:`run_shard_task` with an injected fault acted out first.
 
     Module-level so process pools can pickle it (REP104); the fault's action
@@ -285,7 +273,7 @@ def run_faulty_shard_task(
         )
     if action == ACTION_STALL:
         time.sleep(float(payload.get("seconds", 0.2)))
-        return run_shard_task(view, block_entries)
+        return run_shard_task(view)
     raise ConfigurationError(  # pragma: no cover - Fault validation pins pairs
         f"fault action {action!r} is not implemented for shard tasks"
     )
@@ -305,20 +293,18 @@ class ShardExecutor:
     ``workers=1`` (the default everywhere) is an exact pass-through to the
     serial kernel — no planning, no compression, no pool.  With more workers
     the executor builds a :class:`ShardPlan` of ``workers * overshard``
-    blocks and runs them under ``policy``:
-
-    * ``auto`` — inline when the host grants the pool no parallelism
-      (``effective_parallelism() == 1``); otherwise a process pool when the
-      per-shard work amortizes fork + pickle (see
-      :data:`repro.matmul.omega.PROCESS_SHARD_OVERHEAD`), and a thread pool
-      for smaller products, where the kernel's GIL-releasing numpy passes
-      still overlap but nothing pays serialization;
-    * ``serial`` / ``thread`` / ``process`` — force that vehicle.
+    blocks and :meth:`resolve_policy` picks the vehicle per product: inline
+    when the host grants the pool no parallelism
+    (``effective_parallelism() == 1``); otherwise a process pool when the
+    per-shard work amortizes fork + pickle (see
+    :data:`repro.matmul.omega.PROCESS_SHARD_OVERHEAD`), and a thread pool for
+    smaller products, where the kernel's GIL-releasing numpy passes still
+    overlap but nothing pays serialization.
 
     Pools are created lazily, reused across products, and released by
     :meth:`close` (the executor is also a context manager).  Results merge
-    in plan order regardless of completion order, so every policy returns
-    bit-identical output — the policy is pure performance.
+    in plan order regardless of completion order, so every vehicle returns
+    bit-identical output — the choice is pure performance.
 
     Fault tolerance: a dispatch that dies (worker killed, pool broken, task
     timeout, transient task error) is retried up to ``max_retries`` times on a
@@ -349,9 +335,7 @@ class ShardExecutor:
     def __init__(
         self,
         workers: int = 1,
-        policy: str = "auto",
         overshard: int = DEFAULT_OVERSHARD,
-        block_entries: Optional[int] = None,
         min_shard_work: int = MIN_SHARD_WORK,
         max_retries: int = 2,
         task_timeout: Optional[float] = None,
@@ -362,10 +346,6 @@ class ShardExecutor:
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be positive, got {workers}")
-        if policy not in SHARD_POLICIES:
-            raise ConfigurationError(
-                f"unknown shard policy {policy!r}; expected one of {SHARD_POLICIES}"
-            )
         if overshard < 1:
             raise ConfigurationError(f"overshard must be positive, got {overshard}")
         if max_retries < 0:
@@ -375,9 +355,7 @@ class ShardExecutor:
                 f"task_timeout must be positive or None, got {task_timeout}"
             )
         self.workers = workers
-        self.policy = policy
         self.overshard = overshard
-        self.block_entries = block_entries
         self.min_shard_work = min_shard_work
         self.max_retries = max_retries
         self.task_timeout = task_timeout
@@ -403,9 +381,7 @@ class ShardExecutor:
         return max(1, min(self.workers, available_cores()))
 
     def resolve_policy(self, total_work: int, num_shards: int) -> str:
-        """Pick the execution vehicle for one product under ``auto``."""
-        if self.policy != "auto":
-            return self.policy
+        """Pick the execution vehicle (serial, thread or process) for one product."""
         if self.workers == 1:
             return "serial"
         if self.effective_parallelism() == 1:
@@ -518,14 +494,14 @@ class ShardExecutor:
     def spgemm(self, left: CsrMatrix, right: CsrMatrix) -> tuple[CsrMatrix, int]:
         """Exact ``left @ right``, bit-identical to :func:`csr_spgemm`."""
         if self.workers == 1 or not left.nnz or not right.nnz:
-            return csr_spgemm(left, right, block_entries=self.block_entries)
+            return csr_spgemm(left, right)
         total_work = int(right.row_lengths()[left.cols].sum())
         shards = self.target_shards(total_work, left.num_rows)
         if shards <= 1:
-            return csr_spgemm(left, right, block_entries=self.block_entries)
+            return csr_spgemm(left, right)
         plan = ShardPlan.balanced(left, right, shards)
         if plan.num_shards <= 1:
-            return csr_spgemm(left, right, block_entries=self.block_entries)
+            return csr_spgemm(left, right)
         policy = self.resolve_policy(total_work, plan.num_shards)
         lengths = right.row_lengths()
         views = [
@@ -575,12 +551,10 @@ class ShardExecutor:
             for view in views:
                 fault = self._task_fault(vehicle)
                 if fault is None:
-                    results.append(run_shard_task(view, self.block_entries))
+                    results.append(run_shard_task(view))
                 else:
                     results.append(
-                        run_faulty_shard_task(
-                            view, self.block_entries, fault.action, dict(fault.payload)
-                        )
+                        run_faulty_shard_task(view, fault.action, dict(fault.payload))
                     )
             return results
         pool = self._pool(vehicle)
@@ -588,16 +562,10 @@ class ShardExecutor:
         for view in views:
             fault = self._task_fault(vehicle)
             if fault is None:
-                futures.append(pool.submit(run_shard_task, view, self.block_entries))
+                futures.append(pool.submit(run_shard_task, view))
             else:
                 futures.append(
-                    pool.submit(
-                        run_faulty_shard_task,
-                        view,
-                        self.block_entries,
-                        fault.action,
-                        dict(fault.payload),
-                    )
+                    pool.submit(run_faulty_shard_task, view, fault.action, dict(fault.payload))
                 )
         return [future.result(timeout=self.task_timeout) for future in futures]
 

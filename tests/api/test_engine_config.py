@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.api import EngineConfig
+from repro.api import EngineConfig, FourCycleEngine
 from repro.exceptions import ConfigurationError
 
 
@@ -23,8 +25,8 @@ class TestValidation:
             EngineConfig(counter="wedge", options={"bogus": 1})
 
     def test_reserved_options_must_use_fields(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            EngineConfig(counter="wedge", options={"backend": "csr"})
+        with pytest.raises(ConfigurationError, match="workers"):
+            EngineConfig(counter="wedge", options={"workers": 2})
         with pytest.raises(ConfigurationError, match="record_metrics"):
             EngineConfig(counter="wedge", options={"record_metrics": True})
 
@@ -59,7 +61,7 @@ class TestRoundTrips:
             counter="assadi-shah",
             options={"phase_length": 32},
             batch_size=64,
-            backend="csr",
+            workers=2,
             record_metrics=True,
             track_costs=False,
         )
@@ -78,10 +80,10 @@ class TestRoundTrips:
     def test_from_counter_kwargs_lifts_common_options(self):
         config = EngineConfig.from_counter_kwargs(
             "phase-fmm",
-            {"phase_length": 5, "backend": "csr", "record_metrics": True},
+            {"phase_length": 5, "workers": 2, "record_metrics": True},
             batch_size=8,
         )
-        assert config.backend == "csr"
+        assert config.workers == 2
         assert config.record_metrics is True
         assert config.options == {"phase_length": 5}
         assert config.batch_size == 8
@@ -104,6 +106,56 @@ class TestRoundTrips:
             EngineConfig(counter="wedge", options={"interned": True})
         with pytest.raises(ConfigurationError, match="'interned'"):
             EngineConfig.from_counter_kwargs("wedge", {"interned": True})
+
+    def test_fields_are_the_engine_settings_only(self):
+        assert [item.name for item in fields(EngineConfig)] == [
+            "counter", "options", "batch_size", "record_metrics", "track_costs",
+            "workers", "wal_path", "snapshot_every", "fsync_policy",
+        ]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("backend", "auto"), ("backend", "dense"), ("backend", "csr"),
+            ("shard_policy", "auto"), ("shard_policy", "serial"),
+            ("shard_policy", "thread"), ("shard_policy", "process"),
+            ("block_entries", None), ("block_entries", 1), ("block_entries", 4096),
+        ],
+    )
+    def test_legacy_kernel_keys_are_accepted_and_dropped(self, key, value):
+        """Snapshots and WAL meta files written while the kernel settings
+        existed carry all three keys, with any value that version accepted."""
+        legacy = dict(EngineConfig(counter="wedge", batch_size=4).to_dict(), **{key: value})
+        config = EngineConfig.from_dict(legacy)
+        assert config == EngineConfig(counter="wedge", batch_size=4)
+        assert key not in config.to_dict()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("backend", "quantum"), ("backend", None), ("backend", ["csr"]),
+            ("shard_policy", "gpu"), ("shard_policy", None),
+            ("block_entries", 0), ("block_entries", -3), ("block_entries", True),
+            ("block_entries", "4096"), ("block_entries", 1.5),
+        ],
+    )
+    def test_legacy_kernel_keys_other_values_are_refused(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"{key}=.*setting was removed"):
+            EngineConfig.from_dict({"counter": "wedge", key: value})
+
+    @pytest.mark.parametrize("key", ["backend", "shard_policy", "block_entries"])
+    def test_removed_kernel_settings_are_refused_outside_persisted_configs(self, key):
+        value = {"backend": "csr", "shard_policy": "thread", "block_entries": 4096}[key]
+        with pytest.raises(TypeError, match=key):
+            EngineConfig(counter="wedge", **{key: value})
+        with pytest.raises(TypeError, match=key):
+            EngineConfig(counter="wedge").with_updates(**{key: value})
+        with pytest.raises(TypeError, match=key):
+            FourCycleEngine(EngineConfig(counter="wedge"), **{key: value})
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            EngineConfig(counter="wedge", options={key: value})
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            EngineConfig.from_counter_kwargs("wedge", {key: value})
 
     def test_with_updates(self):
         config = EngineConfig(counter="wedge")

@@ -44,8 +44,9 @@ class TestSpecs:
     def test_common_options_listed_everywhere(self):
         for name in BUILTINS:
             names = counter_spec(name).option_names()
-            assert "backend" in names and "record_metrics" in names
-            assert "interned" not in names
+            assert "workers" in names and "record_metrics" in names
+            for removed in ("interned", "backend", "shard_policy", "block_entries"):
+                assert removed not in names
 
     def test_unknown_counter(self):
         with pytest.raises(ConfigurationError, match="available"):
@@ -63,7 +64,7 @@ class TestValidationAndCreate:
             counter_spec("wedge").create(bogus=1)
         message = str(excinfo.value)
         assert "'bogus'" in message and "'wedge'" in message
-        assert "backend" in message  # the valid options are listed
+        assert "workers" in message  # the valid options are listed
 
     def test_multiple_unknown_options_all_named(self):
         with pytest.raises(ConfigurationError, match="'alpha'.*'beta'"):
@@ -84,7 +85,7 @@ class TestRegistration:
             description="test spec",
             asymptotic="O(n)",
             supports_batch_hook=True,
-            options=(OptionSpec("backend", "auto"), OptionSpec("record_metrics", False)),
+            options=(OptionSpec("workers", 1), OptionSpec("record_metrics", False)),
         )
         register_spec(spec, overwrite=True)
         assert counter_spec("api-test-counter") is spec

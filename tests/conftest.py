@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from repro.api import available_counter_names, counter_spec
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.updates import EdgeUpdate, UpdateStream
+from repro.matmul.scheduler import ProductDecision, ProductDispatcher
+from repro.matmul.sharding import ShardExecutor
 
 
 @pytest.fixture
@@ -108,6 +111,43 @@ def random_dynamic_stream(
         live_set.add(key)
         updates.append(EdgeUpdate.insert(*key))
     return UpdateStream(updates)
+
+
+@dataclass(frozen=True)
+class PinnedDispatcher(ProductDispatcher):
+    """A product dispatcher that always picks ``kernel`` ("dense" or "csr").
+
+    The program has no kernel setting: its dispatcher decides per product
+    from cost estimates.  A test that must run one batch kernel on purpose
+    assigns this fake to ``counter.product_dispatcher`` (:func:`pin_kernel`);
+    the reported cost estimates stay the real ones.
+    """
+
+    kernel: str = "csr"
+
+    def decide(self, rows, middles, columns, expansion_work) -> ProductDecision:
+        costs = super().decide(rows, middles, columns, expansion_work).costs
+        return ProductDecision(backend=self.kernel, costs=costs)
+
+
+def pin_kernel(counter, kernel: str):
+    """Make ``counter``'s batch hooks run ``kernel`` for every whole-graph
+    product; returns the counter."""
+    counter.product_dispatcher = PinnedDispatcher(kernel=kernel, workers=counter.workers)
+    return counter
+
+
+class PinnedVehicleExecutor(ShardExecutor):
+    """A shard executor that starts every product on ``vehicle`` ("serial",
+    "thread" or "process") instead of choosing one by cost; retries and the
+    degradation ladder work as in the real executor."""
+
+    def __init__(self, vehicle: str, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.vehicle = vehicle
+
+    def resolve_policy(self, total_work: int, num_shards: int) -> str:
+        return self.vehicle
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from repro.graph.static_counts import count_four_cycles_edge_list
 from repro.graph.updates import EdgeUpdate
 from repro.matmul.engine import CountMatrixCSR
 
-from tests.conftest import random_dynamic_stream
+from tests.conftest import pin_kernel, random_dynamic_stream
 
 _EMPTY_SET: frozenset = frozenset()
 
@@ -107,18 +107,18 @@ def products(counter: AssadiShahCounter) -> tuple:
     return (oracle._product_ab, oracle._product_bc, oracle._product_abc)
 
 
-@pytest.mark.parametrize("backend", ["dense", "csr"])
-def test_bulk_maintenance_matches_the_per_wedge_reference(backend):
+@pytest.mark.parametrize("kernel", ["dense", "csr"])
+def test_bulk_maintenance_matches_the_per_wedge_reference(kernel):
     """Counts match brute force after every update, every cost category
     matches the per-wedge run exactly, and the old-phase products stay
-    positional across phase ends and a mirrored batch rebuild (``backend``
-    picks the rebuild's kernel)."""
+    positional across phase ends and a mirrored batch rebuild (``kernel``
+    is the rebuild's, pinned through the test-side dispatcher)."""
     stream = random_dynamic_stream(num_vertices=12, num_updates=150, seed=2, delete_fraction=0.35)
     # A window past the batch fast-path threshold: the mirrored rebuild.
     window = [EdgeUpdate.insert(f"w{i}", f"w{i + 1}") for i in range(40)]
 
     def run() -> tuple:
-        counter = AssadiShahCounter(phase_length=60, eps=0.45, backend=backend)
+        counter = pin_kernel(AssadiShahCounter(phase_length=60, eps=0.45), kernel)
         live = set()
         for update in stream:
             edge = (update.u, update.v)

@@ -90,25 +90,3 @@ def test_forced_modes_are_exposed_via_the_spec():
     engine = FourCycleEngine(EngineConfig(counter="wedge"))
     assert engine.counter.incremental is None
 
-
-def test_backend_option_reaches_the_dispatcher():
-    from repro.api import EngineConfig, FourCycleEngine
-    from repro.exceptions import ConfigurationError
-
-    engine = FourCycleEngine(EngineConfig(counter="wedge", backend="csr"))
-    assert engine.counter.matmul_backend == "csr"
-    with pytest.raises(ConfigurationError):
-        EngineConfig(counter="wedge", backend="quantum")
-
-
-@pytest.mark.parametrize("backend", ["dense", "csr"])
-def test_backends_produce_identical_batch_trajectories(backend):
-    stream = random_dynamic_stream(
-        num_vertices=16, num_updates=256, seed=5, delete_fraction=0.3
-    )
-    reference = WedgeCounter(backend="dense")
-    pinned = WedgeCounter(backend=backend)
-    expected = [reference.apply_batch(w) for w in stream.batched(64)]
-    actual = [pinned.apply_batch(w) for w in stream.batched(64)]
-    assert actual == expected
-    assert pinned.is_consistent()

@@ -38,7 +38,7 @@ from repro.faults import (
     Fault,
     FaultInjector,
 )
-from tests.conftest import random_dynamic_stream
+from tests.conftest import PinnedVehicleExecutor, random_dynamic_stream
 from tests.durability.conftest import chaos_seeds
 
 STREAM_LENGTH = 70
@@ -117,7 +117,6 @@ def test_recovery_is_bit_identical(counter, fault_class, seed, tmp_path, chaos_r
 def test_executor_completes_under_task_faults(action, seed, tmp_path, chaos_report):
     import numpy as np
 
-    from repro.matmul.sharding import ShardExecutor
     from repro.matmul.engine import CsrMatrix, csr_spgemm
 
     rng = np.random.default_rng(seed)
@@ -131,8 +130,8 @@ def test_executor_completes_under_task_faults(action, seed, tmp_path, chaos_repo
     injector = FaultInjector(
         [Fault(SITE_EXECUTOR_TASK, action, at=None, horizon=4)], seed=seed
     )
-    executor = ShardExecutor(
-        workers=2, policy="process", min_shard_work=1, injector=injector
+    executor = PinnedVehicleExecutor(
+        "process", workers=2, min_shard_work=1, injector=injector
     )
     try:
         product, work = executor.spgemm(left, right)

@@ -305,6 +305,46 @@ class TestRecovery:
         assert len(decoded) == 11
 
 
+class TestCounterFailureAfterLogging:
+    """A failure that is not a :class:`ReproError` — a bug, say — after the
+    window was logged must not leave the window in the log."""
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_runtime_error_mid_window_rolls_the_log_back(self, tmp_path, monkeypatch, window):
+        updates = stream(seed=10, n=40)
+        wal = tmp_path / "run.wal"
+        engine = FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal)))
+        engine.run(updates[:30])
+        count_before, seq_before = engine.count, engine.last_durable_seq
+        counter = engine.counter
+        original = counter._apply_structure_delta
+        calls = []
+
+        def failing(u, v, sign):
+            # The window's last update fails after the others were applied.
+            calls.append((u, v))
+            if len(calls) == window:
+                raise RuntimeError("counter bug")
+            original(u, v, sign)
+
+        monkeypatch.setattr(counter, "_apply_structure_delta", failing)
+        pending = updates[30 : 30 + window]
+        with pytest.raises(RecoverableEngineError) as excinfo:
+            if window == 1:
+                engine.apply(pending[0])
+            else:
+                engine.apply_batch(pending)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert excinfo.value.last_durable_seq == seq_before
+        assert scan_wal(wal).last_seq == seq_before
+        with pytest.raises(RecoverableEngineError):
+            engine.apply(updates[35])
+        engine.close()
+        recovered, _ = recover(wal, attach=False)
+        assert (recovered.count, recovered.updates_processed) == (count_before, 30)
+        assert recovered.is_consistent()
+
+
 class TestLegacyInternedKey:
     """Snapshots and ``<wal>.meta.json`` files written while the label-only
     graph mode existed carry ``"interned": true`` in their config."""
@@ -372,6 +412,81 @@ class TestLegacyInternedKey:
             durable.run(stream(n=20))
         save_wal_meta(wal, dict(load_wal_meta(wal), interned=False))
         with pytest.raises(ConfigurationError, match="label-only"):
+            recover(wal, attach=False)
+
+
+class TestLegacyKernelKeys:
+    """Configs written while the kernel settings existed carry ``backend``,
+    ``shard_policy`` and ``block_entries`` in every snapshot and
+    ``<wal>.meta.json``; they load, and recover bit-identically."""
+
+    #: The non-default values such a config could hold.
+    LEGACY = {"backend": "csr", "shard_policy": "thread", "block_entries": 4096}
+
+    @staticmethod
+    def _rewrite_snapshot(path, keys):
+        from repro.io.serialization import load_engine_snapshot, save_engine_snapshot
+
+        payload = load_engine_snapshot(path)
+        payload["config"].update(keys)
+        save_engine_snapshot(payload, path)
+
+    def test_snapshot_restores_bit_identically(self, tmp_path):
+        updates = stream(seed=7, n=120)
+        reference = FourCycleEngine(EngineConfig(counter="assadi-shah", batch_size=40))
+        trajectory = [reference.apply_batch(window) for window in windows(updates, 40)]
+        engine = FourCycleEngine(EngineConfig(counter="assadi-shah", batch_size=40))
+        engine.run(updates[:80])
+        path = tmp_path / "legacy.snapshot.json"
+        engine.checkpoint(path)
+        self._rewrite_snapshot(path, self.LEGACY)
+        restored = FourCycleEngine.restore(path)
+        assert restored.config == engine.config
+        assert restored.count == trajectory[1]
+        assert restored.apply_batch(updates[80:]) == trajectory[2]
+        assert restored.is_consistent()
+
+    def test_snapshot_generation_and_meta_recover_bit_identically(self, tmp_path):
+        updates = stream(seed=8, n=90)
+        reference = FourCycleEngine("hhh22")
+        trajectory = [reference.apply(update) for update in updates]
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(
+            EngineConfig(counter="hhh22", wal_path=str(wal), snapshot_every=25)
+        ) as engine:
+            engine.run(updates[:60])
+        save_wal_meta(wal, dict(load_wal_meta(wal), **self.LEGACY))
+        for _, path in list_snapshot_paths(wal):
+            self._rewrite_snapshot(path, self.LEGACY)
+        recovered, report = recover(wal, attach=False)
+        assert report.snapshot_path is not None
+        assert recovered.count == trajectory[59]
+        assert [recovered.apply(update) for update in updates[60:]] == trajectory[60:]
+
+    def test_meta_without_snapshot_recovers_bit_identically(self, tmp_path):
+        updates = stream(seed=9, n=40)
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as engine:
+            final = engine.run(updates)
+        save_wal_meta(wal, dict(load_wal_meta(wal), **self.LEGACY))
+        recovered, report = recover(wal, attach=False)
+        assert report.snapshot_path is None
+        assert (recovered.name, recovered.count) == ("wedge", final)
+        assert recovered.is_consistent()
+
+    def test_values_the_old_version_refused_are_refused(self, tmp_path):
+        engine = FourCycleEngine("wedge")
+        engine.run(stream(n=20))
+        path = tmp_path / "bad.snapshot.json"
+        engine.checkpoint(path)
+        self._rewrite_snapshot(path, {"backend": "quantum"})
+        with pytest.raises(ConfigurationError, match="backend="):
+            FourCycleEngine.restore(path)
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as durable:
+            durable.run(stream(n=20))
+        save_wal_meta(wal, dict(load_wal_meta(wal), shard_policy="gpu"))
+        with pytest.raises(ConfigurationError, match="shard_policy="):
             recover(wal, attach=False)
 
 

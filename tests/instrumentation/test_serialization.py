@@ -45,6 +45,22 @@ class TestUpdateDicts:
         with pytest.raises(ConfigurationError):
             layered_update_from_dict({"relation": "A", "left": 1})
 
+    def test_array_labels_decode_to_tuples(self):
+        update = EdgeUpdate.insert(("L1", ("x", 2)), ("L2", 3))
+        payload = json.loads(json.dumps(edge_update_to_dict(update)))
+        assert edge_update_from_dict(payload) == update
+        layered = layered_update_from_dict(
+            {"relation": "A", "left": ["k", 1], "right": 2, "kind": "insert"}
+        )
+        assert layered.left == ("k", 1)
+
+    @pytest.mark.parametrize("label", [{"x": 1}, ["A", {"x": 1}]])
+    def test_unhashable_labels_are_malformed(self, label):
+        with pytest.raises(ConfigurationError, match="malformed edge-update"):
+            edge_update_from_dict({"u": label, "v": 6, "kind": "insert"})
+        with pytest.raises(ConfigurationError, match="malformed layered-update"):
+            layered_update_from_dict({"relation": "A", "left": label, "right": 6, "kind": "insert"})
+
 
 class TestStreamFiles:
     def test_stream_round_trip(self, tmp_path):
@@ -53,6 +69,24 @@ class TestStreamFiles:
         save_stream(stream, path)
         loaded = load_stream(path)
         assert loaded == stream
+
+    def test_tuple_labels_round_trip(self, tmp_path):
+        """Tuple labels (as a tuple feed produces them) are written as JSON
+        arrays and come back as tuples, through both readers."""
+        stream = UpdateStream(
+            [
+                EdgeUpdate.insert(("L1", 1), ("L2", 1)),
+                EdgeUpdate.insert(("L2", 1), ("L3", ("a", 2))),
+                EdgeUpdate.delete(("L1", 1), ("L2", 1)),
+            ]
+        )
+        path = tmp_path / "tuples.jsonl"
+        save_stream(stream, path)
+        assert load_stream(path) == stream
+        assert list(ReplaySource(path)) == list(stream)
+        counter = counter_spec("wedge").create()
+        counter.apply_all(ReplaySource(path))
+        assert counter.is_consistent() and counter.num_edges == 1
 
     def test_layered_round_trip(self, tmp_path):
         updates = expand_general_update(EdgeUpdate.insert("x", "y"))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import (
-    banner,
     experiment_e1_theorem_constants,
     experiment_e2_warmup_constants,
     experiment_e3_constraint_verification,
@@ -130,7 +129,3 @@ class TestReporting:
     def test_column_selection(self):
         rows = [{"a": 1, "b": 2}]
         assert "b" not in text_table(rows, columns=["a"])
-
-    def test_banner(self):
-        rendered = banner("E1")
-        assert "E1" in rendered and "=" in rendered

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import dict_product
-from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.exceptions import DimensionMismatchError
 from repro.kernels import CsrMatrix, csr_linear_combination
 from repro.matmul.engine import (
     CountMatrix,
@@ -262,14 +262,6 @@ class TestCsrMatrix:
 
 
 class TestDispatcher:
-    def test_explicit_backends_are_pinned(self):
-        assert ProductDispatcher(backend="dense").decide(10, 10, 10, 10 ** 9).backend == "dense"
-        assert ProductDispatcher(backend="csr").decide(10, 10, 10, 0).backend == "csr"
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProductDispatcher(backend="quantum")
-
     def test_auto_prefers_csr_on_sparse_and_dense_on_dense(self):
         dispatcher = ProductDispatcher()
         n = 4096

@@ -1,7 +1,7 @@
 """The shard-parallel SpGEMM layer: plans, views, merges, and executors.
 
 The contract under test is bit-identity: for any operands, any shard count,
-and any execution policy, :meth:`ShardExecutor.spgemm` returns exactly the
+and any execution vehicle, :meth:`ShardExecutor.spgemm` returns exactly the
 CSR arrays (and work count) of the serial :func:`csr_spgemm` kernel.  The
 plan/extract/merge pieces are also pinned individually on the edge cases the
 row partitioning can hit — empty shards, single-row shards, and a heavy row
@@ -25,6 +25,8 @@ from repro.matmul.sharding import (
     merge_shard_results,
     run_shard_task,
 )
+
+from tests.conftest import PinnedVehicleExecutor
 
 FAST_SETTINGS = settings(
     max_examples=30,
@@ -176,7 +178,7 @@ class TestShardExecutor:
     def test_forced_policies_are_bit_identical(self, policy):
         left = random_csr(12, rows=24, cols=24, density=0.3)
         right = random_csr(13, rows=24, cols=24, density=0.3)
-        with ShardExecutor(workers=2, policy=policy, min_shard_work=1) as executor:
+        with PinnedVehicleExecutor(policy, workers=2, min_shard_work=1) as executor:
             assert_identical(executor.spgemm(left, right), csr_spgemm(left, right))
 
     def test_auto_policy_on_one_worker_is_serial(self):
@@ -204,20 +206,10 @@ class TestShardExecutor:
         with pytest.raises(ConfigurationError):
             ShardExecutor(workers=0)
         with pytest.raises(ConfigurationError):
-            ShardExecutor(workers=2, policy="gpu")
-        with pytest.raises(ConfigurationError):
             ShardExecutor(workers=2, overshard=0)
 
     def test_available_cores_is_positive(self):
         assert available_cores() >= 1
-
-    def test_block_entries_forwarded(self):
-        # A one-entry expansion budget forces single-entry kernel blocks; the
-        # result must not change.
-        left = random_csr(14, rows=10, cols=10)
-        right = random_csr(15, rows=10, cols=10)
-        with ShardExecutor(workers=2, min_shard_work=1, block_entries=1) as executor:
-            assert_identical(executor.spgemm(left, right), csr_spgemm(left, right))
 
 
 @given(
@@ -231,34 +223,8 @@ def test_sharded_product_is_bit_identical_on_random_matrices(seed, workers, over
     rows, mids, cols = rng.integers(1, 24, size=3)
     left = random_csr(seed, rows=int(rows), cols=int(mids), density=0.3)
     right = random_csr(seed + 1, rows=int(mids), cols=int(cols), density=0.3)
-    with ShardExecutor(
-        workers=workers, policy="serial", overshard=overshard, min_shard_work=1
+    with PinnedVehicleExecutor(
+        "serial", workers=workers, overshard=overshard, min_shard_work=1
     ) as executor:
         assert_identical(executor.spgemm(left, right), csr_spgemm(left, right))
 
-
-def test_env_override_sets_default_block_entries(monkeypatch):
-    from repro.matmul import engine
-
-    monkeypatch.setenv("REPRO_SPGEMM_BLOCK_ENTRIES", "7")
-    assert engine._block_entries_from_env() == 7
-    monkeypatch.delenv("REPRO_SPGEMM_BLOCK_ENTRIES")
-    assert engine._block_entries_from_env() == 1 << 22
-    # An unset-looking (blank) value behaves like unset rather than erroring.
-    monkeypatch.setenv("REPRO_SPGEMM_BLOCK_ENTRIES", "   ")
-    assert engine._block_entries_from_env() == 1 << 22
-
-
-def test_invalid_block_entries_env_raises_configuration_error(monkeypatch):
-    from repro.exceptions import ConfigurationError
-    from repro.matmul import engine
-
-    monkeypatch.setenv("REPRO_SPGEMM_BLOCK_ENTRIES", "not-a-number")
-    with pytest.raises(ConfigurationError, match="REPRO_SPGEMM_BLOCK_ENTRIES"):
-        engine._block_entries_from_env()
-    monkeypatch.setenv("REPRO_SPGEMM_BLOCK_ENTRIES", "-3")
-    with pytest.raises(ConfigurationError, match="REPRO_SPGEMM_BLOCK_ENTRIES"):
-        engine._block_entries_from_env()
-    monkeypatch.setenv("REPRO_SPGEMM_BLOCK_ENTRIES", "0")
-    with pytest.raises(ConfigurationError, match="positive"):
-        engine._block_entries_from_env()

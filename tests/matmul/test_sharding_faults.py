@@ -25,6 +25,8 @@ from repro.faults import (
 from repro.matmul.engine import CsrMatrix, csr_spgemm
 from repro.matmul.sharding import ShardExecutor
 
+from tests.conftest import PinnedVehicleExecutor
+
 
 def operands(seed: int = 0, size: int = 32):
     rng = np.random.default_rng(seed)
@@ -49,8 +51,8 @@ class TestRetries:
     def test_killed_worker_is_retried_without_raising(self):
         left, right = operands()
         injector = FaultInjector([Fault(SITE_EXECUTOR_TASK, ACTION_KILL_WORKER, at=0)])
-        with ShardExecutor(
-            workers=2, policy="process", min_shard_work=1, injector=injector
+        with PinnedVehicleExecutor(
+            "process", workers=2, min_shard_work=1, injector=injector
         ) as executor:
             assert_exact(executor.spgemm(left, right), csr_spgemm(left, right))
             assert injector.fired
@@ -60,8 +62,8 @@ class TestRetries:
     def test_transient_task_error_is_retried(self):
         left, right = operands(1)
         injector = FaultInjector([Fault(SITE_EXECUTOR_TASK, ACTION_TRANSIENT_ERROR, at=0)])
-        with ShardExecutor(
-            workers=2, policy="thread", min_shard_work=1, injector=injector
+        with PinnedVehicleExecutor(
+            "thread", workers=2, min_shard_work=1, injector=injector
         ) as executor:
             assert_exact(executor.spgemm(left, right), csr_spgemm(left, right))
             assert executor.degradations == []
@@ -71,9 +73,9 @@ class TestRetries:
         injector = FaultInjector(
             [Fault(SITE_EXECUTOR_TASK, ACTION_STALL, at=0, payload={"seconds": 5.0})]
         )
-        with ShardExecutor(
+        with PinnedVehicleExecutor(
+            "thread",
             workers=2,
-            policy="thread",
             min_shard_work=1,
             task_timeout=0.05,
             backoff_base=0.001,
@@ -101,9 +103,9 @@ class TestDegradationLadder:
             [Fault(SITE_EXECUTOR_TASK, ACTION_KILL_WORKER, at=0, times=1000)]
         )
         observed = []
-        executor = ShardExecutor(
+        executor = PinnedVehicleExecutor(
+            "process",
             workers=2,
-            policy="process",
             min_shard_work=1,
             max_retries=0,
             injector=injector,
@@ -127,9 +129,9 @@ class TestDegradationLadder:
         injector = FaultInjector(
             [Fault(SITE_EXECUTOR_TASK, ACTION_KILL_WORKER, at=0, times=1)]
         )
-        with ShardExecutor(
+        with PinnedVehicleExecutor(
+            "process",
             workers=2,
-            policy="process",
             min_shard_work=1,
             max_retries=0,
             injector=injector,
@@ -140,9 +142,7 @@ class TestDegradationLadder:
             ]
 
     def test_engine_emits_executor_degraded_events(self):
-        engine = FourCycleEngine(
-            EngineConfig(counter="assadi-shah", workers=2, shard_policy="process")
-        )
+        engine = FourCycleEngine(EngineConfig(counter="assadi-shah", workers=2))
         executor = engine.counter.shard_executor
         assert executor is not None
         events = []
@@ -159,8 +159,8 @@ class TestCleanup:
     def test_close_is_idempotent_and_safe_after_breakage(self):
         left, right = operands(5)
         injector = FaultInjector([Fault(SITE_EXECUTOR_TASK, ACTION_KILL_WORKER, at=0)])
-        executor = ShardExecutor(
-            workers=2, policy="process", min_shard_work=1, injector=injector
+        executor = PinnedVehicleExecutor(
+            "process", workers=2, min_shard_work=1, injector=injector
         )
         executor.spgemm(left, right)  # breaks one pool, retries on a fresh one
         executor.close()
@@ -170,7 +170,7 @@ class TestCleanup:
 
     def test_no_worker_processes_leak(self):
         left, right = operands(6)
-        executor = ShardExecutor(workers=2, policy="process", min_shard_work=1)
+        executor = PinnedVehicleExecutor("process", workers=2, min_shard_work=1)
         executor.spgemm(left, right)
         pool = executor._process_pool
         assert pool is not None
@@ -186,9 +186,9 @@ class TestCleanup:
         injector = FaultInjector(
             [Fault(SITE_EXECUTOR_TASK, ACTION_STALL, at=0, payload={"seconds": 0.3})]
         )
-        executor = ShardExecutor(
+        executor = PinnedVehicleExecutor(
+            "thread",
             workers=2,
-            policy="thread",
             min_shard_work=1,
             task_timeout=0.05,
             backoff_base=0.001,

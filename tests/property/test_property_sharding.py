@@ -2,12 +2,16 @@
 
 The shard layer's contract is that ``workers`` is pure performance: for any
 consistent update stream, any batch window, any worker count, and any
-execution policy, a counter built with ``workers > 1`` reports exactly the
+execution vehicle, a counter built with ``workers > 1`` reports exactly the
 counts (and, for the wedge counter, exactly the maintained wedge matrix) of
-the serial ``workers=1`` counter.  The executors are re-armed with
-``min_shard_work=1`` so even the tiny hypothesis graphs genuinely split into
-multiple shards — the default floor would collapse them back to the serial
-kernel and the test would pin nothing.
+the serial ``workers=1`` counter.  The sharded counters run the CSR batch
+kernel (through the test-side :class:`~tests.conftest.PinnedDispatcher`;
+the tiny hypothesis graphs would otherwise dispatch dense and never reach
+the shard executor), and their executors are re-armed with
+``min_shard_work=1`` so even these graphs genuinely split into multiple
+shards — the default floor would collapse them back to the serial kernel
+and the test would pin nothing.  Dense-versus-CSR agreement itself is
+pinned in ``test_property_kernel_choice.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import counter_spec
-from repro.matmul.sharding import ShardExecutor
 
+from tests.conftest import PinnedVehicleExecutor, pin_kernel
 from tests.property.test_property_counters import consistent_streams
 
 #: The counters whose batch hooks route products through the shard executor.
@@ -29,10 +33,11 @@ FAST_SETTINGS = settings(
 )
 
 
-def _sharded_counter(name: str, workers: int, policy: str = "serial", backend: str = "csr"):
-    """A counter whose executor shards aggressively even on tiny graphs."""
-    counter = counter_spec(name).create(backend=backend, workers=workers)
-    executor = ShardExecutor(workers=workers, policy=policy, min_shard_work=1)
+def _sharded_counter(name: str, workers: int, vehicle: str = "serial"):
+    """A CSR-pinned counter whose executor shards aggressively even on tiny
+    graphs, on one execution vehicle."""
+    counter = pin_kernel(counter_spec(name).create(workers=workers), "csr")
+    executor = PinnedVehicleExecutor(vehicle, workers=workers, min_shard_work=1)
     counter.shard_executor = executor
     oracle = getattr(counter, "_oracle", None)
     if oracle is not None and hasattr(oracle, "shard_executor"):
@@ -52,20 +57,15 @@ def _replay_in_batches(counter, stream, window: int):
 
 @given(
     name=st.sampled_from(SHARDED_COUNTERS),
-    backend=st.sampled_from(["auto", "dense", "csr"]),
     workers=st.sampled_from([2, 4]),
     window=st.integers(min_value=1, max_value=16),
     stream=consistent_streams(max_vertices=8, max_updates=40),
 )
 @FAST_SETTINGS
-def test_sharded_counters_match_serial_at_every_batch_boundary(
-    name, backend, workers, window, stream
-):
-    # The serial reference always runs the CSR kernels, so a dense/auto
-    # sharded run also re-pins cross-backend equality along the way.
-    serial = counter_spec(name).create(backend="csr", workers=1)
+def test_sharded_counters_match_serial_at_every_batch_boundary(name, workers, window, stream):
+    serial = pin_kernel(counter_spec(name).create(workers=1), "csr")
     serial.batch_fast_path_threshold = 1
-    sharded = _sharded_counter(name, workers, backend=backend)
+    sharded = _sharded_counter(name, workers)
     assert _replay_in_batches(sharded, stream, window) == _replay_in_batches(
         serial, stream, window
     )
@@ -77,7 +77,7 @@ def test_sharded_counters_match_serial_at_every_batch_boundary(
 )
 @FAST_SETTINGS
 def test_sharded_wedge_matrix_is_bit_identical(workers, stream):
-    serial = counter_spec("wedge").create(backend="csr", workers=1)
+    serial = pin_kernel(counter_spec("wedge").create(workers=1), "csr")
     serial.batch_fast_path_threshold = 1
     sharded = _sharded_counter("wedge", workers)
     serial.apply_batch(list(stream))
@@ -93,12 +93,13 @@ def test_sharded_wedge_matrix_is_bit_identical(workers, stream):
 @given(stream=consistent_streams(max_vertices=8, max_updates=40))
 @FAST_SETTINGS
 def test_thread_policy_matches_serial_policy(stream):
-    # One pooled policy exercised end-to-end through a counter; process pools
-    # are covered at the matmul layer (tests/matmul/test_sharding.py) where
-    # each case pays the fork cost once instead of per hypothesis example.
+    # One pooled vehicle exercised end-to-end through a counter; process
+    # pools are covered at the matmul layer (tests/matmul/test_sharding.py)
+    # where each case pays the fork cost once instead of per hypothesis
+    # example.
     updates = list(stream)
-    inline = _sharded_counter("hhh22", workers=2, policy="serial")
-    pooled = _sharded_counter("hhh22", workers=2, policy="thread")
+    inline = _sharded_counter("hhh22", workers=2, vehicle="serial")
+    pooled = _sharded_counter("hhh22", workers=2, vehicle="thread")
     inline.apply_batch(updates)
     pooled.apply_batch(updates)
     assert pooled.count == inline.count

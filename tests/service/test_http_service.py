@@ -102,6 +102,13 @@ class TestLifecycle:
         assert status == 200
         # One tuple per relation with matching keys closes one 4-cycle.
         assert applied["count"] == 1
+        # Array keys arrive as tuple labels: a second, disjoint 4-cycle.
+        for item in tuples:
+            item["left"] = item["right"] = ["k", 2]
+        status, applied = request(
+            service, "POST", "/engines/joins/updates", {"tuples": tuples}
+        )
+        assert status == 200 and applied["count"] == 2
 
     def test_durable_engine_compact(self, service, tmp_path):
         make_engine(
@@ -176,6 +183,7 @@ class TestProtocolErrors:
             {"updates": [{"u": 1, "v": 2, "kind": "insert"}], "tuples": []},
             {"updates": []},
             {"updates": [{"u": 1, "v": 2, "kind": "warp"}]},
+            {"tuples": [5]},
         ):
             status, answer = request(service, "POST", "/engines/alpha/updates", body)
             assert status == 400, answer

@@ -213,3 +213,79 @@ class TestInjectedCrashOverRegistryApi:
                 to_payload([EdgeUpdate.insert(4, 1)]),
             )
             assert status == 200 and body["count"] == 1
+
+
+
+class TestJsonLabelsSurviveRestart:
+    """JSON hands a tuple label back as an array, and has labels (objects)
+    that no vertex can carry: neither may break recovery, and no request may
+    leave a window in the log that the engine did not apply."""
+
+    @staticmethod
+    def create(runner, config):
+        return request(runner, "POST", "/engines", {"name": "labels", "config": config})
+
+    @staticmethod
+    def post(runner, body):
+        return request(runner, "POST", "/engines/labels/updates", body)
+
+    def test_tuples_body_recovers_after_restart(self, tmp_path):
+        # The tuple codec makes ("L1", left)-style labels, which the WAL
+        # writes as JSON arrays.
+        config = {"counter": "wedge", "wal_path": str(tmp_path / "tuples.wal")}
+        tuples = [
+            {"relation": relation, "left": 1, "right": 1, "kind": "insert"}
+            for relation in "ABCD"
+        ]
+        with ServiceRunner() as runner:
+            self.create(runner, config)
+            status, applied = self.post(runner, {"tuples": tuples})
+            assert status == 200 and applied["count"] == 1
+        with ServiceRunner() as runner:
+            status, summary = self.create(runner, config)
+            assert status == 201, summary
+            assert summary["recovered"] is True
+            assert (summary["count"], summary["updates_processed"]) == (1, 4)
+            status, verdict = request(runner, "GET", "/engines/labels/consistency")
+            assert status == 200 and verdict["consistent"] is True
+
+    def test_array_labels_are_tuples_and_recover(self, tmp_path):
+        config = {"counter": "wedge", "wal_path": str(tmp_path / "arrays.wal")}
+        square = [["A", 1], ["B", 2], ["A", 3], ["B", 4]]
+        updates = [
+            {"u": square[i], "v": square[(i + 1) % 4], "kind": "insert"} for i in range(4)
+        ]
+        with ServiceRunner() as runner:
+            self.create(runner, config)
+            status, applied = self.post(runner, {"updates": updates})
+            assert status == 200 and applied["count"] == 1
+            # The same edge again: ["A", 1] and ("A", 1) are one vertex.
+            status, _ = self.post(runner, {"updates": updates[:1]})
+            assert status == 400
+        with ServiceRunner() as runner:
+            status, summary = self.create(runner, config)
+            assert status == 201, summary
+            assert (summary["count"], summary["last_durable_seq"]) == (1, 3)
+
+    def test_object_label_is_refused_before_it_is_logged(self, tmp_path):
+        config = {"counter": "wedge", "wal_path": str(tmp_path / "objects.wal")}
+        with ServiceRunner() as runner:
+            self.create(runner, config)
+            status, applied = self.post(runner, {"updates": [{"u": 1, "v": 2, "kind": "insert"}]})
+            assert status == 200 and applied["last_durable_seq"] == 0
+            for bad in (
+                {"updates": [{"u": {"x": 1}, "v": 6, "kind": "insert"}]},
+                {"updates": [{"u": 3, "v": 4, "kind": "insert"},
+                             {"u": ["A", {"x": 1}], "v": 6, "kind": "insert"}]},
+                {"tuples": [{"relation": "A", "left": {"x": 1}, "right": 2,
+                             "kind": "insert"}]},
+            ):
+                status, answer = self.post(runner, bad)
+                assert status == 400 and answer["type"] == "ConfigurationError", answer
+            status, summary = request(runner, "GET", "/engines/labels")
+            assert summary["failed"] is None and summary["last_durable_seq"] == 0
+            status, applied = self.post(runner, {"updates": [{"u": 2, "v": 3, "kind": "insert"}]})
+            assert status == 200 and applied["last_durable_seq"] == 1
+        with ServiceRunner() as runner:
+            status, summary = self.create(runner, config)
+            assert status == 201 and summary["updates_processed"] == 2
