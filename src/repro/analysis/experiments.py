@@ -241,8 +241,8 @@ def experiment_e4_cross_validation(
                     updates=len(stream),
                     final_count=result.final_count,
                     validated=validated,
-                    mean_operations=summary.mean_operations if summary else 0.0,
-                    max_operations=summary.max_operations if summary else 0,
+                    mean_operations=summary.mean_operations,
+                    max_operations=summary.max_operations,
                 )
             )
     return rows
@@ -302,7 +302,6 @@ def experiment_e5_update_scaling(
         for name in counters:
             run = run_config(EngineConfig(counter=name), stream)
             summary = run.summary()
-            assert summary is not None
             point = ScalingPoint(
                 counter=name,
                 num_vertices=size,
@@ -354,7 +353,6 @@ def experiment_e6_worst_case(
     rows: List[WorstCaseRow] = []
     for name in counters:
         summary = run_config(EngineConfig(counter=name), stream).summary()
-        assert summary is not None
         mean = max(summary.mean_operations, 1e-9)
         rows.append(
             WorstCaseRow(
@@ -457,7 +455,6 @@ def experiment_e9_phase_ablation(
             EngineConfig(counter="phase-fmm", options={"phase_length": phase_length})
         )
         summary = run_engine(engine, stream).summary()
-        assert summary is not None
         rows.append(
             PhaseAblationRow(
                 phase_length=phase_length,

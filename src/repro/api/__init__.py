@@ -3,8 +3,8 @@
 The subsystem has four pieces:
 
 * :class:`~repro.api.config.EngineConfig` — a validated description of a run
-  (counter, options, batch size, interning/metrics/cost switches) with
-  ``from_dict``/``to_dict`` round-trips.
+  (counter, options, batch size, cost switch, shard workers, durability
+  settings) with ``from_dict``/``to_dict`` round-trips.
 * :class:`~repro.api.registry.CounterSpec` — capability descriptors for the
   registered counters (options, batch-hook support, oracle use, asymptotics).
 * :mod:`repro.api.sources` — the :class:`UpdateSource` protocol and adapters

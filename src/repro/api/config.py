@@ -3,10 +3,10 @@
 :class:`EngineConfig` is the single description of "how to run a counter" that
 every consumer — CLI, harness, benchmarks, examples, checkpoints — shares.  It
 captures the counter name, its counter-specific options, the batch size the
-stream is windowed into, and the metrics/cost-model switches, and it
-round-trips through plain dictionaries (:meth:`EngineConfig.to_dict` /
-:meth:`EngineConfig.from_dict`) so it can live inside CLI arguments and JSON
-artifacts unchanged.
+stream is windowed into, the cost-model switch, the shard worker count and
+the durability settings, and it round-trips through plain dictionaries
+(:meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict`) so it can
+live inside CLI arguments and JSON artifacts unchanged.
 
 Validation happens at construction time, against the counter's registered
 :class:`~repro.api.registry.CounterSpec`: an unknown counter name or an option
@@ -23,6 +23,7 @@ them with the values those versions accepted, and drops them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Mapping, Tuple
 
@@ -32,7 +33,7 @@ from repro.exceptions import ConfigurationError
 #: Options accepted by every counter but owned by :class:`EngineConfig` itself;
 #: they must be set through the config fields, not the options mapping, so a
 #: config never says the same thing twice.
-_RESERVED_OPTIONS = ("record_metrics", "workers", "wal_path", "snapshot_every", "fsync_policy")
+_RESERVED_OPTIONS = ("workers", "wal_path", "snapshot_every", "fsync_policy")
 
 #: WAL fsync policies (mirrors :data:`repro.durability.wal.FSYNC_POLICIES`;
 #: duplicated literally so a config error does not require importing the
@@ -65,6 +66,11 @@ _REMOVED_KEYS: Dict[str, Tuple[Callable[[object], bool], str]] = {
         "the setting was removed; every SpGEMM row block is bounded by the "
         "constant SPGEMM_BLOCK_ENTRIES",
     ),
+    "record_metrics": (
+        lambda value: isinstance(value, bool),
+        "the counters' own per-update recorder was removed; the harness in "
+        "repro.instrumentation measures every update or window",
+    ),
 }
 
 
@@ -73,17 +79,15 @@ class EngineConfig:
     """Everything needed to build and drive a :class:`FourCycleEngine`.
 
     ``options`` holds only counter-specific knobs (e.g. ``phase_length`` for
-    the phase-based counters); the switches shared by every counter —
-    ``record_metrics`` and the shard-parallel SpGEMM ``workers`` count — are
-    top-level fields.  ``track_costs=False`` disables the operation-count cost
-    model entirely, which removes the per-operation accounting overhead from
-    hot paths.
+    the phase-based counters); the one option shared by every counter, the
+    shard-parallel SpGEMM ``workers`` count, is a top-level field.
+    ``track_costs=False`` disables the operation-count cost model entirely,
+    which removes the per-operation accounting overhead from hot paths.
     """
 
     counter: str = "assadi-shah"
     options: Mapping[str, object] = field(default_factory=dict)
     batch_size: int = 1
-    record_metrics: bool = False
     track_costs: bool = True
     workers: int = 1
     #: Durability: a write-ahead log path enables crash-safe operation (every
@@ -101,12 +105,10 @@ class EngineConfig:
             raise ConfigurationError(
                 f"counter must be a string, got {type(self.counter).__name__}"
             )
-        for name in ("record_metrics", "track_costs"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{name} must be a boolean, got {type(value).__name__}"
-                )
+        if not isinstance(self.track_costs, bool):
+            raise ConfigurationError(
+                f"track_costs must be a boolean, got {type(self.track_costs).__name__}"
+            )
         if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
             raise ConfigurationError(
                 f"batch_size must be an integer, got {type(self.batch_size).__name__}"
@@ -124,7 +126,7 @@ class EngineConfig:
                 raise ConfigurationError(
                     f"wal_path must be a path or None, got {type(self.wal_path).__name__}"
                 )
-            object.__setattr__(self, "wal_path", str(self.wal_path))
+            object.__setattr__(self, "wal_path", os.fsdecode(self.wal_path))
         if self.snapshot_every is not None:
             if not isinstance(self.snapshot_every, int) or isinstance(self.snapshot_every, bool):
                 raise ConfigurationError(
@@ -178,7 +180,7 @@ class EngineConfig:
         only when set above 1 — so a third-party counter that predates the
         option keeps working under the default config.
         """
-        kwargs = dict(self.options, record_metrics=self.record_metrics)
+        kwargs = dict(self.options)
         spec = self.spec
         if "workers" in spec.option_names() or (spec.options is None and self.workers != 1):
             kwargs["workers"] = self.workers
@@ -203,8 +205,8 @@ class EngineConfig:
 
         Snapshots and WAL meta files written by earlier versions carry the
         keys of removed settings (``interned``, ``backend``, ``shard_policy``,
-        ``block_entries``); each is accepted with any value those versions
-        accepted, and dropped.
+        ``block_entries``, ``record_metrics``); each is accepted with any
+        value those versions accepted, and dropped.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
@@ -237,17 +239,9 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Build a config from a flat dict of counter keyword arguments.
 
-        The shared keywords (``record_metrics`` and ``workers``) are lifted
-        into the matching config fields; everything else stays
-        counter-specific.
+        The shared ``workers`` keyword is lifted into its config field;
+        everything else stays counter-specific.
         """
         options = dict(kwargs)
-        record_metrics = bool(options.pop("record_metrics", False))
         workers = int(options.pop("workers", 1))
-        return cls(
-            counter=name,
-            options=options,
-            batch_size=batch_size,
-            record_metrics=record_metrics,
-            workers=workers,
-        )
+        return cls(counter=name, options=options, batch_size=batch_size, workers=workers)

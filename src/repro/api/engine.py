@@ -51,7 +51,6 @@ from repro.faults.injector import (
 )
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.instrumentation.cost_model import CostModel
-from repro.instrumentation.metrics import UpdateMetrics
 
 #: Event kinds emitted by :meth:`FourCycleEngine.subscribe` subscribers.
 EVENT_UPDATE_APPLIED = "update-applied"
@@ -223,10 +222,6 @@ class FourCycleEngine:
     @property
     def cost(self) -> CostModel:
         return self._counter.cost
-
-    @property
-    def metrics(self) -> Optional[UpdateMetrics]:
-        return self._counter.metrics
 
     def is_consistent(self) -> bool:
         """Whether the maintained count matches a from-scratch recount."""

@@ -387,7 +387,6 @@ class AssadiShahCounter(OracleBackedCounter):
         eps: Optional[float] = None,
         delta: Optional[float] = None,
         min_phase_length: int = 16,
-        record_metrics: bool = False,
         workers: int = 1,
     ) -> None:
         oracle = AssadiShahThreePathOracle(
@@ -396,7 +395,7 @@ class AssadiShahCounter(OracleBackedCounter):
             delta=delta,
             min_phase_length=min_phase_length,
         )
-        super().__init__(oracle=oracle, record_metrics=record_metrics, workers=workers)
+        super().__init__(oracle=oracle, workers=workers)
 
     @property
     def main_oracle(self) -> AssadiShahThreePathOracle:

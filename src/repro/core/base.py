@@ -40,8 +40,8 @@ semantics are:
   implementation replays the normalized updates through the same
   query-before/after-maintenance sequencing as :meth:`apply`, so every
   per-update delta is still a count of genuine 3-paths;
-* intermediate counts *within* a batch are not reported; metrics record one
-  :class:`~repro.instrumentation.metrics.UpdateRecord` per batch.
+* intermediate counts *within* a batch are not reported; the harness
+  measures the whole window as one entry of its per-update metrics.
 
 Concrete counters can amortize work across the window by overriding
 :meth:`DynamicFourCycleCounter._batch_hook` (replace the replay entirely, e.g.
@@ -54,8 +54,7 @@ rebuild checks to the batch boundary while keeping the per-update replay).
 from __future__ import annotations
 
 import abc
-import time
-from typing import Hashable, Iterable, List, Optional, Union
+from typing import Hashable, Iterable, List, Union
 
 import numpy as np
 
@@ -75,7 +74,6 @@ from repro.graph.updates import (
     normalize_batch,
 )
 from repro.instrumentation.cost_model import CostModel
-from repro.instrumentation.metrics import UpdateMetrics, UpdateRecord
 from repro.matmul.engine import CsrMatrix
 from repro.matmul.scheduler import ProductDispatcher
 from repro.matmul.sharding import ShardExecutor
@@ -94,7 +92,7 @@ class DynamicFourCycleCounter(abc.ABC):
     #: rebuild-style fast paths pay a fixed per-batch kernel cost).
     batch_fast_path_threshold: int = 32
 
-    def __init__(self, record_metrics: bool = False, workers: int = 1) -> None:
+    def __init__(self, workers: int = 1) -> None:
         #: The batched ``_batch_hook`` fast paths build their vectorized
         #: kernels on the graph's interned representation; the per-update
         #: paths read its label adjacency.
@@ -102,7 +100,6 @@ class DynamicFourCycleCounter(abc.ABC):
         self._count = 0
         self._updates_processed = 0
         self.cost = CostModel()
-        self.metrics: Optional[UpdateMetrics] = UpdateMetrics() if record_metrics else None
         #: Density-aware dense-BLAS vs CSR-SpGEMM choice for the batch hooks'
         #: whole-graph products, decided per product from cost estimates.
         self.product_dispatcher = ProductDispatcher(workers=workers)
@@ -174,11 +171,8 @@ class DynamicFourCycleCounter(abc.ABC):
 
     def apply(self, update: EdgeUpdate) -> int:
         """Process one update and return the new 4-cycle count."""
-        started = time.perf_counter()
-        before = self.cost.snapshot() if self.metrics is not None else None
         self._apply_update_core(update)
         self._updates_processed += 1
-        self._record_metrics(started, before, update.is_insert)
         return self._count
 
     def apply_batch(self, updates: Union[UpdateBatch, Iterable[EdgeUpdate]]) -> int:
@@ -187,16 +181,12 @@ class DynamicFourCycleCounter(abc.ABC):
         Raw windows are normalized first (insert/delete pairs cancel,
         consistency is validated once against the live graph); an
         already-normalized :class:`~repro.graph.updates.UpdateBatch` is
-        consumed as-is.  The count is exact at the batch boundary; metrics
-        record a single :class:`~repro.instrumentation.metrics.UpdateRecord`
-        for the whole batch.
+        consumed as-is.  The count is exact at the batch boundary.
         """
         if isinstance(updates, UpdateBatch):
             batch = updates
         else:
             batch = normalize_batch(updates, self._graph.has_edge)
-        started = time.perf_counter()
-        before = self.cost.snapshot() if self.metrics is not None else None
         if not batch.is_empty:
             self._begin_batch(batch)
             try:
@@ -209,10 +199,6 @@ class DynamicFourCycleCounter(abc.ABC):
         else:
             self._register_touched(batch)
         self._updates_processed += batch.raw_size
-        # A zero-length window consumed no stream positions; recording it
-        # would duplicate the previous record's index with a phantom entry.
-        if batch.raw_size > 0:
-            self._record_metrics(started, before, batch.num_insertions >= batch.num_deletions)
         return self._count
 
     def apply_all(self, updates: Iterable[EdgeUpdate]) -> int:
@@ -244,8 +230,8 @@ class DynamicFourCycleCounter(abc.ABC):
         Registers ``vertices`` (in order, so isolated vertices and interner id
         assignment are reproduced), bulk-inserts ``edges`` through the exact
         batched pipeline — which rebuilds every auxiliary structure — and then
-        resets the bookkeeping (update total, cost model, metrics) so the
-        restore itself leaves no trace in measurements.  Returns the count.
+        resets the bookkeeping (update total, cost model) so the restore
+        itself leaves no trace in measurements.  Returns the count.
         Used by :meth:`repro.api.engine.FourCycleEngine.restore`.
         """
         if self._updates_processed or self.num_edges:
@@ -260,8 +246,6 @@ class DynamicFourCycleCounter(abc.ABC):
             self.apply_batch(inserts)
         self._updates_processed = updates_processed
         self.cost.reset()
-        if self.metrics is not None:
-            self.metrics = UpdateMetrics()
         return self._count
 
     def recount(self) -> int:
@@ -274,7 +258,7 @@ class DynamicFourCycleCounter(abc.ABC):
 
     # -- update core -----------------------------------------------------------
     def _apply_update_core(self, update: EdgeUpdate) -> None:
-        """Apply one update (Claim A.3 ordering) without metrics bookkeeping."""
+        """Apply one update (Claim A.3 ordering); the callers count it."""
         u, v = update.u, update.v
         if update.kind is UpdateKind.INSERT:
             self._validate_insert(u, v)
@@ -298,21 +282,6 @@ class DynamicFourCycleCounter(abc.ABC):
         :meth:`DynamicGraph.apply_batch`."""
         for vertex in batch.touched_vertices:
             self._graph.add_vertex(vertex)
-
-    def _record_metrics(self, started: float, before, is_insert: bool) -> None:
-        if self.metrics is None or before is None:
-            return
-        spent = self.cost.snapshot().diff(before)
-        self.metrics.record(
-            UpdateRecord(
-                index=self._updates_processed - 1,
-                operations=spent.total,
-                seconds=time.perf_counter() - started,
-                edge_count=self._graph.num_edges,
-                is_insert=is_insert,
-                categories=dict(spent.categories),
-            )
-        )
 
     # -- hooks for subclasses --------------------------------------------------
     def _batch_hook(self, batch: UpdateBatch) -> bool:

@@ -598,10 +598,8 @@ class OracleBackedCounter(DynamicFourCycleCounter):
 
     name = "oracle-backed"
 
-    def __init__(
-        self, oracle: ThreePathOracle, record_metrics: bool = False, workers: int = 1
-    ) -> None:
-        super().__init__(record_metrics=record_metrics, workers=workers)
+    def __init__(self, oracle: ThreePathOracle, workers: int = 1) -> None:
+        super().__init__(workers=workers)
         self._oracle = oracle
         # Share one cost model so oracle work shows up in the counter's totals,
         # and one shard executor so the oracle's rebuild products parallelize

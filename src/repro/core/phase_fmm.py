@@ -30,7 +30,6 @@ class PhaseFMMCounter(OracleBackedCounter):
         phase_length: Optional[int] = None,
         delta: Optional[float] = None,
         min_phase_length: int = 16,
-        record_metrics: bool = False,
         workers: int = 1,
     ) -> None:
         oracle = PhaseThreePathOracle(
@@ -38,7 +37,7 @@ class PhaseFMMCounter(OracleBackedCounter):
             delta=delta,
             min_phase_length=min_phase_length,
         )
-        super().__init__(oracle=oracle, record_metrics=record_metrics, workers=workers)
+        super().__init__(oracle=oracle, workers=workers)
 
     @property
     def phase_oracle(self) -> PhaseThreePathOracle:

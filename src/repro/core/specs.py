@@ -51,7 +51,6 @@ class OptionSpec:
 
 #: Options shared by every built-in counter (handled by the base class).
 COMMON_OPTIONS: Tuple[OptionSpec, ...] = (
-    OptionSpec("record_metrics", False, "record one UpdateRecord per update/batch"),
     OptionSpec("workers", 1, "shard-parallel SpGEMM worker count (1 = serial kernels)"),
 )
 

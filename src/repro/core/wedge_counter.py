@@ -41,11 +41,10 @@ class WedgeCounter(DynamicFourCycleCounter):
 
     def __init__(
         self,
-        record_metrics: bool = False,
         workers: int = 1,
         incremental: Optional[bool] = None,
     ) -> None:
-        super().__init__(record_metrics=record_metrics, workers=workers)
+        super().__init__(workers=workers)
         #: ``wedges[a][b]`` = number of common neighbors of ``a`` and ``b``;
         #: stored symmetrically (both orientations) for O(1) lookups.
         self._wedges = CountMatrix()

@@ -14,7 +14,8 @@
    costs.  One torn final record is tolerated — and, symmetrically, one
    *rejected* final record: a window the counter refused whose rollback
    truncate the crash beat to disk is re-rejected on replay (the final record
-   is always applied alone) and dropped from the log;
+   is always applied alone, after a check that its labels are hashable) and
+   dropped from the log;
 4. re-attaches the WAL, handing the writer the reader's summary so it resumes
    where the crashed engine stopped without reading the log again.
 
@@ -158,8 +159,11 @@ def recover(
         # committed-but-never-applied window: the engine commits, the counter
         # rejects, and a crash lands before the rollback truncate is durable.
         # Apply it alone; if the counter rejects it now it was rejected then,
-        # so drop it from the log like a torn tail.
+        # so drop it from the log like a torn tail.  Earlier versions logged
+        # a window with a JSON-object label before refusing it, so such a
+        # label is a rejection too.
         try:
+            _check_hashable(final.updates)
             engine.apply_batch(final.updates)
         except ReproError:
             os.truncate(wal, final.offset)
@@ -193,6 +197,14 @@ def recover(
         count=engine.count,
     )
     return engine, report
+
+
+def _check_hashable(updates) -> None:
+    """Refuse a window holding an unhashable vertex label."""
+    try:
+        hash(tuple(updates))
+    except TypeError as error:
+        raise InvalidUpdateError(f"unhashable vertex label: {error}") from error
 
 
 def _replay_window(engine, window) -> None:

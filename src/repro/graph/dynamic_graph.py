@@ -14,15 +14,14 @@ contiguous integer id in first-seen order.  Adjacency is kept twice: as label
 sets, which the per-update counter paths read, and mirrored as int-id sets
 indexed by id.  A CSR view (``indptr``/``indices`` numpy arrays) of the int-id
 sets is cached and rebuilt lazily whenever the graph has mutated since the
-last export.  The derived views — ``common_neighbors``, ``degree_histogram``,
-``edges``, :meth:`DynamicGraph.interned_adjacency_matrix` — and the counters'
-batched numpy kernels all read the int-id side, which turns label-keyed Python
+last export.  The derived views — ``common_neighbors``, ``edges``,
+:meth:`DynamicGraph.interned_adjacency_matrix` — and the counters' batched
+numpy kernels all read the int-id side, which turns label-keyed Python
 loops into integer set operations and vectorized numpy scatters.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Union
 
 import numpy as np
@@ -412,50 +411,6 @@ class DynamicGraph:
         if len(indices):
             matrix[expand_csr_rows(indptr), indices] = 1
         return matrix, self._interner.labels
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Map from degree value to the number of vertices with that degree.
-
-        When the CSR view is warm (the common case inside batched kernels,
-        which have just exported it), the degrees fall out of ``indptr`` as
-        one vectorized ``diff`` + ``bincount``; otherwise the plain counting
-        loop is used — rebuilding the CSR just for a histogram would cost more
-        than it saves.
-        """
-        cache = self._csr_cache
-        if cache is not None and cache[0] == self._version:
-            degrees = np.diff(cache[1])
-            if not len(degrees):
-                return {}
-            counts = np.bincount(degrees)
-            (nonzero,) = np.nonzero(counts)
-            return {int(degree): int(counts[degree]) for degree in nonzero}
-        return dict(Counter(len(neighbors) for neighbors in self._adjacency.values()))
-
-    def max_degree(self) -> int:
-        """The maximum degree over all vertices (0 for an empty graph)."""
-        if not self._adjacency:
-            return 0
-        return max(len(neighbors) for neighbors in self._adjacency.values())
-
-    def h_index(self) -> int:
-        """The graph h-index: the largest ``h`` with ``h`` vertices of degree
-        at least ``h`` (the parameter of Eppstein–Spiro dynamic counting,
-        mentioned in the paper's related work).
-
-        Computed from the degree histogram with an early exit: only the
-        distinct degree values down to the answer are visited, instead of
-        materializing and sorting the full per-vertex degree list.
-        """
-        histogram = self.degree_histogram()
-        at_least = 0
-        h = 0
-        for degree in sorted(histogram, reverse=True):
-            at_least += histogram[degree]
-            h = max(h, min(degree, at_least))
-            if at_least >= degree:
-                break
-        return h
 
     def to_edge_set(self) -> set[tuple[Vertex, Vertex]]:
         """The current edge set as canonical pairs."""

@@ -1,7 +1,8 @@
-"""Instrumentation: operation-count cost model, per-update metrics, and the
-experiment harness."""
+"""Instrumentation: the operation-count cost model every counter charges, and
+the experiment harness, which measures each update or batch window as the
+change of that model's total plus its wall-clock seconds."""
 
-from repro.instrumentation.cost_model import STANDARD_CATEGORIES, CostModel, CostSnapshot
+from repro.instrumentation.cost_model import CostModel
 from repro.instrumentation.harness import (
     RunResult,
     compare_counters,
@@ -15,17 +16,13 @@ from repro.instrumentation.harness import (
 from repro.instrumentation.metrics import (
     MetricsSummary,
     UpdateMetrics,
-    UpdateRecord,
     fit_power_law,
     percentile,
 )
 
 __all__ = [
     "CostModel",
-    "CostSnapshot",
-    "STANDARD_CATEGORIES",
     "UpdateMetrics",
-    "UpdateRecord",
     "MetricsSummary",
     "percentile",
     "fit_power_law",

@@ -7,66 +7,21 @@ scans, hash-map probes, wedge lookups, and multiply-adds inside matrix
 products.  Every counter charges its work to a :class:`CostModel`, and the
 benchmarks report those counts next to wall-clock time.
 
-The categories are free-form strings; the conventional ones used by the
-counters are listed in :data:`STANDARD_CATEGORIES`.
+The categories are free-form strings (``adjacency_probe``,
+``neighborhood_scan``, ``structure_update``, ``matmul_ops``, ...); the
+operations of an update are the change of :meth:`CostModel.total` across it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping
-
-#: Categories used by the built-in counters.  Free-form categories are allowed;
-#: these are just the conventional names so reports line up across algorithms.
-STANDARD_CATEGORIES = (
-    "adjacency_probe",      # single has-edge / set-membership check
-    "neighborhood_scan",    # one neighbor visited during an iteration
-    "structure_update",     # one entry of an auxiliary count structure changed
-    "structure_lookup",     # one entry of an auxiliary count structure read
-    "matmul_ops",           # one multiply-add inside a (fast) matrix product
-    "rebuild_ops",          # work done rebuilding structures on class changes
-    "query_ops",            # miscellaneous per-query work
-)
-
-
-@dataclass
-class CostSnapshot:
-    """An immutable copy of the per-category totals at some instant."""
-
-    categories: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.categories.values())
-
-    def get(self, category: str) -> int:
-        return self.categories.get(category, 0)
-
-    def diff(self, earlier: "CostSnapshot") -> "CostSnapshot":
-        """The per-category difference ``self - earlier``."""
-        keys = set(self.categories) | set(earlier.categories)
-        return CostSnapshot(
-            {key: self.categories.get(key, 0) - earlier.categories.get(key, 0) for key in keys}
-        )
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self.categories.items())
+from typing import Dict, Mapping
 
 
 class CostModel:
     """A mutable accumulator of per-category operation counts."""
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._categories: Dict[str, int] = {}
-        self._enabled = enabled
-
-    @property
-    def enabled(self) -> bool:
-        """Whether charges are being accumulated (see :meth:`disable`)."""
-        return self._enabled
-
-    def enable(self) -> None:
-        """Resume accumulating charges."""
         self._enabled = True
 
     def disable(self) -> None:
@@ -91,17 +46,8 @@ class CostModel:
     def get(self, category: str) -> int:
         return self._categories.get(category, 0)
 
-    def snapshot(self) -> CostSnapshot:
-        """A frozen copy of the current totals."""
-        return CostSnapshot(dict(self._categories))
-
     def reset(self) -> None:
         self._categories.clear()
-
-    def merge(self, other: "CostModel") -> None:
-        """Add another model's totals into this one."""
-        for category, amount in other._categories.items():
-            self.charge(category, amount)
 
     def as_dict(self) -> Mapping[str, int]:
         return dict(self._categories)

@@ -1,8 +1,9 @@
 """Experiment harness: run counters over update streams and compare them.
 
 The harness is what the benchmarks and examples share: it replays an
-:class:`~repro.graph.updates.UpdateStream` through one or several counters,
-records per-update metrics, optionally validates every intermediate count
+:class:`~repro.graph.updates.UpdateStream` through one or several counters
+in windows (one update each, or ``apply_batch`` windows), records each
+window's operations and seconds, optionally validates every window's count
 against a reference counter, and produces comparable summaries.
 
 Counters are constructed through the :mod:`repro.api` facade:
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import CounterStateError
 from repro.graph.updates import UpdateStream
-from repro.instrumentation.metrics import MetricsSummary, UpdateMetrics, UpdateRecord
+from repro.instrumentation.metrics import MetricsSummary, UpdateMetrics
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a circular import
     from repro.api.config import EngineConfig
@@ -39,11 +40,11 @@ class RunResult:
     final_count: int
     final_edge_count: int
     counts: List[int] = field(default_factory=list)
-    metrics: Optional[UpdateMetrics] = None
+    metrics: UpdateMetrics = field(default_factory=UpdateMetrics)
     validated: bool = False
 
-    def summary(self) -> Optional[MetricsSummary]:
-        return self.metrics.summary() if self.metrics is not None else None
+    def summary(self) -> MetricsSummary:
+        return self.metrics.summary()
 
 
 def _resolve_batch_size(target: "RunTarget", batch_size: Optional[int]) -> int:
@@ -77,12 +78,10 @@ def run_engine(
 ) -> RunResult:
     """Replay ``stream`` through an engine and collect metrics.
 
-    Per-update metrics are recorded here (rather than relying on the engine's
-    own optional metrics) so any engine can be measured.  The batch size comes
-    from the engine's config unless overridden; with a batch size above 1 the
-    stream goes through ``apply_batch`` windows, one
-    :class:`~repro.instrumentation.metrics.UpdateRecord` per window, and
-    ``counts`` holds the (exact) batch-boundary counts.
+    The batch size comes from the engine's config unless overridden; with a
+    batch size above 1 the stream goes through ``apply_batch`` windows, the
+    metrics hold one entry per window, and ``counts`` holds the (exact)
+    batch-boundary counts.
     """
     return _replay(engine, stream, _resolve_batch_size(engine, batch_size), record_counts)
 
@@ -92,30 +91,43 @@ def _replay(
     stream: UpdateStream,
     batch_size: int,
     record_counts: bool,
+    reference: Optional["RunTarget"] = None,
+    check_every: int = 1,
 ) -> RunResult:
-    """Measured replay shared by engines and raw counters."""
-    if batch_size > 1:
-        return _replay_batched(target, stream, batch_size, record_counts)
+    """The measured replay loop shared by every harness entry point.
+
+    A window size of 1 drives ``apply``, a larger one ``apply_batch``.  Each
+    window records its seconds and its operations, the change of
+    ``cost.total()`` across the call.  A ``reference`` target replays the
+    same windows and its count is compared every ``check_every`` windows.
+    """
+    step = "apply" if batch_size <= 1 else "apply_batch"
+    windows = stream if batch_size <= 1 else stream.batched(batch_size)
+    apply = getattr(target, step)
+    check = getattr(reference, step) if reference is not None else None
+    cost = target.cost
     metrics = UpdateMetrics()
     counts: List[int] = []
-    for index, update in enumerate(stream):
-        before_ops = target.cost.snapshot()
+    for index, window in enumerate(windows):
+        before = cost.total()
         started = time.perf_counter()
-        count = target.apply(update)
+        count = apply(window)
         elapsed = time.perf_counter() - started
-        spent = target.cost.snapshot().diff(before_ops)
-        metrics.record(
-            UpdateRecord(
-                index=index,
-                operations=spent.total,
-                seconds=elapsed,
-                edge_count=target.num_edges,
-                is_insert=update.is_insert,
-                categories=dict(spent.categories),
-            )
-        )
+        metrics.record(cost.total() - before, elapsed)
+        if check is not None:
+            expected = check(window)
+            if index % check_every == 0 and count != expected:
+                raise CounterStateError(
+                    f"counter {target.name!r} diverged at window #{index} "
+                    f"({window!r}): got {count}, expected {expected}"
+                )
         if record_counts:
             counts.append(count)
+    if reference is not None and target.count != reference.count:
+        raise CounterStateError(
+            f"counter {target.name!r} ended with count {target.count}, "
+            f"reference ended with {reference.count}"
+        )
     return RunResult(
         counter_name=target.name,
         stream_length=len(stream),
@@ -123,46 +135,7 @@ def _replay(
         final_edge_count=target.num_edges,
         counts=counts,
         metrics=metrics,
-    )
-
-
-def _replay_batched(
-    target: "RunTarget",
-    stream: UpdateStream,
-    batch_size: int,
-    record_counts: bool,
-) -> RunResult:
-    """Batched replay: one metrics record and one count per window."""
-    metrics = UpdateMetrics()
-    counts: List[int] = []
-    for index, window in enumerate(stream.batched(batch_size)):
-        before_ops = target.cost.snapshot()
-        edges_before = target.num_edges
-        started = time.perf_counter()
-        count = target.apply_batch(window)
-        elapsed = time.perf_counter() - started
-        spent = target.cost.snapshot().diff(before_ops)
-        metrics.record(
-            UpdateRecord(
-                index=index,
-                operations=spent.total,
-                seconds=elapsed,
-                edge_count=target.num_edges,
-                # Same labeling rule as the counter's own per-batch record:
-                # a batch counts as "insert" when its net edge delta is >= 0.
-                is_insert=target.num_edges >= edges_before,
-                categories=dict(spent.categories),
-            )
-        )
-        if record_counts:
-            counts.append(count)
-    return RunResult(
-        counter_name=target.name,
-        stream_length=len(stream),
-        final_count=target.count,
-        final_edge_count=target.num_edges,
-        counts=counts,
-        metrics=metrics,
+        validated=reference is not None,
     )
 
 
@@ -213,45 +186,7 @@ def run_validated(
         reference = FourCycleEngine("brute-force")
     if check_every <= 0:
         raise ValueError(f"check_every must be positive, got {check_every}")
-    metrics = UpdateMetrics()
-    counts: List[int] = []
-    for index, update in enumerate(stream):
-        before_ops = target.cost.snapshot()
-        started = time.perf_counter()
-        count = target.apply(update)
-        elapsed = time.perf_counter() - started
-        spent = target.cost.snapshot().diff(before_ops)
-        expected = reference.apply(update)
-        if index % check_every == 0 and count != expected:
-            raise CounterStateError(
-                f"counter {target.name!r} diverged at update #{index} "
-                f"({update!r}): got {count}, expected {expected}"
-            )
-        metrics.record(
-            UpdateRecord(
-                index=index,
-                operations=spent.total,
-                seconds=elapsed,
-                edge_count=target.num_edges,
-                is_insert=update.is_insert,
-                categories=dict(spent.categories),
-            )
-        )
-        counts.append(count)
-    if target.count != reference.count:
-        raise CounterStateError(
-            f"counter {target.name!r} ended with count {target.count}, "
-            f"reference ended with {reference.count}"
-        )
-    return RunResult(
-        counter_name=target.name,
-        stream_length=len(stream),
-        final_count=target.count,
-        final_edge_count=target.num_edges,
-        counts=counts,
-        metrics=metrics,
-        validated=True,
-    )
+    return _replay(target, stream, 1, True, reference, check_every)
 
 
 def compare_counters(
@@ -292,21 +227,17 @@ def summary_table(results: Dict[str, RunResult]) -> List[Dict[str, object]]:
     for name in sorted(results):
         result = results[name]
         summary = result.summary()
-        row: Dict[str, object] = {
-            "counter": name,
-            "final_count": result.final_count,
-            "final_edges": result.final_edge_count,
-        }
-        if summary is not None:
-            row.update(
-                {
-                    "mean_ops": round(summary.mean_operations, 1),
-                    "p99_ops": round(summary.p99_operations, 1),
-                    "max_ops": summary.max_operations,
-                    "total_seconds": round(summary.total_seconds, 4),
-                }
-            )
-        rows.append(row)
+        rows.append(
+            {
+                "counter": name,
+                "final_count": result.final_count,
+                "final_edges": result.final_edge_count,
+                "mean_ops": round(summary.mean_operations, 1),
+                "p99_ops": round(summary.p99_operations, 1),
+                "max_ops": summary.max_operations,
+                "total_seconds": round(summary.total_seconds, 4),
+            }
+        )
     return rows
 
 

@@ -2,27 +2,15 @@
 
 The paper's bound is *worst-case per update*, so the interesting statistics are
 the maximum and the high percentiles, not just the mean.  :class:`UpdateMetrics`
-stores one record per update and exposes the summary statistics the benchmark
-harness prints.
+keeps the operations and seconds of every measured update (or batch window)
+and exposes the summary statistics the benchmark harness prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class UpdateRecord:
-    """Cost of processing a single update."""
-
-    index: int
-    operations: int
-    seconds: float
-    edge_count: int
-    is_insert: bool
-    categories: Dict[str, int] = field(default_factory=dict)
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -51,100 +39,36 @@ def percentile(values: Sequence[float], fraction: float) -> float:
 class MetricsSummary:
     """Summary statistics over a run (operations unless noted otherwise)."""
 
-    updates: int
-    total_operations: int
     mean_operations: float
-    median_operations: float
-    p95_operations: float
     p99_operations: float
     max_operations: int
     total_seconds: float
     mean_seconds: float
-    max_seconds: float
-    final_edge_count: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "updates": self.updates,
-            "total_operations": self.total_operations,
-            "mean_operations": self.mean_operations,
-            "median_operations": self.median_operations,
-            "p95_operations": self.p95_operations,
-            "p99_operations": self.p99_operations,
-            "max_operations": self.max_operations,
-            "total_seconds": self.total_seconds,
-            "mean_seconds": self.mean_seconds,
-            "max_seconds": self.max_seconds,
-            "final_edge_count": self.final_edge_count,
-        }
 
 
 class UpdateMetrics:
-    """Collects one :class:`UpdateRecord` per processed update."""
+    """The operations and seconds of each measured update (or window)."""
 
     def __init__(self) -> None:
-        self._records: List[UpdateRecord] = []
+        self._operations: List[int] = []
+        self._seconds: List[float] = []
 
-    def record(self, record: UpdateRecord) -> None:
-        self._records.append(record)
-
-    @property
-    def records(self) -> List[UpdateRecord]:
-        return list(self._records)
+    def record(self, operations: int, seconds: float) -> None:
+        self._operations.append(operations)
+        self._seconds.append(seconds)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def operations(self) -> List[int]:
-        return [record.operations for record in self._records]
-
-    def seconds(self) -> List[float]:
-        return [record.seconds for record in self._records]
-
-    def worst_case_operations(self) -> int:
-        """The maximum per-update operation count (the paper's figure of merit)."""
-        if not self._records:
-            return 0
-        return max(record.operations for record in self._records)
-
-    def amortized_operations(self) -> float:
-        """Mean per-update operation count."""
-        if not self._records:
-            return 0.0
-        return sum(record.operations for record in self._records) / len(self._records)
+        return len(self._operations)
 
     def summary(self) -> MetricsSummary:
-        operations = self.operations()
-        seconds = self.seconds()
-        final_edges = self._records[-1].edge_count if self._records else 0
+        operations, seconds = self._operations, self._seconds
         return MetricsSummary(
-            updates=len(self._records),
-            total_operations=sum(operations),
             mean_operations=(sum(operations) / len(operations)) if operations else 0.0,
-            median_operations=percentile(operations, 0.5),
-            p95_operations=percentile(operations, 0.95),
             p99_operations=percentile(operations, 0.99),
             max_operations=max(operations) if operations else 0,
             total_seconds=sum(seconds),
             mean_seconds=(sum(seconds) / len(seconds)) if seconds else 0.0,
-            max_seconds=max(seconds) if seconds else 0.0,
-            final_edge_count=final_edges,
         )
-
-    def bucketed_by_edge_count(self, bucket_width: int) -> Dict[int, float]:
-        """Mean operations grouped by ``edge_count // bucket_width`` buckets.
-
-        Used by the scaling experiment (E5) to plot cost against ``m``.
-        """
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        sums: Dict[int, int] = {}
-        counts: Dict[int, int] = {}
-        for record in self._records:
-            bucket = record.edge_count // bucket_width
-            sums[bucket] = sums.get(bucket, 0) + record.operations
-            counts[bucket] = counts.get(bucket, 0) + 1
-        return {bucket: sums[bucket] / counts[bucket] for bucket in sums}
 
 
 def fit_power_law(edge_counts: Sequence[int], costs: Sequence[float]) -> Optional[float]:

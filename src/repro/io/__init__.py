@@ -1,5 +1,5 @@
-"""Persistence helpers for streams, layered updates, metrics, summaries, and
-engine snapshots."""
+"""Persistence helpers for update streams, layered updates, and engine
+snapshots."""
 
 from repro.io.serialization import (
     edge_update_from_dict,
@@ -8,14 +8,10 @@ from repro.io.serialization import (
     layered_update_to_dict,
     load_engine_snapshot,
     load_layered_updates,
-    load_metrics_csv,
     load_stream,
-    load_summary_json,
     save_engine_snapshot,
     save_layered_updates,
-    save_metrics_csv,
     save_stream,
-    save_summary_json,
 )
 
 __all__ = [
@@ -27,10 +23,6 @@ __all__ = [
     "load_stream",
     "save_layered_updates",
     "load_layered_updates",
-    "save_metrics_csv",
-    "load_metrics_csv",
-    "save_summary_json",
-    "load_summary_json",
     "save_engine_snapshot",
     "load_engine_snapshot",
 ]

@@ -1,9 +1,9 @@
-"""Persistence of update streams, workloads, and experiment results.
+"""Persistence of update streams, layered workloads, and engine snapshots.
 
 Reproducibility plumbing: benchmark runs and examples can save the exact
-update stream they used (JSON lines) and the per-update metrics they measured
-(CSV/JSON), so a result can be re-checked later or on another machine without
-re-generating the workload.
+update stream they used (JSON lines), so a result can be re-checked later or
+on another machine without re-generating the workload, and engines save
+checksummed snapshots of their exact state.
 
 Only plain-text formats are used; vertex labels must be JSON-serializable
 (ints and strings cover every built-in workload).  JSON has no tuples, so a
@@ -13,7 +13,6 @@ WAL's) hands an array back as a tuple through :func:`decode_label`.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import zlib
@@ -22,7 +21,6 @@ from typing import Iterable, Iterator, List, Union
 
 from repro.exceptions import ConfigurationError, InvalidUpdateError, SnapshotCorruptionError
 from repro.graph.updates import EdgeUpdate, LayeredEdgeUpdate, UpdateKind, UpdateStream
-from repro.instrumentation.metrics import UpdateMetrics, UpdateRecord
 
 PathLike = Union[str, Path]
 
@@ -245,60 +243,4 @@ def load_engine_snapshot(path: PathLike) -> dict:
         raise SnapshotCorruptionError(
             f"{source}: malformed vertices/edges payload: {error}"
         ) from error
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-_METRICS_COLUMNS = ("index", "operations", "seconds", "edge_count", "is_insert")
-
-
-def save_metrics_csv(metrics: UpdateMetrics, path: PathLike) -> None:
-    """Write per-update metrics as CSV (one row per update)."""
-    target = Path(path)
-    with target.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_METRICS_COLUMNS)
-        for record in metrics.records:
-            writer.writerow(
-                [record.index, record.operations, record.seconds, record.edge_count, int(record.is_insert)]
-            )
-
-
-def load_metrics_csv(path: PathLike) -> UpdateMetrics:
-    """Read metrics written by :func:`save_metrics_csv`."""
-    source = Path(path)
-    metrics = UpdateMetrics()
-    with source.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(_METRICS_COLUMNS) - set(reader.fieldnames):
-            raise ConfigurationError(
-                f"{source}: expected columns {_METRICS_COLUMNS}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            metrics.record(
-                UpdateRecord(
-                    index=int(row["index"]),
-                    operations=int(row["operations"]),
-                    seconds=float(row["seconds"]),
-                    edge_count=int(row["edge_count"]),
-                    is_insert=bool(int(row["is_insert"])),
-                )
-            )
-    return metrics
-
-
-def save_summary_json(summary_rows: Iterable[dict], path: PathLike) -> None:
-    """Write a list of summary dictionaries (e.g. from the harness) as JSON."""
-    target = Path(path)
-    target.write_text(json.dumps(list(summary_rows), indent=2, sort_keys=True), encoding="utf-8")
-
-
-def load_summary_json(path: PathLike) -> List[dict]:
-    """Read summaries written by :func:`save_summary_json`."""
-    source = Path(path)
-    payload = json.loads(source.read_text(encoding="utf-8"))
-    if not isinstance(payload, list):
-        raise ConfigurationError(f"{source}: expected a JSON list, got {type(payload).__name__}")
     return payload

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import fields
 
 import pytest
@@ -27,13 +28,22 @@ class TestValidation:
     def test_reserved_options_must_use_fields(self):
         with pytest.raises(ConfigurationError, match="workers"):
             EngineConfig(counter="wedge", options={"workers": 2})
-        with pytest.raises(ConfigurationError, match="record_metrics"):
-            EngineConfig(counter="wedge", options={"record_metrics": True})
+        with pytest.raises(ConfigurationError, match="wal_path.*EngineConfig field"):
+            EngineConfig(counter="wedge", options={"wal_path": "run.wal"})
 
     @pytest.mark.parametrize("batch_size", [0, -3, 1.5, True])
     def test_bad_batch_size_rejected(self, batch_size):
         with pytest.raises(ConfigurationError, match="batch_size"):
             EngineConfig(counter="wedge", batch_size=batch_size)
+
+    def test_bytes_wal_path_is_decoded(self, tmp_path):
+        path = tmp_path / "run.wal"
+        config = EngineConfig(counter="wedge", wal_path=os.fsencode(path))
+        assert config == EngineConfig(counter="wedge", wal_path=str(path))
+        with FourCycleEngine(config) as engine:
+            engine.insert(0, 1)
+        assert engine.config.wal_path == str(path)
+        assert path.stat().st_size > 0
 
     def test_counter_specific_options_accepted(self):
         config = EngineConfig(counter="phase-fmm", options={"phase_length": 9})
@@ -62,7 +72,6 @@ class TestRoundTrips:
             options={"phase_length": 32},
             batch_size=64,
             workers=2,
-            record_metrics=True,
             track_costs=False,
         )
         assert EngineConfig.from_dict(config.to_dict()) == config
@@ -80,11 +89,10 @@ class TestRoundTrips:
     def test_from_counter_kwargs_lifts_common_options(self):
         config = EngineConfig.from_counter_kwargs(
             "phase-fmm",
-            {"phase_length": 5, "workers": 2, "record_metrics": True},
+            {"phase_length": 5, "workers": 2},
             batch_size=8,
         )
         assert config.workers == 2
-        assert config.record_metrics is True
         assert config.options == {"phase_length": 5}
         assert config.batch_size == 8
 
@@ -109,7 +117,7 @@ class TestRoundTrips:
 
     def test_fields_are_the_engine_settings_only(self):
         assert [item.name for item in fields(EngineConfig)] == [
-            "counter", "options", "batch_size", "record_metrics", "track_costs",
+            "counter", "options", "batch_size", "track_costs",
             "workers", "wal_path", "snapshot_every", "fsync_policy",
         ]
 
@@ -156,6 +164,34 @@ class TestRoundTrips:
             EngineConfig(counter="wedge", options={key: value})
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             EngineConfig.from_counter_kwargs("wedge", {key: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_legacy_record_metrics_is_accepted_and_dropped(self, value):
+        """Snapshots and WAL meta files written while the counters carried
+        their own per-update recorder hold ``record_metrics``."""
+        legacy = dict(EngineConfig(counter="wedge", batch_size=4).to_dict(), record_metrics=value)
+        config = EngineConfig.from_dict(legacy)
+        assert config == EngineConfig(counter="wedge", batch_size=4)
+        assert "record_metrics" not in config.to_dict()
+
+    @pytest.mark.parametrize("value", ["yes", "true", 1, None])
+    def test_legacy_record_metrics_other_values_are_refused(self, value):
+        with pytest.raises(ConfigurationError, match="record_metrics=.*recorder was removed"):
+            EngineConfig.from_dict({"counter": "wedge", "record_metrics": value})
+
+    def test_record_metrics_is_refused_outside_persisted_configs(self):
+        with pytest.raises(TypeError, match="record_metrics"):
+            EngineConfig(counter="wedge", record_metrics=True)
+        with pytest.raises(TypeError, match="record_metrics"):
+            EngineConfig(counter="wedge").with_updates(record_metrics=True)
+        with pytest.raises(TypeError, match="record_metrics"):
+            FourCycleEngine(EngineConfig(counter="wedge"), record_metrics=True)
+        with pytest.raises(TypeError, match="record_metrics"):
+            FourCycleEngine("wedge", record_metrics=True)
+        with pytest.raises(ConfigurationError, match="'record_metrics'"):
+            EngineConfig(counter="wedge", options={"record_metrics": True})
+        with pytest.raises(ConfigurationError, match="'record_metrics'"):
+            EngineConfig.from_counter_kwargs("wedge", {"record_metrics": True})
 
     def test_with_updates(self):
         config = EngineConfig(counter="wedge")

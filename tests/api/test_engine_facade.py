@@ -232,11 +232,11 @@ class TestSnapshots:
         ) == engine.apply(next(iter(TupleFeedSource([TupleUpdate.delete("A", 1, 1)]))))
 
     def test_restore_resets_bookkeeping_noise(self):
-        engine = FourCycleEngine(EngineConfig(counter="wedge", record_metrics=True))
+        engine = FourCycleEngine(EngineConfig(counter="wedge"))
         engine.run(random_dynamic_stream(num_vertices=8, num_updates=40, seed=11))
+        assert engine.cost.total() > 0
         restored = FourCycleEngine.restore(engine.checkpoint())
         assert restored.cost.total() == 0
-        assert restored.metrics is not None and len(restored.metrics) == 0
         assert restored.updates_processed == engine.updates_processed
 
 

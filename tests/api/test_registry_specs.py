@@ -14,6 +14,7 @@ from repro.api import (
 )
 from repro.core.base import DynamicFourCycleCounter
 from repro.core.brute_force import BruteForceCounter
+from repro.core.specs import COMMON_OPTIONS
 from repro.core.wedge_counter import WedgeCounter
 from repro.exceptions import ConfigurationError
 
@@ -42,10 +43,13 @@ class TestSpecs:
         assert not counter_spec("brute-force").needs_oracle
 
     def test_common_options_listed_everywhere(self):
+        assert [option.name for option in COMMON_OPTIONS] == ["workers"]
         for name in BUILTINS:
             names = counter_spec(name).option_names()
-            assert "workers" in names and "record_metrics" in names
-            for removed in ("interned", "backend", "shard_policy", "block_entries"):
+            assert "workers" in names
+            for removed in (
+                "interned", "backend", "shard_policy", "block_entries", "record_metrics"
+            ):
                 assert removed not in names
 
     def test_unknown_counter(self):
@@ -70,6 +74,13 @@ class TestValidationAndCreate:
         with pytest.raises(ConfigurationError, match="'alpha'.*'beta'"):
             counter_spec("hhh22").validate_options({"alpha": 1, "beta": 2})
 
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_record_metrics_is_no_longer_an_option(self, name):
+        with pytest.raises(ConfigurationError, match="'record_metrics'"):
+            counter_spec(name).create(record_metrics=True)
+        with pytest.raises(TypeError, match="record_metrics"):
+            counter_spec(name).factory(record_metrics=True)
+
     def test_phase_options_accepted(self):
         counter = counter_spec("phase-fmm").create(phase_length=11)
         assert counter.phase_length == 11
@@ -85,7 +96,7 @@ class TestRegistration:
             description="test spec",
             asymptotic="O(n)",
             supports_batch_hook=True,
-            options=(OptionSpec("workers", 1), OptionSpec("record_metrics", False)),
+            options=(OptionSpec("workers", 1),),
         )
         register_spec(spec, overwrite=True)
         assert counter_spec("api-test-counter") is spec
@@ -108,9 +119,9 @@ class TestRegistration:
         spec.validate_options({"anything": "goes"})  # no-op, must not raise
         assert spec.option_names() == ()
         register_spec(spec, overwrite=True)
-        counter = counter_spec("api-test-factory").create(record_metrics=True)
+        counter = counter_spec("api-test-factory").create(workers=2)
         assert isinstance(counter, BruteForceCounter)
-        assert counter.metrics is not None
+        assert counter.workers == 2
 
 
 class TestImportLayering:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -78,9 +77,6 @@ class AdjacencyModel:
         return {
             frozenset((u, v)) for u, neighbors in self.adjacency.items() for v in neighbors
         }
-
-    def degree_histogram(self) -> dict:
-        return dict(Counter(len(neighbors) for neighbors in self.adjacency.values()))
 
 
 def random_dynamic_stream(

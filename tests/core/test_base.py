@@ -72,20 +72,6 @@ class TestValidation:
 
 
 class TestMetricsRecording:
-    def test_metrics_disabled_by_default(self):
-        counter = BruteForceCounter()
-        counter.insert_edge(1, 2)
-        assert counter.metrics is None
-
-    def test_metrics_recorded_when_enabled(self):
-        counter = BruteForceCounter(record_metrics=True)
-        counter.apply_all(UpdateStream.from_edges(k4_edges()))
-        assert counter.metrics is not None
-        assert len(counter.metrics) == 6
-        summary = counter.metrics.summary()
-        assert summary.updates == 6
-        assert summary.final_edge_count == 6
-
     def test_cost_model_accumulates(self):
         counter = BruteForceCounter()
         counter.apply_all(UpdateStream.from_edges(k4_edges()))
@@ -119,14 +105,6 @@ class TestApplyBatch:
         # An empty window consumes zero stream positions.
         assert any_counter.updates_processed == 1
         assert any_counter.num_edges == 1
-
-    def test_batch_metrics_recorded_once_per_batch(self):
-        counter = BruteForceCounter(record_metrics=True)
-        stream = UpdateStream.from_edges(k4_edges())
-        for window in stream.batched(3):
-            counter.apply_batch(window)
-        assert counter.metrics is not None
-        assert len(counter.metrics) == 2
 
     def test_inconsistent_batch_rejected_without_state_change(self, any_counter):
         any_counter.insert_edge(1, 2)

@@ -8,6 +8,9 @@ whose subsequent trajectory is bit-identical.
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import pytest
 
 from repro.api import EngineConfig, FourCycleEngine, available_counter_names
@@ -490,6 +493,43 @@ class TestLegacyKernelKeys:
             recover(wal, attach=False)
 
 
+class TestLegacyRecordMetricsKey:
+    """Configs written while the counters had their own per-update recorder
+    carry ``record_metrics`` in every snapshot and ``<wal>.meta.json``."""
+
+    def test_snapshot_restores_bit_identically(self, tmp_path):
+        from repro.io.serialization import load_engine_snapshot, save_engine_snapshot
+
+        updates = stream(seed=10, n=90)
+        reference = FourCycleEngine("assadi-shah")
+        trajectory = [reference.apply(update) for update in updates]
+        engine = FourCycleEngine("assadi-shah")
+        engine.run(updates[:60])
+        path = tmp_path / "legacy.snapshot.json"
+        engine.checkpoint(path)
+        payload = load_engine_snapshot(path)
+        payload["config"]["record_metrics"] = True
+        save_engine_snapshot(payload, path)
+        restored = FourCycleEngine.restore(path)
+        assert restored.config == engine.config
+        assert restored.count == trajectory[59]
+        assert [restored.apply(update) for update in updates[60:]] == trajectory[60:]
+        assert restored.is_consistent()
+
+    def test_meta_without_snapshot_recovers_bit_identically(self, tmp_path):
+        updates = stream(seed=11, n=60)
+        reference = FourCycleEngine("hhh22")
+        trajectory = [reference.apply(update) for update in updates]
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="hhh22", wal_path=str(wal))) as engine:
+            engine.run(updates[:40])
+        save_wal_meta(wal, dict(load_wal_meta(wal), record_metrics=True))
+        recovered, report = recover(wal, attach=False)
+        assert report.snapshot_path is None
+        assert (recovered.name, recovered.count) == ("hhh22", trajectory[39])
+        assert [recovered.apply(update) for update in updates[40:]] == trajectory[40:]
+
+
 class TestReplayWindows:
     """Replay merges records into windows of at least the engine's n + m."""
 
@@ -597,6 +637,23 @@ class TestRejectedTail:
         _, second = recover(wal, attach=False)
         assert not second.rejected_tail_dropped
         assert second.last_seq == 2
+
+    def test_unhashable_label_in_the_final_record_is_dropped(self, tmp_path):
+        """Earlier versions logged a window with a JSON-object label before
+        refusing it, so it can only be the final record."""
+        wal, final = self._durable_pair(tmp_path)
+        body = json.dumps(
+            {"seq": 2, "updates": [[{"x": 1}, 6, "insert"]]}, separators=(",", ":")
+        ).encode("utf-8")
+        with wal.open("ab") as handle:
+            handle.write(b"%08x %s\n" % (zlib.crc32(body), body))
+        recovered, report = recover(wal, attach=False)
+        assert report.rejected_tail_dropped
+        assert (report.last_seq, report.replayed_records) == (1, 2)
+        assert recovered.count == final
+        assert [seq for seq, _ in logged(wal)] == [0, 1]
+        _, second = recover(wal, attach=False)
+        assert not second.rejected_tail_dropped
 
     def test_rejection_before_the_tail_still_raises(self, tmp_path):
         wal, _ = self._durable_pair(tmp_path)

@@ -51,6 +51,10 @@ class TestStructure:
         graph = DynamicGraph(edges=k4_edges())
         assert len(list(graph.edges())) == 6
 
+    def test_edges_canonical_with_mixed_labels(self):
+        graph = DynamicGraph(edges=[("a", 1), (1, 2)])
+        assert set(graph.edges()) == {_canonical_order("a", 1), (1, 2)}
+
 
 class TestUpdates:
     def test_self_loop_rejected(self):
@@ -89,21 +93,6 @@ class TestDerivedViews:
         clone.insert_edge(2, 3)
         assert graph.num_edges == 1
         assert clone.num_edges == 2
-
-    def test_degree_histogram(self):
-        graph = DynamicGraph(edges=square_edges())
-        assert graph.degree_histogram() == {2: 4}
-
-    def test_max_degree(self):
-        graph = DynamicGraph(edges=[(0, 1), (0, 2), (0, 3)])
-        assert graph.max_degree() == 3
-        assert DynamicGraph().max_degree() == 0
-
-    def test_h_index(self):
-        star = DynamicGraph(edges=[(0, i) for i in range(1, 6)])
-        assert star.h_index() == 1
-        clique = DynamicGraph(edges=k4_edges())
-        assert clique.h_index() == 3
 
     def test_to_edge_set(self):
         graph = DynamicGraph(edges=[(2, 1)])
@@ -177,41 +166,6 @@ class TestBulkUpdates:
         batch = normalize_batch([EdgeUpdate.insert(1, 2)])
         graph.apply_batch(batch)
         assert graph.has_edge(1, 2)
-
-
-class TestDegreeStatisticsFastPaths:
-    def test_degree_histogram_counts(self):
-        graph = DynamicGraph(edges=[(1, 2), (2, 3), (2, 4)])
-        assert graph.degree_histogram() == {1: 3, 3: 1}
-
-    def test_h_index_examples(self):
-        assert DynamicGraph().h_index() == 0
-        star = DynamicGraph(edges=[(0, i) for i in range(1, 6)])
-        assert star.h_index() == 1
-        k4 = DynamicGraph(edges=k4_edges())
-        assert k4.h_index() == 3
-
-    def test_h_index_matches_sorted_definition(self):
-        import random as _random
-
-        rng = _random.Random(9)
-        graph = DynamicGraph()
-        for _ in range(60):
-            u, v = rng.randrange(18), rng.randrange(18)
-            if u != v and not graph.has_edge(u, v):
-                graph.insert_edge(u, v)
-        degrees = sorted((graph.degree(v) for v in graph.vertices()), reverse=True)
-        expected = 0
-        for position, degree in enumerate(degrees, start=1):
-            if degree >= position:
-                expected = position
-            else:
-                break
-        assert graph.h_index() == expected
-
-    def test_edges_canonical_with_mixed_labels(self):
-        graph = DynamicGraph(edges=[("a", 1), (1, 2)])
-        assert set(graph.edges()) == {_canonical_order("a", 1), (1, 2)}
 
 
 class TestBatchVertexRegistration:

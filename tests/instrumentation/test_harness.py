@@ -14,6 +14,7 @@ from repro.instrumentation.harness import (
     run_validated,
     summary_table,
 )
+from repro.instrumentation.metrics import UpdateMetrics
 from repro.graph.updates import UpdateStream
 
 from tests.conftest import k4_edges, random_dynamic_stream
@@ -26,8 +27,8 @@ class TestRunCounter:
         assert result.final_count == 3
         assert result.stream_length == 6
         assert len(result.counts) == 6
-        assert result.metrics is not None and len(result.metrics) == 6
-        assert result.summary().updates == 6
+        assert len(result.metrics) == 6
+        assert result.summary().max_operations > 0
 
     def test_run_without_counts(self):
         stream = UpdateStream.from_edges(k4_edges())
@@ -135,3 +136,36 @@ class TestRunEngine:
         result = run_engine(engine, stream, batch_size=1)
         assert len(result.counts) == len(stream)
 
+
+class TestRecordedOperations:
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_window_operations_sum_to_the_cost_change(self, batch_size):
+        stream = random_dynamic_stream(num_vertices=12, num_updates=100, seed=31)
+
+        def engine():
+            built = FourCycleEngine(EngineConfig(counter="hhh22", batch_size=batch_size))
+            built.insert(100, 101)  # the replay starts from a nonzero cost total
+            return built
+
+        measured = engine()
+        before = measured.cost.total()
+        result = run_engine(measured, stream)
+        spent = measured.cost.total() - before
+        summary = result.summary()
+        assert before > 0 and spent > 0
+        assert len(result.metrics) == -(-len(stream) // batch_size)
+        assert round(summary.mean_operations * len(result.metrics)) == spent
+        # The same windows measured one by one give the same distribution.
+        twin = engine()
+        expected = UpdateMetrics()
+        for window in stream if batch_size == 1 else stream.batched(batch_size):
+            mark = twin.cost.total()
+            if batch_size == 1:
+                twin.apply(window)
+            else:
+                twin.apply_batch(window)
+            expected.record(twin.cost.total() - mark, 0.0)
+        wanted = expected.summary()
+        assert (summary.mean_operations, summary.p99_operations, summary.max_operations) == (
+            wanted.mean_operations, wanted.p99_operations, wanted.max_operations
+        )

@@ -4,22 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.instrumentation.metrics import (
-    UpdateMetrics,
-    UpdateRecord,
-    fit_power_law,
-    percentile,
-)
-
-
-def make_record(index: int, operations: int, edge_count: int = 10) -> UpdateRecord:
-    return UpdateRecord(
-        index=index,
-        operations=operations,
-        seconds=operations * 0.001,
-        edge_count=edge_count,
-        is_insert=True,
-    )
+from repro.instrumentation.metrics import UpdateMetrics, fit_power_law, percentile
 
 
 class TestPercentile:
@@ -46,39 +31,30 @@ class TestPercentile:
 class TestUpdateMetrics:
     def test_summary(self):
         metrics = UpdateMetrics()
-        for index, operations in enumerate([1, 2, 3, 4, 100]):
-            metrics.record(make_record(index, operations, edge_count=index + 1))
+        for operations in [1, 2, 3, 4, 100]:
+            metrics.record(operations, operations * 0.001)
         summary = metrics.summary()
-        assert summary.updates == 5
-        assert summary.total_operations == 110
+        assert len(metrics) == 5
         assert summary.max_operations == 100
-        assert summary.median_operations == 3
-        assert summary.final_edge_count == 5
         assert summary.mean_operations == pytest.approx(22.0)
-        assert summary.as_dict()["p99_operations"] >= summary.median_operations
+        assert summary.p99_operations == pytest.approx(percentile([1, 2, 3, 4, 100], 0.99))
+        assert summary.total_seconds == pytest.approx(0.11)
+        assert summary.mean_seconds == pytest.approx(0.022)
 
-    def test_worst_case_vs_amortized(self):
+    def test_worst_case_vs_mean(self):
         metrics = UpdateMetrics()
         for index in range(10):
-            metrics.record(make_record(index, 1000 if index == 5 else 1))
-        assert metrics.worst_case_operations() == 1000
-        assert metrics.amortized_operations() == pytest.approx((9 + 1000) / 10)
+            metrics.record(1000 if index == 5 else 1, 0.0)
+        summary = metrics.summary()
+        assert summary.max_operations == 1000
+        assert summary.mean_operations == pytest.approx((9 + 1000) / 10)
 
     def test_empty_metrics(self):
         metrics = UpdateMetrics()
-        assert metrics.worst_case_operations() == 0
-        assert metrics.amortized_operations() == 0.0
-        assert metrics.summary().updates == 0
-
-    def test_bucketed_by_edge_count(self):
-        metrics = UpdateMetrics()
-        for index in range(20):
-            metrics.record(make_record(index, operations=index, edge_count=index))
-        buckets = metrics.bucketed_by_edge_count(bucket_width=10)
-        assert set(buckets) == {0, 1}
-        assert buckets[0] == pytest.approx(4.5)
-        with pytest.raises(ValueError):
-            metrics.bucketed_by_edge_count(0)
+        summary = metrics.summary()
+        assert len(metrics) == 0
+        assert (summary.mean_operations, summary.p99_operations, summary.max_operations) == (0.0, 0.0, 0)
+        assert (summary.total_seconds, summary.mean_seconds) == (0.0, 0.0)
 
 
 class TestPowerLawFit:

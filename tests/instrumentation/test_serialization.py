@@ -1,4 +1,4 @@
-"""Tests for stream/metrics persistence."""
+"""Tests for stream, layered-update and snapshot persistence."""
 
 from __future__ import annotations
 
@@ -10,21 +10,16 @@ from repro.api.sources import ReplaySource
 from repro.exceptions import ConfigurationError
 from repro.graph.reduction import expand_general_update
 from repro.graph.updates import EdgeUpdate, UpdateStream
-from repro.api import EngineConfig, counter_spec
-from repro.instrumentation.harness import run_config
+from repro.api import counter_spec
 from repro.io import (
     edge_update_from_dict,
     edge_update_to_dict,
     layered_update_from_dict,
     layered_update_to_dict,
     load_layered_updates,
-    load_metrics_csv,
     load_stream,
-    load_summary_json,
     save_layered_updates,
-    save_metrics_csv,
     save_stream,
-    save_summary_json,
 )
 from repro.workloads.generators import erdos_renyi_stream
 
@@ -134,35 +129,6 @@ class TestStreamFiles:
         first.apply_all(stream)
         second.apply_all(load_stream(path))
         assert first.count == second.count
-
-
-class TestMetricsFiles:
-    def test_metrics_round_trip(self, tmp_path):
-        stream = UpdateStream.from_edges([(1, 2), (2, 3), (3, 4), (4, 1)])
-        result = run_config(EngineConfig(counter="hhh22"), stream)
-        path = tmp_path / "metrics.csv"
-        save_metrics_csv(result.metrics, path)
-        loaded = load_metrics_csv(path)
-        assert len(loaded) == len(result.metrics)
-        assert loaded.summary().total_operations == result.metrics.summary().total_operations
-
-    def test_metrics_header_validation(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_metrics_csv(path)
-
-    def test_summary_json_round_trip(self, tmp_path):
-        rows = [{"counter": "wedge", "final_count": 3}]
-        path = tmp_path / "summary.json"
-        save_summary_json(rows, path)
-        assert load_summary_json(path) == rows
-
-    def test_summary_json_must_be_list(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_summary_json(path)
 
 
 class TestEngineSnapshotFiles:

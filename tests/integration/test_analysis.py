@@ -73,6 +73,34 @@ class TestEmpiricalExperiments:
         )
         assert rows[0].phases_completed > rows[1].phases_completed
 
+    def test_e6_operation_columns_are_pinned(self):
+        """Exact per-update operation counts of a small E6 run, so a change to
+        how updates are measured cannot move them unnoticed."""
+        rows = experiment_e6_worst_case(num_vertices=20, num_updates=80)
+        pinned = {
+            "wedge": (14.575, 37.21, 38),
+            "hhh22": (21.6375, 122.72, 148),
+            "phase-fmm": (138.575, 1331.71, 1372),
+            "assadi-shah": (102.5875, 1306.34, 1349),
+        }
+        assert [row.counter for row in rows] == list(pinned)
+        for row in rows:
+            columns = (row.mean_operations, row.p99_operations, row.max_operations)
+            assert columns == pytest.approx(pinned[row.counter], abs=1e-9), row.counter
+
+    def test_e9_operation_columns_are_pinned(self):
+        """Exact per-update operation counts and phase totals of a small E9 run."""
+        rows = experiment_e9_phase_ablation(
+            phase_lengths=(4, 64), num_vertices=16, num_updates=80
+        )
+        pinned = {4: (123.825, 710.84, 714, 120), 64: (30.2, 149.66, 265, 7)}
+        assert [row.phase_length for row in rows] == list(pinned)
+        for row in rows:
+            columns = (
+                row.mean_operations, row.p99_operations, row.max_operations, row.phases_completed
+            )
+            assert columns == pytest.approx(pinned[row.phase_length], abs=1e-9), row.phase_length
+
     E12_SMALL = dict(
         community_count=3,
         community_size=4,

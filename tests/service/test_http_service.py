@@ -199,6 +199,7 @@ class TestProtocolErrors:
         [
             ({"counter": ["wedge"]}, "counter"),
             ({"counter": "wedge", "record_metrics": "false"}, "record_metrics"),
+            ({"counter": "wedge", "record_metrics": "yes"}, "record_metrics"),
             ({"counter": "wedge", "track_costs": "false"}, "track_costs"),
         ],
     )
@@ -207,6 +208,15 @@ class TestProtocolErrors:
         assert status == 400 and body["type"] == "ConfigurationError"
         assert field in body["error"]
         assert request(service, "GET", "/engines/bad")[0] == 404
+
+    def test_legacy_record_metrics_key_is_accepted(self, service):
+        """Configs saved while the counters had their own recorder name it."""
+        created = make_engine(service, "legacy", {"counter": "wedge", "record_metrics": True})
+        assert created["counter"] == "wedge"
+        status, applied = request(
+            service, "POST", "/engines/legacy/updates", {"updates": K4_CYCLE}
+        )
+        assert status == 200 and applied["count"] == 1
 
     def test_rejected_update_leaves_engine_healthy(self, service):
         make_engine(service, "alpha")
