@@ -16,7 +16,8 @@ checkpoint.
 from __future__ import annotations
 
 from repro import EngineConfig, FourCycleEngine, GeneratorSource, available_specs
-from repro.instrumentation import compare_counters, format_table, run_config, summary_table
+from repro.analysis import text_table
+from repro.instrumentation import compare_counters, run_config, summary_table
 
 
 def single_engine_walkthrough() -> None:
@@ -40,7 +41,7 @@ def all_counters_agree() -> None:
     )
     names = [spec.name for spec in available_specs()]
     results = compare_counters(names, source.to_stream())
-    print(format_table(summary_table(results)))
+    print(text_table(summary_table(results)))
     print()
     final_counts = {result.final_count for result in results.values()}
     assert len(final_counts) == 1, "counters disagree!"

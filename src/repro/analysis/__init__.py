@@ -1,13 +1,16 @@
-"""Experiment implementations (E1-E15), result reporting, and artifacts."""
+"""Experiment implementations (E1-E15), result reporting, and artifacts.
+
+:mod:`repro.analysis.paper` holds the paper's experiments E1–E9,
+:mod:`repro.analysis.throughput` the throughput experiments E10–E14 and
+their one row type, and :mod:`repro.analysis.service_load` the service load
+experiment E15.
+"""
 
 from repro.analysis.artifacts import (
     artifact_directory,
-    read_bench_artifact,
     write_bench_artifact,
 )
-from repro.analysis.experiments import (
-    BatchThroughputRow,
-    KernelThroughputRow,
+from repro.analysis.paper import (
     ConstantsRow,
     ConstraintRow,
     CrossValidationRow,
@@ -27,20 +30,22 @@ from repro.analysis.experiments import (
     experiment_e7_ivm_join,
     experiment_e8_omega_ablation,
     experiment_e9_phase_ablation,
+)
+from repro.analysis.reporting import rows_to_dicts, text_table
+from repro.analysis.service_load import ServiceLoadRow, experiment_e15_service_load
+from repro.analysis.throughput import (
+    E12_PRODUCT_VARIANTS,
+    ThroughputRow,
+    dense_product,
+    dict_product,
     experiment_e10_batch_throughput,
     experiment_e11_kernel_throughput,
     experiment_e12_spgemm_backends,
     experiment_e14_shard_scaling,
-    experiment_e15_service_load,
-    ServiceLoadRow,
-    ShardScalingRow,
-    SpgemmBackendRow,
 )
-from repro.analysis.reporting import rows_to_dicts, text_table
 
 __all__ = [
     "ConstantsRow",
-    "KernelThroughputRow",
     "WarmupConstantsRow",
     "ConstraintRow",
     "CrossValidationRow",
@@ -50,10 +55,11 @@ __all__ = [
     "IvmRow",
     "OmegaAblationResult",
     "PhaseAblationRow",
-    "BatchThroughputRow",
-    "SpgemmBackendRow",
+    "ThroughputRow",
     "ServiceLoadRow",
-    "ShardScalingRow",
+    "E12_PRODUCT_VARIANTS",
+    "dict_product",
+    "dense_product",
     "experiment_e1_theorem_constants",
     "experiment_e2_warmup_constants",
     "experiment_e3_constraint_verification",
@@ -69,7 +75,6 @@ __all__ = [
     "experiment_e14_shard_scaling",
     "experiment_e15_service_load",
     "artifact_directory",
-    "read_bench_artifact",
     "write_bench_artifact",
     "text_table",
     "rows_to_dicts",

@@ -1,9 +1,9 @@
 """Machine-readable benchmark artifacts (``BENCH_E*.json``).
 
 Every performance experiment can dump its result rows as a small JSON file so
-the perf trajectory is tracked across PRs: CI archives the artifacts, and a
-later session can diff ``updates_per_second``/``speedup`` columns against the
-previous run instead of re-reading prose tables.
+the perf trajectory is tracked across changes: CI archives the artifacts,
+and a later run can diff the ``per_second``/``speedup`` columns against the
+previous one instead of re-reading prose tables.
 
 The artifact schema is deliberately flat::
 
@@ -63,10 +63,3 @@ def write_bench_artifact(
         json.dump(payload, handle, indent=2, sort_keys=False, default=str)
         handle.write("\n")
     return path
-
-
-def read_bench_artifact(name: str, directory: Optional[str] = None) -> dict:
-    """Read a previously written artifact (for tests and trend tooling)."""
-    path = artifact_directory(directory) / f"BENCH_{name}.json"
-    with path.open("r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -239,9 +239,10 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Build a config from a flat dict of counter keyword arguments.
 
-        The shared ``workers`` keyword is lifted into its config field;
+        The shared ``workers`` keyword is lifted into its config field
+        unconverted, so the field's type check refuses ``2.7`` or ``"3"``;
         everything else stays counter-specific.
         """
         options = dict(kwargs)
-        workers = int(options.pop("workers", 1))
+        workers = options.pop("workers", 1)
         return cls(counter=name, options=options, batch_size=batch_size, workers=workers)

@@ -16,7 +16,8 @@ Installed as ``repro-4cycles``.  Subcommands:
   (exactness, layering, hot-path, shard-safety, exception-hygiene rules; see
   :mod:`repro.lint`).  Exit 0 means no non-baselined findings.
 * ``batch-throughput`` — measure updates/sec of the batch pipeline as a
-  function of batch size for the selected counters (experiment E10).
+  function of batch size for the selected counters (experiment E10), one
+  ``ThroughputRow`` per counter and batch size.
 * ``recover`` — rebuild an engine from a write-ahead log and its snapshot
   generations (:func:`repro.durability.recover`), print the recovery report,
   and verify the recovered count against a from-scratch recount.  With
@@ -26,13 +27,13 @@ Installed as ``repro-4cycles``.  Subcommands:
 * ``bench`` — run the performance experiments (E10 batch throughput, E11
   batch-hook throughput, E12 sparse-vs-dense products, E14 shard
   scaling, E15 service load) in one invocation, print their tables, and
-  write the machine-readable ``BENCH_E*.json`` artifacts.  ``--quick``
-  shrinks the workloads for CI smoke runs; exactness (identical counts
-  between per-update and batched paths, identical products across variants)
-  is always enforced — a mismatch exits non-zero — while timing is reported,
-  never gated.  ``--backend {auto,dense,csr}`` restricts the E12 product
-  sweep to one kernel (plus the dict baseline); the counters in E10/E11/E14
-  always run the kernel their dispatcher picks.
+  write the machine-readable ``BENCH_E*.json`` artifacts.  E10–E14 share one
+  row schema (``kernel``, ``variant``, ``parameters``, ``operations``,
+  ``seconds``, ``per_second``, ``speedup`` over the kernel's first variant,
+  ``consistent``).  ``--quick`` shrinks the workloads for CI smoke runs;
+  exactness (identical counts between per-update and batched paths,
+  identical products across variants) is always enforced — a mismatch
+  exits non-zero — while timing is reported, never gated.
 
 Every subcommand that runs counters goes through the :mod:`repro.api` facade:
 workloads are :class:`~repro.api.GeneratorSource` instances and counters are
@@ -42,11 +43,12 @@ constructed from :class:`~repro.api.EngineConfig`.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import List, Optional, Sequence
 
 from repro.api import GeneratorSource, available_counter_names, available_specs
-from repro.instrumentation.harness import compare_counters, format_table, summary_table
+from repro.instrumentation.harness import compare_counters, summary_table
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.theory.exponents import comparison_table, omega_sweep
 from repro.theory.parameters import published_parameters, verify_published_parameters
@@ -135,23 +137,27 @@ def _command_constants(_: argparse.Namespace) -> int:
 
 
 def _command_counters(_: argparse.Namespace) -> int:
+    from repro.analysis import text_table
+
     rows = []
     for spec in available_specs():
         rows.append(
             {
                 "counter": spec.name,
                 "update_time": spec.asymptotic,
-                "batch_hook": "yes" if spec.supports_batch_hook else "no",
-                "oracle": "yes" if spec.needs_oracle else "no",
+                "batch_hook": spec.supports_batch_hook,
+                "oracle": spec.needs_oracle,
                 "options": ",".join(spec.option_names()) or "(unvalidated)",
                 "description": spec.description,
             }
         )
-    print(format_table(rows))
+    print(text_table(rows))
     return 0
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from repro.analysis import text_table
+
     source = GeneratorSource(
         args.workload,
         num_vertices=args.vertices,
@@ -164,12 +170,12 @@ def _command_compare(args: argparse.Namespace) -> int:
         f"workload={args.workload} vertices={args.vertices} updates={args.updates} "
         f"batch-size={args.batch_size}"
     )
-    print(format_table(summary_table(results)))
+    print(text_table(summary_table(results)))
     return 0
 
 
 def _command_batch_throughput(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import experiment_e10_batch_throughput
+    from repro.analysis import experiment_e10_batch_throughput, text_table
 
     rows = experiment_e10_batch_throughput(
         num_vertices=args.vertices,
@@ -178,54 +184,15 @@ def _command_batch_throughput(args: argparse.Namespace) -> int:
         counters=args.counters,
         seed=args.seed,
     )
-    print(f"{'counter':<14} {'batch':>6} {'upd/s':>12} {'speedup':>8}  consistent")
-    for row in rows:
-        speedup = (
-            f"{row.speedup_vs_unbatched:>8.2f}"
-            if row.speedup_vs_unbatched == row.speedup_vs_unbatched
-            else f"{'-':>8}"
-        )
-        print(
-            f"{row.counter:<14} {row.batch_size:>6} {row.updates_per_second:>12.1f} "
-            f"{speedup}  {'yes' if row.consistent else 'NO'}"
-        )
+    print(text_table(rows, float_digits=2))
     return 0
 
 
-#: Workload parameters for ``bench``: full profile and the CI ``--quick`` one.
+#: ``bench`` overrides of each experiment's defaults: the full profile keeps
+#: the minimum of three E12 product runs, the CI ``--quick`` one shrinks every
+#: workload.
 _BENCH_PROFILES = {
-    "full": {
-        "e10": {"num_vertices": 24, "num_updates": 1280, "batch_sizes": (1, 8, 64, 256)},
-        "e11": {"num_vertices": 32, "num_updates": 2560, "batch_size": 256},
-        "e12": {
-            "community_count": 128,
-            "community_size": 48,
-            "uniform_dimension": 512,
-            "dense_dimension": 192,
-            "wedge_vertices": 2048,
-            "wedge_base_edges": 12288,
-            "wedge_churn_updates": 2560,
-            "wedge_batch_size": 128,
-            "product_repeats": 3,
-        },
-        "e14": {
-            "community_count": 128,
-            "community_size": 48,
-            "workers": (1, 2, 4),
-            "churn_edges": 64,
-            "repeats": 3,
-            "seed": 0,
-        },
-        "e15": {
-            "clients": 1200,
-            "batches_per_client": 2,
-            "batch_size": 8,
-            "block": 8,
-            "readers": 64,
-            "reader_polls": 4,
-            "counter": "wedge",
-        },
-    },
+    "full": {"e12": {"product_repeats": 3}},
     "quick": {
         "e10": {"num_vertices": 16, "num_updates": 384, "batch_sizes": (1, 64)},
         "e11": {"num_vertices": 20, "num_updates": 768, "batch_size": 64},
@@ -286,17 +253,17 @@ def _command_bench(args: argparse.Namespace) -> int:
             return 2
     for name in chosen:
         artifact_name, title, runner = runners[name]
-        params = dict(profile[name])
+        params = {
+            key: parameter.default
+            for key, parameter in inspect.signature(runner).parameters.items()
+        }
+        params.update(profile.get(name, {}))
         if name == "e14":
             # --workers caps the sweep; the serial baseline always runs so
             # every row's speedup and bit-identity check stay anchored.
             params["workers"] = tuple(
                 count for count in params["workers"] if count <= args.workers
             ) or (1,)
-        elif name == "e12":
-            # --backend restricts the product sweep; the dict baseline always
-            # runs.
-            params["backends"] = ("csr", "dense") if args.backend == "auto" else (args.backend,)
         # Exactness between per-update and batched paths is asserted inside
         # the experiments; a mismatch raises and exits non-zero.
         rows = runner(**params)
@@ -371,13 +338,10 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _command_omega_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis import text_table
+
     omegas = [2.0 + args.step * index for index in range(int((3.0 - 2.0) / args.step) + 1)]
-    print(f"{'omega':>8}  {'eps':>10}  {'delta':>10}  {'exponent':>10}  improves")
-    for row in omega_sweep(omegas):
-        print(
-            f"{row.omega:>8.3f}  {row.eps:>10.6f}  {row.delta:>10.6f}  "
-            f"{row.update_time_exponent:>10.6f}  {'yes' if row.improves else 'no'}"
-        )
+    print(text_table(omega_sweep(omegas), float_digits=6))
     return 0
 
 
@@ -469,20 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subparsers.add_parser(
         "bench",
         help="run the perf experiments (E10/E11/E12/E14/E15) and write BENCH_E*.json artifacts",
+        description=(
+            "Run the perf experiments and write one BENCH_E*.json artifact each. "
+            "E10-E14 rows share one schema: kernel, variant, parameters, "
+            "operations, seconds, per_second, speedup (over the kernel's first "
+            "variant) and consistent; E15 rows report latency percentiles per "
+            "traffic class.  A failed exactness check exits non-zero; timing "
+            "is reported, never gated."
+        ),
     )
     bench.add_argument(
         "--experiments",
         default="e10,e11,e12,e14,e15",
         help="comma-separated subset of e10,e11,e12,e14,e15 to run (default: all)",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=("auto", "dense", "csr"),
-        default="auto",
-        help=(
-            "restrict the E12 product sweep to one kernel (the dict baseline "
-            "always runs; default: auto, both kernels)"
-        ),
     )
     bench.add_argument(
         "--workers",

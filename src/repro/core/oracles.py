@@ -364,6 +364,11 @@ class PhaseThreePathOracle(ThreePathOracle):
     # -- introspection ---------------------------------------------------------------
     @property
     def phase_length(self) -> int:
+        """The current phase length, counted in relation updates (calls of
+        :meth:`update`).  The general-graph counters mirror every graph
+        update into six of them (three chain relations, both orientations),
+        so for phase-fmm and assadi-shah it is in sixths of a graph update.
+        """
         return self._phase_length
 
     @property

@@ -6,7 +6,6 @@ from repro.instrumentation.cost_model import CostModel
 from repro.instrumentation.harness import (
     RunResult,
     compare_counters,
-    format_table,
     run_config,
     run_engine,
     run_validated,
@@ -33,5 +32,4 @@ __all__ = [
     "time_replay",
     "compare_counters",
     "summary_table",
-    "format_table",
 ]

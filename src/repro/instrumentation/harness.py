@@ -146,7 +146,7 @@ def time_replay(
 ) -> float:
     """Wall-clock seconds to replay ``stream`` through an engine or counter.
 
-    The minimal timing loop shared by the throughput experiments (E10/E11):
+    The minimal timing loop of the throughput experiments' engine race:
     no metrics recording, no count collection — only the work a production
     caller of the update API would do.  A batch size of 1 (the default for
     raw counters; engines default to their config) drives the per-update
@@ -222,7 +222,8 @@ def compare_counters(
 
 
 def summary_table(results: Dict[str, RunResult]) -> List[Dict[str, object]]:
-    """Flatten comparison results into printable rows (one per counter)."""
+    """Flatten comparison results into rows (one per counter), unrounded:
+    :func:`repro.analysis.reporting.text_table` formats them."""
     rows: List[Dict[str, object]] = []
     for name in sorted(results):
         result = results[name]
@@ -232,27 +233,10 @@ def summary_table(results: Dict[str, RunResult]) -> List[Dict[str, object]]:
                 "counter": name,
                 "final_count": result.final_count,
                 "final_edges": result.final_edge_count,
-                "mean_ops": round(summary.mean_operations, 1),
-                "p99_ops": round(summary.p99_operations, 1),
+                "mean_ops": summary.mean_operations,
+                "p99_ops": summary.p99_operations,
                 "max_ops": summary.max_operations,
-                "total_seconds": round(summary.total_seconds, 4),
+                "total_seconds": summary.total_seconds,
             }
         )
     return rows
-
-
-def format_table(rows: List[Dict[str, object]]) -> str:
-    """Render rows as a fixed-width text table (used by examples and the CLI)."""
-    if not rows:
-        return "(no rows)"
-    columns = list(rows[0].keys())
-    widths = {
-        column: max(len(str(column)), max(len(str(row.get(column, ""))) for row in rows))
-        for column in columns
-    }
-    header = "  ".join(str(column).ljust(widths[column]) for column in columns)
-    separator = "  ".join("-" * widths[column] for column in columns)
-    lines = [header, separator]
-    for row in rows:
-        lines.append("  ".join(str(row.get(column, "")).ljust(widths[column]) for column in columns))
-    return "\n".join(lines)

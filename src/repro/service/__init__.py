@@ -12,7 +12,7 @@ hard dependency budget at the standard library:
   :class:`ServiceRunner` harness for synchronous callers.
 
 ``repro-4cycles serve`` starts it from the command line; experiment E15
-(:func:`repro.analysis.experiments.experiment_e15_service_load`) load-tests it
+(:func:`repro.analysis.service_load.experiment_e15_service_load`) load-tests it
 through real sockets.
 """
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import dict_product
+from repro.analysis import dict_product
 from repro.core.warmup import WarmupThreePathOracle, _restrict
 from repro.exceptions import ConfigurationError, InvalidUpdateError
 from repro.matmul.engine import CountMatrix, multiply

@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.api import EngineConfig, FourCycleEngine
-from repro.exceptions import CounterStateError
+from repro.exceptions import ConfigurationError, CounterStateError
 from repro.instrumentation.harness import (
     compare_counters,
-    format_table,
     run_config,
     run_engine,
     run_validated,
-    summary_table,
 )
 from repro.instrumentation.metrics import UpdateMetrics
 from repro.graph.updates import UpdateStream
@@ -86,14 +84,11 @@ class TestCompareCounters:
         )
         assert results["phase-fmm"].final_count >= 0
 
-    def test_tables(self):
-        stream = random_dynamic_stream(num_vertices=8, num_updates=40, seed=79)
-        results = compare_counters(["brute-force", "wedge"], stream)
-        rows = summary_table(results)
-        assert len(rows) == 2
-        rendered = format_table(rows)
-        assert "brute-force" in rendered and "wedge" in rendered
-        assert format_table([]) == "(no rows)"
+    @pytest.mark.parametrize("workers", [2.7, "3"])
+    def test_counter_kwargs_workers_are_type_checked(self, workers):
+        stream = random_dynamic_stream(num_vertices=8, num_updates=20, seed=79)
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            compare_counters(["wedge"], stream, counter_kwargs={"wedge": {"workers": workers}})
 
 
 class TestBatchedRun:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import (
+    E12_PRODUCT_VARIANTS,
+    ThroughputRow,
     experiment_e1_theorem_constants,
     experiment_e2_warmup_constants,
     experiment_e3_constraint_verification,
@@ -14,12 +16,47 @@ from repro.analysis import (
     experiment_e7_ivm_join,
     experiment_e8_omega_ablation,
     experiment_e9_phase_ablation,
+    experiment_e10_batch_throughput,
+    experiment_e11_kernel_throughput,
     experiment_e12_spgemm_backends,
+    experiment_e14_shard_scaling,
     rows_to_dicts,
     text_table,
 )
-from repro.analysis.experiments import E12_PRODUCT_VARIANTS
-from repro.exceptions import ConfigurationError
+from repro.analysis.throughput import race_products
+from repro.api import FourCycleEngine
+from repro.exceptions import CounterStateError
+from repro.instrumentation.harness import compare_counters, summary_table
+
+from tests.conftest import random_dynamic_stream
+
+E12_SMALL = dict(
+    community_count=3,
+    community_size=4,
+    uniform_dimension=24,
+    dense_dimension=8,
+    wedge_vertices=48,
+    wedge_base_edges=120,
+    wedge_churn_updates=64,
+    wedge_batch_size=16,
+)
+
+#: Each throughput experiment at a size that runs in well under a second.
+THROUGHPUT_SMALL = {
+    "E10": (
+        experiment_e10_batch_throughput,
+        dict(num_vertices=10, num_updates=64, batch_sizes=(1, 16), counters=("brute-force", "wedge")),
+    ),
+    "E11": (
+        experiment_e11_kernel_throughput,
+        dict(num_vertices=10, num_updates=64, batch_size=16, counters=("wedge", "hhh22")),
+    ),
+    "E12": (experiment_e12_spgemm_backends, E12_SMALL),
+    "E14": (
+        experiment_e14_shard_scaling,
+        dict(community_count=4, community_size=6, workers=(1, 2), churn_edges=8, repeats=1),
+    ),
+}
 
 
 class TestAnalyticExperiments:
@@ -101,19 +138,8 @@ class TestEmpiricalExperiments:
             )
             assert columns == pytest.approx(pinned[row.phase_length], abs=1e-9), row.phase_length
 
-    E12_SMALL = dict(
-        community_count=3,
-        community_size=4,
-        uniform_dimension=24,
-        dense_dimension=8,
-        wedge_vertices=48,
-        wedge_base_edges=120,
-        wedge_churn_updates=64,
-        wedge_batch_size=16,
-    )
-
     def test_e12_small(self):
-        rows = experiment_e12_spgemm_backends(**self.E12_SMALL)
+        rows = experiment_e12_spgemm_backends(**E12_SMALL)
         assert all(row.consistent for row in rows)
         products = [row for row in rows if row.kernel.startswith("product:")]
         assert len(products) == 3 * len(E12_PRODUCT_VARIANTS)
@@ -125,14 +151,54 @@ class TestEmpiricalExperiments:
         hook = [row.variant for row in rows if row.kernel == "wedge-batch-hook"]
         assert hook == ["full-rebuild", "incremental", "auto"]
 
-    def test_e12_dict_baseline_always_runs(self):
-        rows = experiment_e12_spgemm_backends(backends=("csr",), **self.E12_SMALL)
-        variants = {row.variant for row in rows if row.kernel.startswith("product:")}
-        assert variants == {"dict", "csr"}
 
-    def test_e12_rejects_unknown_variants(self):
-        with pytest.raises(ConfigurationError, match="sparse"):
-            experiment_e12_spgemm_backends(backends=("csr", "sparse"), **self.E12_SMALL)
+
+class TestThroughputRows:
+    @pytest.mark.parametrize(
+        "experiment, kwargs", list(THROUGHPUT_SMALL.values()), ids=list(THROUGHPUT_SMALL)
+    )
+    def test_rows_share_one_schema(self, experiment, kwargs):
+        rows = experiment(**kwargs)
+        assert rows and all(isinstance(row, ThroughputRow) and row.consistent for row in rows)
+        first = {}
+        for row in rows:
+            first.setdefault(row.kernel, row)
+            assert row.per_second == pytest.approx(row.operations / row.seconds)
+            assert row.speedup == pytest.approx(first[row.kernel].seconds / row.seconds)
+        assert all(row.speedup == 1.0 for row in first.values())
+
+    def test_a_diverging_engine_variant_is_named(self, monkeypatch):
+        real_count = FourCycleEngine.count
+        monkeypatch.setattr(
+            FourCycleEngine,
+            "count",
+            property(lambda engine: real_count.fget(engine) + (engine.config.batch_size > 1)),
+        )
+        with pytest.raises(CounterStateError, match=r"^wedge: variant 'batch=16' ended at count"):
+            experiment_e10_batch_throughput(**THROUGHPUT_SMALL["E10"][1] | {"counters": ("wedge",)})
+
+    def test_a_failed_recount_is_named(self, monkeypatch):
+        monkeypatch.setattr(
+            FourCycleEngine, "is_consistent", lambda engine: engine.config.batch_size == 1
+        )
+        with pytest.raises(
+            CounterStateError, match=r"^hhh22-updates: variant 'batched' is inconsistent"
+        ):
+            experiment_e11_kernel_throughput(**THROUGHPUT_SMALL["E11"][1] | {"counters": ("hhh22",)})
+
+    @pytest.mark.parametrize("result, work", [(2, 5), (1, 6)])
+    def test_a_diverging_product_variant_is_named(self, result, work):
+        variants = [
+            ("exact", "", lambda: (1, 5), None),
+            ("off", "", lambda: (result, work), None),
+        ]
+        with pytest.raises(CounterStateError, match=r"^k: variant 'off' diverged from variant 'exact'"):
+            race_products("k", variants)
+
+    def test_product_work_none_is_checked_on_the_result_alone(self):
+        variants = [("exact", "", lambda: (1, 5), None), ("dense", "", lambda: (1, None), None)]
+        rows = race_products("k", variants, reference=(1, 5))
+        assert [row.operations for row in rows] == [5, 5]
 
 
 class TestReporting:
@@ -157,3 +223,10 @@ class TestReporting:
     def test_column_selection(self):
         rows = [{"a": 1, "b": 2}]
         assert "b" not in text_table(rows, columns=["a"])
+
+    def test_counter_summary_table(self):
+        stream = random_dynamic_stream(num_vertices=8, num_updates=40, seed=79)
+        rows = summary_table(compare_counters(["brute-force", "wedge"], stream))
+        assert len(rows) == 2
+        rendered = text_table(rows)
+        assert "brute-force" in rendered and "wedge" in rendered

@@ -76,7 +76,21 @@ class TestCli:
         kernels = {row["kernel"] for row in payload["rows"]}
         assert kernels == {"wedge-updates", "hhh22-updates", "assadi-shah-updates"}
         assert {row["variant"] for row in payload["rows"]} == {"per-update", "batched"}
-        assert all(row["exact"] for row in payload["rows"])
+        assert all(row["consistent"] for row in payload["rows"])
+        assert [row["speedup"] for row in payload["rows"] if row["variant"] == "per-update"] == [
+            1.0
+        ] * 3
+
+    def test_bench_has_no_backend_option(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--backend", "csr"])
+
+    def test_batch_throughput_prints_throughput_rows(self, capsys):
+        argv = ["batch-throughput", "--vertices", "8", "--updates", "32", "--batch-sizes", "1,8"]
+        assert main(argv + ["--counters", "wedge"]) == 0
+        output = capsys.readouterr().out
+        assert "speedup" in output and "consistent" in output
+        assert "batch=8" in output
 
     def test_bench_command_rejects_unknown_experiment(self, capsys):
         assert main(["bench", "--experiments", "e99"]) == 2

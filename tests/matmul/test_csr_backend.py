@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import dict_product
+from repro.analysis import dict_product
 from repro.exceptions import DimensionMismatchError
 from repro.kernels import CsrMatrix, csr_linear_combination
 from repro.matmul.engine import (

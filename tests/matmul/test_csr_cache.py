@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import dense_product, dict_product
+from repro.analysis import dense_product, dict_product
 from repro.kernels import exact_integer_matmul
 from repro.matmul.engine import CountMatrix, multiply
 

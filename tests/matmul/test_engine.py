@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import dict_product
+from repro.analysis import dict_product
 from repro.matmul.engine import CountMatrix, multiply
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import dict_product
+from repro.analysis import dict_product
 from repro.core.assadi_shah import AssadiShahCounter
 from repro.core.phase_fmm import PhaseFMMCounter
 from repro.exceptions import ConfigurationError, CounterStateError, MatmulError

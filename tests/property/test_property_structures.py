@@ -6,7 +6,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import dict_product
+from repro.analysis import dict_product
 from repro.core.oracles import NaiveThreePathOracle, PhaseThreePathOracle
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.matmul.engine import CountMatrix, multiply
