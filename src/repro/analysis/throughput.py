@@ -303,7 +303,7 @@ def experiment_e12_spgemm_backends(
     wedge_base_edges: int = 12288,
     wedge_churn_updates: int = 2560,
     wedge_batch_size: int = 128,
-    product_repeats: int = 1,
+    product_repeats: int = 3,
     seed: int = 0,
 ) -> List[ThroughputRow]:
     """E12: CSR SpGEMM versus the dict baseline and dense BLAS, plus the

@@ -188,41 +188,37 @@ def _command_batch_throughput(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``bench`` overrides of each experiment's defaults: the full profile keeps
-#: the minimum of three E12 product runs, the CI ``--quick`` one shrinks every
-#: workload.
-_BENCH_PROFILES = {
-    "full": {"e12": {"product_repeats": 3}},
-    "quick": {
-        "e10": {"num_vertices": 16, "num_updates": 384, "batch_sizes": (1, 64)},
-        "e11": {"num_vertices": 20, "num_updates": 768, "batch_size": 64},
-        "e12": {
-            "community_count": 24,
-            "community_size": 16,
-            "uniform_dimension": 128,
-            "dense_dimension": 64,
-            "wedge_vertices": 384,
-            "wedge_base_edges": 2048,
-            "wedge_churn_updates": 512,
-            "wedge_batch_size": 64,
-        },
-        "e14": {
-            "community_count": 48,
-            "community_size": 24,
-            "workers": (1, 2),
-            "churn_edges": 64,
-            "repeats": 1,
-            "seed": 0,
-        },
-        "e15": {
-            "clients": 128,
-            "batches_per_client": 1,
-            "batch_size": 4,
-            "block": 8,
-            "readers": 16,
-            "reader_polls": 2,
-            "counter": "wedge",
-        },
+#: ``bench --quick`` overrides of each experiment's defaults: it shrinks
+#: every workload for CI.  The full profile is the defaults themselves.
+_QUICK_BENCH_PROFILE = {
+    "e10": {"num_vertices": 16, "num_updates": 384, "batch_sizes": (1, 64)},
+    "e11": {"num_vertices": 20, "num_updates": 768, "batch_size": 64},
+    "e12": {
+        "community_count": 24,
+        "community_size": 16,
+        "uniform_dimension": 128,
+        "dense_dimension": 64,
+        "wedge_vertices": 384,
+        "wedge_base_edges": 2048,
+        "wedge_churn_updates": 512,
+        "wedge_batch_size": 64,
+    },
+    "e14": {
+        "community_count": 48,
+        "community_size": 24,
+        "workers": (1, 2),
+        "churn_edges": 64,
+        "repeats": 1,
+        "seed": 0,
+    },
+    "e15": {
+        "clients": 128,
+        "batches_per_client": 1,
+        "batch_size": 4,
+        "block": 8,
+        "readers": 16,
+        "reader_polls": 2,
+        "counter": "wedge",
     },
 }
 
@@ -238,7 +234,7 @@ def _command_bench(args: argparse.Namespace) -> int:
         write_bench_artifact,
     )
 
-    profile = _BENCH_PROFILES["quick" if args.quick else "full"]
+    profile = _QUICK_BENCH_PROFILE if args.quick else {}
     chosen = [name.strip().lower() for name in args.experiments.split(",") if name.strip()]
     runners = {
         "e10": ("E10", "batch-pipeline throughput", experiment_e10_batch_throughput),

@@ -14,18 +14,35 @@ top of the phase + FMM oracle:
   Algorithm 3: paths through a dense middle are found by iterating the (few)
   dense vertices of that layer; paths through two sparse middles are found by
   scanning the neighborhood of a non-high endpoint and reading the sparse-wedge
-  structures; and when **both** endpoints are high the answer comes from the
-  phase decomposition (scheduled old-phase products plus the new-phase deltas).
+  structures; and when **both** endpoints are high the answer may come from
+  the phase decomposition (scheduled old-phase products plus the new-phase
+  deltas).
+* Since only high/high queries read the old-phase products, they are computed
+  for the high endpoints only: each phase start fixes
+  ``H_L = {u : |A(u)| >= m^{2/3-eps}}`` and ``H_R = {v : |C(v)| >= m^{2/3-eps}}``
+  and schedules ``A_o[H_L,:]·B_o``, ``B_o·C_o[:,H_R]`` and their chain (the
+  shape of the warm-up's ``P_HH``).  While either set is empty the phase
+  machinery sleeps: no snapshot, no job, no delta store, only the phase clock.
+  A vertex that turns high mid-phase is answered by the class split, which is
+  exact for any pair, until the next phase's products serve it.
 
 Fidelity note.  The paper answers the high/high sparse-sparse case from six
 explicitly stored old/new combinations (Eq. (15)) plus a warm-up-algorithm
 subroutine, so that the new-phase ``B`` edges are never scanned at query time.
 This implementation keeps the identical phase architecture and class routing
-but answers that one case from the exact phase decomposition (which does scan
-the new-phase deltas).  The result is exact in every case; only the worst-case
-exponent of high/high queries is weaker than the paper's.  The warm-up
-algorithm itself is implemented and tested separately in
-:mod:`repro.core.warmup`.
+but answers a high/high query by whichever of two exact paths costs fewer
+operations, judged from sizes known in O(1): the phase decomposition, about
+``1 + |dA(u)| + |dC(v)| + |dA(u)|·|dC(v)| + 2·|dB|`` operations (it scans the
+new-phase deltas), or the class split, about ``|D2|·(1 + 2·|D3|) + |D3|`` plus
+one endpoint scan.  Either can exceed the paper's bound: after
+``hub_adversarial_stream(3200, 12800, num_hubs=4, seed=1)`` a toggle of the
+absent hub edge ``(0, 1)`` costs 495,819 operations on the phase path
+(``|dB| = 7,526``) and 1,248 through the split, so routing by cost keeps such
+toggles near the split's cost, but a query with both dense middles and many
+new ``B`` edges still pays for one of them.  The result is exact in every
+case; only the worst-case exponent of high/high queries is weaker than the
+paper's until Eq. (15) is implemented.  The warm-up algorithm itself is
+implemented and tested separately in :mod:`repro.core.warmup`.
 """
 
 from __future__ import annotations
@@ -109,6 +126,11 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         """The high-endpoint degree threshold ``m^{2/3 - eps}``."""
         m = max(self.num_edges, 1)
         return max(2.0, float(m) ** (2.0 / 3.0 - self._eps))
+
+    def _endpoint_degree_floor(self) -> float:
+        """The old-phase products serve the high endpoints only: every other
+        query goes through the class split, which never reads them."""
+        return self._high_threshold()
 
     def _combined_degree_l2(self, x: Vertex) -> int:
         """Combined degree of an L2 vertex in ``A`` and ``B`` (Section 4)."""
@@ -325,16 +347,34 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
 
     # -- query -------------------------------------------------------------------------
     def count_three_paths(self, u: Vertex, v: Vertex) -> int:
-        if self.is_high_left(u) and self.is_high_right(v):
+        rows, columns = self._endpoints
+        if u in rows and v in columns and self._phase_path_is_cheaper(u, v):
             # The hard case of Claim 5.8: both endpoints high.  The paper
             # resolves the sparse-sparse part from the Eq. (15) structures and
-            # the warm-up subroutine; we take the exact phase decomposition.
+            # the warm-up subroutine; we take the exact phase decomposition
+            # when it costs less than the class split (see the fidelity note).
             self.cost.charge("query_ops")
             return super().count_three_paths(u, v)
         return self._count_by_middle_classes(u, v)
 
+    def _phase_path_is_cheaper(self, u: Vertex, v: Vertex) -> bool:
+        """Whether the phase decomposition of ``(u, v)`` costs fewer
+        operations than :meth:`_count_by_middle_classes`, judged from sizes
+        known in O(1): the phase path charges
+        ``1 + |dA(u)| + |dC(v)| + |dA(u)|·|dC(v)| + 2·|dB|``, the class split
+        at most ``|D2|·(1 + 2·|D3|) + |D3|`` plus its endpoint scan."""
+        delta_a = len(self._delta_a_by_left.get(u, _EMPTY_DICT))
+        delta_c = len(self._delta_c_by_right.get(v, _EMPTY_DICT))
+        phase = 1 + delta_a + delta_c + delta_a * delta_c + 2 * len(self._delta_b)
+        scan = min(
+            len(self.relation(1).forward.get(u, _EMPTY_SET)),
+            len(self.relation(3).backward.get(v, _EMPTY_SET)),
+        )
+        dense_l2, dense_l3 = len(self._dense_l2), len(self._dense_l3)
+        return phase < dense_l2 * (1 + 2 * dense_l3) + dense_l3 + scan
+
     def _count_by_middle_classes(self, u: Vertex, v: Vertex) -> int:
-        """Exact class-split query of Claims 5.8/5.9 (at least one non-high endpoint)."""
+        """Exact class-split query of Claims 5.8/5.9, for any pair of endpoints."""
         a_forward = self.relation(1).forward.get(u, _EMPTY_SET)
         c_backward = self.relation(3).backward.get(v, _EMPTY_SET)
         b_forward = self.relation(2).forward
@@ -360,10 +400,9 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
             if v in c_forward.get(y, _EMPTY_SET):
                 self.cost.charge("structure_lookup")
                 total += self._wedges_a_sparse_b.get(u, y)
-        # Sparse-sparse: scan the non-high endpoint's neighborhood.
-        if not self.is_high_left(u) and (
-            self.is_high_right(v) or len(a_forward) <= len(c_backward)
-        ):
+        # Sparse-sparse: scan the smaller endpoint neighborhood (a non-high
+        # endpoint's, whenever the other endpoint is high).
+        if len(a_forward) <= len(c_backward):
             for x in a_forward:
                 self.cost.charge("structure_lookup")
                 if x not in self._dense_l2:
@@ -422,5 +461,6 @@ def expected_phase_length(m: int, delta: Optional[float] = None) -> int:
     return max(1, int(math.ceil(float(max(m, 1)) ** (1.0 - delta))))
 
 
-#: Shared immutable empty set.
+#: Shared immutable empties.
 _EMPTY_SET: frozenset = frozenset()
+_EMPTY_DICT: Dict[Vertex, int] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Hashable, List, Optional, Set, Union
 
 import numpy as np
 
@@ -47,6 +47,25 @@ Vertex = Hashable
 
 #: Chain positions: 1 connects L1 to L2, 2 connects L2 to L3, 3 connects L3 to L4.
 CHAIN_POSITIONS = (1, 2, 3)
+
+
+class _AllVertices:
+    """Stands for "every vertex" wherever an endpoint set is expected."""
+
+    __slots__ = ()
+
+    def __contains__(self, vertex: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "ALL_VERTICES"
+
+
+#: The endpoint set of whole products: every row, every column.
+ALL_VERTICES = _AllVertices()
+
+#: A set of endpoints: a frozenset of vertices or :data:`ALL_VERTICES`.
+EndpointSet = Union[FrozenSet[Vertex], _AllVertices]
 
 
 class _ChainRelation:
@@ -90,22 +109,38 @@ class _ChainRelation:
                 matrix.add(left, right, 1)
         return matrix
 
-    def snapshot(self) -> CountMatrixCSR:
+    def snapshot(
+        self, rows: EndpointSet = ALL_VERTICES, columns: EndpointSet = ALL_VERTICES
+    ) -> CountMatrixCSR:
         """The relation as a read-only 0/1 matrix, exported straight from the
-        adjacency sets (one pass over the tuples, no label-keyed matrix)."""
-        forward = self.forward
-        row_order = [left for left, rights in forward.items() if rights]
-        col_order = [right for right, lefts in self.backward.items() if lefts]
+        adjacency sets (one pass over the kept tuples, no label-keyed matrix).
+
+        ``rows`` keeps only those rows and ``columns`` only those columns (at
+        most one of the two is restricted); :data:`ALL_VERTICES`, the
+        default, keeps them all.
+        """
+        if columns is not ALL_VERTICES:
+            entries: Dict[Vertex, Collection[Vertex]] = {}
+            for right in columns:
+                for left in self.backward.get(right, _EMPTY_SET):
+                    entries.setdefault(left, []).append(right)
+            col_order = [right for right in columns if self.backward.get(right)]
+        elif rows is not ALL_VERTICES:
+            entries = {left: self.forward[left] for left in rows if self.forward.get(left)}
+            col_order = list(dict.fromkeys(right for rights in entries.values() for right in rights))
+        else:
+            entries = self.forward
+            col_order = [right for right, lefts in self.backward.items() if lefts]
+        row_order = [left for left, rights in entries.items() if rights]
         col_index = {label: position for position, label in enumerate(col_order)}
         indptr = np.zeros(len(row_order) + 1, dtype=np.int64)
         np.cumsum(
-            np.fromiter((len(forward[left]) for left in row_order), np.int64, len(row_order)),
+            np.fromiter((len(entries[left]) for left in row_order), np.int64, len(row_order)),
             out=indptr[1:],
         )
+        nnz = int(indptr[-1])
         col_ids = np.fromiter(
-            (col_index[right] for left in row_order for right in forward[left]),
-            np.int64,
-            self.size,
+            (col_index[right] for left in row_order for right in entries[left]), np.int64, nnz
         )
         return CountMatrixCSR(
             version=0,
@@ -113,7 +148,7 @@ class _ChainRelation:
             col_order=col_order,
             indptr=indptr,
             col_ids=col_ids,
-            data=np.ones(self.size, dtype=np.int64),
+            data=np.ones(nnz, dtype=np.int64),
         )
 
 
@@ -295,8 +330,11 @@ class PhaseThreePathOracle(ThreePathOracle):
     """Phase + fast-matrix-multiplication oracle (the paper's core mechanism).
 
     The update stream is split into *phases*.  At the start of each phase the
-    current relations are snapshotted and the products ``A_o · B_o``,
-    ``B_o · C_o`` and ``A_o · B_o · C_o`` of that snapshot are submitted to a
+    oracle fixes the endpoint sets its products serve, ``H_L`` in ``L1`` and
+    ``H_R`` in ``L4`` (named by :meth:`_endpoint_degree_floor`; this class
+    serves every endpoint), snapshots ``A_o[H_L,:]``, ``B_o`` and
+    ``C_o[:,H_R]``, and submits the products ``A_o[H_L,:] · B_o``,
+    ``B_o · C_o[:,H_R]`` and ``A_o[H_L,:] · B_o · C_o[:,H_R]`` to a
     :class:`~repro.matmul.scheduler.PhaseScheduler`, which advances them by a
     bounded amount of work on every update so the products are ready by the end
     of the phase (Section 5.1 / Algorithm 2, Step 2).  Each advance computes a
@@ -311,7 +349,12 @@ class PhaseThreePathOracle(ThreePathOracle):
     earlier, and the "new" edges span at most the current and previous phase —
     exactly the paper's ``P_new = P_{j+1} ∪ P_j``.
 
-    A query ``(u, v)`` expands ``(A_o + dA)(B_o + dB)(C_o + dC)[u, v]`` exactly:
+    When either endpoint set is empty the phase *sleeps*: no snapshot is
+    taken, no job is submitted and no delta is recorded, while the phase
+    clock, :attr:`phases_completed` and the phase-rebuild events keep running.
+
+    A query ``(u, v)`` with ``u`` in the active products' ``H_L`` and ``v`` in
+    their ``H_R`` expands ``(A_o + dA)(B_o + dB)(C_o + dC)[u, v]`` exactly:
 
     * ``A_o B_o C_o`` — one lookup in the precomputed triple product;
     * ``dA · (B_o C_o)`` — iterate the new ``A``-edges incident to ``u``;
@@ -321,9 +364,11 @@ class PhaseThreePathOracle(ThreePathOracle):
       with O(1) adjacency probes; this is the lazy evaluation the paper applies
       to new-phase edges, refined by its class-based data structures.
 
-    Every term is exact, so the oracle is exact at all times, including before
-    the first phase completes (the old products are then empty and the deltas
-    carry everything).
+    So the delta stores keep what such queries read and no more: ``dA`` rows
+    of ``H_L``, ``dC`` columns of ``H_R`` and, unless the phase sleeps, all of
+    ``dB``.  Every term is exact, so the oracle is exact at all times,
+    including before the first phase completes (the old products are then
+    empty and the deltas carry everything).
     """
 
     name = "phase-oracle"
@@ -344,7 +389,9 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._phase_length = phase_length if phase_length is not None else self._min_phase_length
         self._updates_in_phase = 0
         self._phases_completed = 0
-        # Products of the *active* old snapshot (one phase behind).
+        # Products of the *active* old snapshot (one phase behind), and the
+        # endpoint sets they serve.
+        self._endpoints = self._endpoint_sets()
         self._product_ab = CountMatrixCSR.empty()
         self._product_bc = CountMatrixCSR.empty()
         self._product_abc = CountMatrixCSR.empty()
@@ -352,7 +399,9 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._delta_a_by_left: Dict[Vertex, Dict[Vertex, int]] = {}
         self._delta_b: Dict[tuple[Vertex, Vertex], int] = {}
         self._delta_c_by_right: Dict[Vertex, Dict[Vertex, int]] = {}
-        # Signed deltas since the *pending* snapshot (the one being multiplied).
+        # Signed deltas since the *pending* snapshot (the one being
+        # multiplied), and the endpoint sets its products will serve.
+        self._pending_endpoints: tuple[EndpointSet, EndpointSet] = _ASLEEP
         self._pending_delta_a: Dict[Vertex, Dict[Vertex, int]] = {}
         self._pending_delta_b: Dict[tuple[Vertex, Vertex], int] = {}
         self._pending_delta_c: Dict[Vertex, Dict[Vertex, int]] = {}
@@ -379,6 +428,13 @@ class PhaseThreePathOracle(ThreePathOracle):
     def scheduler(self) -> PhaseScheduler:
         return self._scheduler
 
+    @property
+    def endpoints(self) -> tuple[EndpointSet, EndpointSet]:
+        """``(H_L, H_R)`` of the active products: the ``L1`` and ``L4``
+        endpoints whose queries they serve (:data:`ALL_VERTICES` for every
+        endpoint, two empty sets while they sleep)."""
+        return self._endpoints
+
     def new_edge_count(self) -> int:
         """Number of signed delta edges currently handled lazily."""
         return (
@@ -390,8 +446,8 @@ class PhaseThreePathOracle(ThreePathOracle):
     # -- update hooks ------------------------------------------------------------------
     def _after_relation_update(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
         self._record_delta(position, left, right, sign)
-        worked = self._scheduler.work()
-        self.cost.charge("matmul_ops", worked)
+        if self._pending_jobs:
+            self.cost.charge("matmul_ops", self._scheduler.work())
         self._updates_in_phase += 1
         if self._updates_in_phase >= self._phase_length and not self._defer_phase_end:
             self._end_phase()
@@ -412,60 +468,112 @@ class PhaseThreePathOracle(ThreePathOracle):
             self._end_phase()
 
     def _record_delta(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
-        self.cost.charge("structure_update")
+        """Record a signed tuple in the delta stores of the active and of the
+        pending snapshot, each only where its products' queries read it."""
+        rows, columns = self._endpoints
+        pending_rows, pending_columns = self._pending_endpoints
+        recorded = False
         if position == 1:
-            _add_nested(self._delta_a_by_left, left, right, sign)
-            _add_nested(self._pending_delta_a, left, right, sign)
+            if left in rows:
+                _add_nested(self._delta_a_by_left, left, right, sign)
+                recorded = True
+            if left in pending_rows:
+                _add_nested(self._pending_delta_a, left, right, sign)
+                recorded = True
         elif position == 2:
-            _add_flat(self._delta_b, (left, right), sign)
-            _add_flat(self._pending_delta_b, (left, right), sign)
+            if rows:
+                _add_flat(self._delta_b, (left, right), sign)
+                recorded = True
+            if pending_rows:
+                _add_flat(self._pending_delta_b, (left, right), sign)
+                recorded = True
         else:
-            _add_nested(self._delta_c_by_right, right, left, sign)
-            _add_nested(self._pending_delta_c, right, left, sign)
+            if right in columns:
+                _add_nested(self._delta_c_by_right, right, left, sign)
+                recorded = True
+            if right in pending_columns:
+                _add_nested(self._pending_delta_c, right, left, sign)
+                recorded = True
+        if recorded:
+            self.cost.charge("structure_update")
 
     # -- phase machinery -----------------------------------------------------------------
-    def _start_phase(
-        self, snapshots: Optional[tuple[CountMatrixCSR, CountMatrixCSR, CountMatrixCSR]] = None
-    ) -> None:
-        """Snapshot the current relations and submit their products.
+    def _endpoint_degree_floor(self) -> float:
+        """The degree that names the endpoint sets the old-phase products
+        serve: ``H_L = {u : |A(u)| >= floor}`` and
+        ``H_R = {v : |C(v)| >= floor}``, fixed once per phase start.
 
-        ``snapshots`` lets a bulk rebuild pass in already-materialized
-        relation matrices (the jobs only read them) instead of re-walking the
-        relation dictionaries tuple by tuple.
+        A floor of at most 0 serves every endpoint with whole products, as
+        this class does; a subclass that answers the other endpoints another
+        way raises it.
         """
-        if snapshots is not None:
-            snapshot_a, snapshot_b, snapshot_c = snapshots
-        else:
-            snapshot_a = self.relation(1).snapshot()
-            snapshot_b = self.relation(2).snapshot()
-            snapshot_c = self.relation(3).snapshot()
-        self._pending_jobs = {
-            "ab": ChainProductJob([snapshot_a, snapshot_b], name="A_old*B_old"),
-            "bc": ChainProductJob([snapshot_b, snapshot_c], name="B_old*C_old"),
-            "abc": ChainProductJob([snapshot_a, snapshot_b, snapshot_c], name="A_old*B_old*C_old"),
-        }
+        return 0.0
+
+    def _endpoint_sets(self) -> tuple[EndpointSet, EndpointSet]:
+        """``(H_L, H_R)`` of the current relations; two empty sets when
+        either is empty."""
+        floor = self._endpoint_degree_floor()
+        if floor <= 0:
+            return ALL_VERTICES, ALL_VERTICES
+        rows = frozenset(u for u, xs in self.relation(1).forward.items() if len(xs) >= floor)
+        columns = frozenset(v for v, ys in self.relation(3).backward.items() if len(ys) >= floor)
+        return (rows, columns) if rows and columns else _ASLEEP
+
+    def _start_phase(
+        self,
+        endpoints: Optional[tuple[EndpointSet, EndpointSet]] = None,
+        snapshots: Optional[tuple[CountMatrixCSR, CountMatrixCSR, CountMatrixCSR]] = None,
+    ) -> None:
+        """Fix the endpoint sets, snapshot ``A[H_L,:]``, ``B`` and
+        ``C[:,H_R]`` and submit their products; a sleeping phase does neither.
+
+        A bulk rebuild passes in the ``endpoints`` and the ``snapshots`` it
+        has already materialized (the jobs only read them) instead of
+        re-walking the relation dictionaries tuple by tuple.
+        """
+        self._pending_endpoints = self._endpoint_sets() if endpoints is None else endpoints
+        rows, columns = self._pending_endpoints
         self._pending_delta_a = {}
         self._pending_delta_b = {}
         self._pending_delta_c = {}
+        self._pending_jobs = {}
         self._scheduler.clear()
-        for job in self._pending_jobs.values():
-            self._scheduler.submit(job)
+        if rows:
+            if snapshots is None:
+                snapshots = (
+                    self.relation(1).snapshot(rows=rows),
+                    self.relation(2).snapshot(),
+                    self.relation(3).snapshot(columns=columns),
+                )
+            snapshot_a, snapshot_b, snapshot_c = snapshots
+            self._pending_jobs = {
+                "ab": ChainProductJob([snapshot_a, snapshot_b], name="A_old*B_old"),
+                "bc": ChainProductJob([snapshot_b, snapshot_c], name="B_old*C_old"),
+                "abc": ChainProductJob(
+                    [snapshot_a, snapshot_b, snapshot_c], name="A_old*B_old*C_old"
+                ),
+            }
+            for job in self._pending_jobs.values():
+                self._scheduler.submit(job)
         self._phase_length = self._compute_phase_length()
         self._scheduler.budget_per_update = self._compute_budget()
         self._updates_in_phase = 0
 
     def _end_phase(self) -> None:
-        """Finish the pending products and promote them to the active ones."""
-        flushed = self._scheduler.finish_all()
-        self.cost.charge("matmul_ops", flushed)
-        self._product_ab = self._pending_jobs["ab"].result
-        self._product_bc = self._pending_jobs["bc"].result
-        self._product_abc = self._pending_jobs["abc"].result
-        self._delta_a_by_left = {left: dict(entries) for left, entries in self._pending_delta_a.items()}
-        self._delta_b = dict(self._pending_delta_b)
-        self._delta_c_by_right = {
-            right: dict(entries) for right, entries in self._pending_delta_c.items()
-        }
+        """Finish the pending products and promote them, with their endpoint
+        sets and deltas, to the active ones."""
+        jobs = self._pending_jobs
+        if jobs:
+            self.cost.charge("matmul_ops", self._scheduler.finish_all())
+            products = [jobs[name].result for name in ("ab", "bc", "abc")]
+        else:
+            products = [CountMatrixCSR.empty() for _ in range(3)]
+        self._product_ab, self._product_bc, self._product_abc = products
+        self._endpoints = self._pending_endpoints
+        # _start_phase gives the pending stores fresh dicts, so these move.
+        self._delta_a_by_left = self._pending_delta_a
+        self._delta_b = self._pending_delta_b
+        self._delta_c_by_right = self._pending_delta_c
         self._phases_completed += 1
         self._start_phase()
 
@@ -480,23 +588,35 @@ class PhaseThreePathOracle(ThreePathOracle):
 
         Instead of letting the scheduler spread the old-phase products over
         the next phase, the products of the *current* snapshot are computed
-        immediately with dense BLAS products (in the mirrored setting
-        ``A = B = C``, so ``AB = BC = A^2`` and ``ABC = A^3``) and promoted,
-        and every delta store is cleared: queries right after the batch
-        boundary answer from the triple product alone.  This is a legal phase
-        boundary — the oracle is exact against *any* snapshot plus its deltas,
-        and here the deltas are simply empty.
+        immediately with dense BLAS products and promoted, and every delta
+        store is cleared: queries right after the batch boundary answer from
+        the triple product alone.  This is a legal phase boundary — the oracle
+        is exact against *any* snapshot plus its deltas, and here the deltas
+        are simply empty.  In the mirrored setting ``A = B = C`` is the
+        adjacency, both endpoint sets are ``H = {u : deg(u) >= floor}``, read
+        off the degree vector, and every product is a slice of the square:
+        ``A[H,:]·B = A²[H,:]``, ``B·C[:,H] = A²[:,H]`` and
+        ``A[H,:]·B·C[:,H] = A²[H,:]·A[:,H]``.  When ``H`` is empty nothing is
+        multiplied and the new phase sleeps.
         """
         super().rebuild_from_mirrored_graph(graph, matrix, labels, square)
+        high = self._mirrored_endpoints(matrix.sum(axis=1))
+        if high is not None and not high.any():
+            self._promote_mirrored_products(labels, high)
+            return
         if square is None:
             square = exact_integer_matmul(matrix, matrix)
-        cube = exact_integer_matmul(square, matrix)
+        keep = slice(None) if high is None else high
+        kept_labels = labels if high is None else [labels[i] for i in np.flatnonzero(high).tolist()]
+        triple = CountMatrixCSR.from_csr(
+            CsrMatrix.from_dense(exact_integer_matmul(square[keep], matrix[:, keep])), kept_labels
+        )
         n = matrix.shape[0]
         self._promote_mirrored_products(
-            CountMatrixCSR.from_csr(CsrMatrix.from_dense(matrix), labels),
-            CountMatrixCSR.from_csr(CsrMatrix.from_dense(square), labels),
-            CountMatrixCSR.from_csr(CsrMatrix.from_dense(cube), labels),
-            work=2 * n * n * n,
+            labels,
+            high,
+            (CsrMatrix.from_dense(matrix), CsrMatrix.from_dense(square), triple),
+            work=n * n * n + n * len(kept_labels) ** 2,
         )
 
     def rebuild_from_mirrored_csr(
@@ -508,37 +628,80 @@ class PhaseThreePathOracle(ThreePathOracle):
     ) -> None:
         """Sparse bulk rebuild: the same phase synchronization, no dense array.
 
-        The promoted products come from the SpGEMM kernel (``AB = BC = A^2``,
-        ``ABC = A^3`` in the mirrored setting); everything else matches
-        :meth:`rebuild_from_mirrored_graph`.
+        The triple product ``A²[H,:]·A[:,H]`` comes from the SpGEMM kernel;
+        everything else matches :meth:`rebuild_from_mirrored_graph`.
         """
         super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
-        cube, work = self._spgemm(square, adjacency)
+        high = self._mirrored_endpoints(adjacency.row_lengths())
+        if high is not None and not high.any():
+            self._promote_mirrored_products(labels, high)
+            return
+        if high is None:
+            cube, work = self._spgemm(square, adjacency)
+        else:
+            cube, work = self._spgemm(square.filter_rows(high), adjacency.filter_columns(high))
         self._promote_mirrored_products(
-            CountMatrixCSR.from_csr(adjacency, labels),
-            CountMatrixCSR.from_csr(square, labels),
-            CountMatrixCSR.from_csr(cube, labels),
-            work=work + spgemm_work(adjacency, adjacency),
+            labels,
+            high,
+            (adjacency, square, CountMatrixCSR.from_csr(cube, labels)),
+            work + spgemm_work(adjacency, adjacency),
         )
+
+    def _mirrored_endpoints(self, degrees: np.ndarray) -> Optional[np.ndarray]:
+        """The indicator of ``H`` over the interned vertices in the mirrored
+        setting, where ``|A(u)| = |C(u)| = deg(u)``; ``None`` when the
+        products serve every vertex."""
+        floor = self._endpoint_degree_floor()
+        return None if floor <= 0 else degrees >= floor
 
     def _promote_mirrored_products(
         self,
-        adjacency: CountMatrixCSR,
-        product_square: CountMatrixCSR,
-        product_cube: CountMatrixCSR,
-        work: int,
+        labels: List[Vertex],
+        high: Optional[np.ndarray],
+        operands: Optional[tuple[CsrMatrix, CsrMatrix, CountMatrixCSR]] = None,
+        work: int = 0,
     ) -> None:
-        """Install freshly computed mirrored products and open a new phase."""
-        self._product_ab = product_square
-        self._product_bc = product_square
-        self._product_abc = product_cube
+        """Install the products of the current snapshot, clear every delta
+        store and open a new phase over the same snapshot.
+
+        ``high`` is the indicator of ``H`` (``None``: every vertex), and
+        ``operands`` are the adjacency, its square and the labelled triple
+        product; a sleeping phase (``H`` empty) needs none of them.
+        """
+        if operands is None:
+            endpoints, snapshots = _ASLEEP, None
+            products = [CountMatrixCSR.empty() for _ in range(3)]
+        else:
+            adjacency, square, triple = operands
+            if high is None:
+                endpoints = (ALL_VERTICES, ALL_VERTICES)
+                product_square = CountMatrixCSR.from_csr(square, labels)
+                products = [product_square, product_square, triple]
+                # A = B = C is the read-only adjacency, so one positional
+                # matrix serves all three pending jobs.
+                snapshot = CountMatrixCSR.from_csr(adjacency, labels)
+                snapshots = (snapshot, snapshot, snapshot)
+            else:
+                hubs = frozenset(labels[i] for i in np.flatnonzero(high).tolist())
+                endpoints = (hubs, hubs)
+                products = [
+                    CountMatrixCSR.from_csr(square.filter_rows(high), labels),
+                    CountMatrixCSR.from_csr(square.filter_columns(high), labels),
+                    triple,
+                ]
+                snapshots = (
+                    CountMatrixCSR.from_csr(adjacency.filter_rows(high), labels),
+                    CountMatrixCSR.from_csr(adjacency, labels),
+                    CountMatrixCSR.from_csr(adjacency.filter_columns(high), labels),
+                )
+        self._endpoints = endpoints
+        self._product_ab, self._product_bc, self._product_abc = products
         self._delta_a_by_left = {}
         self._delta_b = {}
         self._delta_c_by_right = {}
         self._phases_completed += 1
-        # The pending jobs re-multiply the same snapshot; A = B = C is the
-        # read-only adjacency, so one positional matrix serves all three jobs.
-        self._start_phase(snapshots=(adjacency, adjacency, adjacency))
+        # The pending jobs re-multiply the same snapshot.
+        self._start_phase(endpoints, snapshots)
         self.cost.charge("batch_rebuild", work)
 
     def _compute_phase_length(self) -> int:
@@ -718,3 +881,6 @@ def _estimate_from_matrices(job: ChainProductJob) -> int:
 #: Shared immutable empties.
 _EMPTY_SET: frozenset = frozenset()
 _EMPTY_DICT: Dict[Vertex, int] = {}
+
+#: The endpoint sets of a sleeping phase: no products, no deltas.
+_ASLEEP: tuple[EndpointSet, EndpointSet] = (_EMPTY_SET, _EMPTY_SET)

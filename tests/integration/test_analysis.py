@@ -118,7 +118,7 @@ class TestEmpiricalExperiments:
             "wedge": (14.575, 37.21, 38),
             "hhh22": (21.6375, 122.72, 148),
             "phase-fmm": (138.575, 1331.71, 1372),
-            "assadi-shah": (102.5875, 1306.34, 1349),
+            "assadi-shah": (28.0375, 60.05, 64),
         }
         assert [row.counter for row in rows] == list(pinned)
         for row in rows:
