@@ -414,10 +414,10 @@ def experiment_e9_phase_ablation(
     """E9: how the phase length trades off query-time delta scanning against
     matrix-product amortization in the phase/FMM counter.
 
-    A phase counts chain-relation updates, and the counter mirrors every
-    graph update into six of them (three relations, both orientations), so
-    ``phase_length`` is in sixths of a graph update: 80 graph updates at
-    phase length 4 complete 120 phases.
+    A phase counts chain-relation updates, six per graph update (three
+    relations, both orientations), so ``phase_length`` is in sixths of a
+    graph update; a phase ends only at a graph-update boundary, so 80 graph
+    updates at phase length 4 complete 80 phases.
     """
     stream = power_law_stream(num_vertices, num_updates, seed=seed)
     rows: List[PhaseAblationRow] = []

@@ -10,6 +10,9 @@ top of the phase + FMM oracle:
   counts through sparse middle vertices) are maintained *on the fly* at every
   update, exactly as Claim 5.3 describes, and patched when a vertex changes
   class (the Section 7 Type-2 transitions).
+* Mirrored (the Section 8 reduction), the L2 and L3 classes are one dense
+  set and the two Eq. (12) structures one symmetric ``W = A·diag(S)·A``,
+  maintained per graph edge (:meth:`AssadiShahThreePathOracle.update_edge`).
 * Queries are routed by the endpoint and middle classes as in Section 5.3 /
   Algorithm 3: paths through a dense middle are found by iterating the (few)
   dense vertices of that layer; paths through two sparse middles are found by
@@ -36,8 +39,8 @@ operations, judged from sizes known in O(1): the phase decomposition, about
 new-phase deltas), or the class split, about ``|D2|·(1 + 2·|D3|) + |D3|`` plus
 one endpoint scan.  Either can exceed the paper's bound: after
 ``hub_adversarial_stream(3200, 12800, num_hubs=4, seed=1)`` a toggle of the
-absent hub edge ``(0, 1)`` costs 495,819 operations on the phase path
-(``|dB| = 7,526``) and 1,248 through the split, so routing by cost keeps such
+absent hub edge ``(0, 1)`` costs 676,043 operations on the phase path
+(``|dB| = 9,052``) and 1,254 through the split, so routing by cost keeps such
 toggles near the split's cost, but a query with both dense middles and many
 new ``B`` edges still pays for one of them.  The result is exact in every
 case; only the worst-case exponent of high/high queries is weaker than the
@@ -48,7 +51,7 @@ implemented and tested separately in :mod:`repro.core.warmup`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -132,17 +135,13 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         query goes through the class split, which never reads them."""
         return self._high_threshold()
 
-    def _combined_degree_l2(self, x: Vertex) -> int:
-        """Combined degree of an L2 vertex in ``A`` and ``B`` (Section 4)."""
-        a_side = self.relation(1).backward.get(x, _EMPTY_SET)
-        b_side = self.relation(2).forward.get(x, _EMPTY_SET)
-        return len(a_side) + len(b_side)
-
-    def _combined_degree_l3(self, y: Vertex) -> int:
-        """Combined degree of an L3 vertex in ``B`` and ``C``."""
-        b_side = self.relation(2).backward.get(y, _EMPTY_SET)
-        c_side = self.relation(3).forward.get(y, _EMPTY_SET)
-        return len(b_side) + len(c_side)
+    def _middle(self, layer: int) -> tuple[Set[Vertex], CountMatrix]:
+        """The dense set and the Eq. (12) structure of middle layer ``layer``
+        (2 for L2, 3 for L3), whose vertices' in-tuples sit at chain position
+        ``layer - 1`` and out-tuples at ``layer``."""
+        if layer == 2:
+            return self._dense_l2, self._wedges_a_sparse_b
+        return self._dense_l3, self._wedges_b_sparse_c
 
     def is_high_left(self, u: Vertex) -> bool:
         """Whether an L1 endpoint is high (classified by its degree in ``A``)."""
@@ -156,28 +155,52 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
     def _after_relation_update(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
         self._maintain_sparse_wedges(position, left, right, sign)
         super()._after_relation_update(position, left, right, sign)
-        if self._deferred_l2 is not None and self._deferred_l3 is not None:
-            # Batching: record the touched middles, check them at the boundary.
-            if position == 1:
-                self._deferred_l2.add(right)
-            elif position == 2:
-                self._deferred_l2.add(left)
-                self._deferred_l3.add(right)
-            else:
-                self._deferred_l3.add(left)
-            return
-        self._refresh_class_thresholds()
-        self._observe_classes(position, left, right)
+        if position == 1:
+            self._check_classes((right,), ())
+        elif position == 2:
+            self._check_classes((left,), (right,))
+        else:
+            self._check_classes((), (left,))
+
+    # -- the mirrored setting -------------------------------------------------------------
+    def mirror(self, graph: "DynamicGraph") -> None:
+        # Both middle layers are the graph's vertices, with combined degree
+        # 2·deg: one class split, and one W serves both Eq. (12) structures.
+        super().mirror(graph)
+        self._dense_l3 = self._dense_l2
+        self._wedges_b_sparse_c = self._wedges_a_sparse_b
+
+    def update_edge(self, u: Vertex, v: Vertex, sign: int) -> None:
+        """Claim 5.3 for a graph edge: ``W += sign·(ΔA·S·A + A·S·ΔA + ΔA·S·ΔA)``
+        with ``ΔA = e_u e_v^T + e_v e_u^T`` and ``A`` the graph without it.  A
+        sparse ``v`` adds its neighbourhood to row and column ``u`` plus
+        ``W[u, u]`` (``2·deg(v) + 1`` wedges, charged one ``structure_update``
+        each), and a sparse ``u`` does the same for ``v``."""
+        wedges = self._wedges_a_sparse_b
+        neighbors = self.relation(2).forward
+        for middle, endpoint in ((v, u), (u, v)):
+            if middle not in self._dense_l2:
+                scan = neighbors.get(middle, _EMPTY_SET)
+                self.cost.charge("structure_update", 2 * len(scan) + 1)
+                wedges.add_row(endpoint, scan, sign)
+                wedges.add_column(scan, endpoint, sign)
+                wedges.add(endpoint, endpoint, sign)
+        super().update_edge(u, v, sign)
+
+    def end_edge(self, u: Vertex, v: Vertex) -> None:
+        # The endpoints are the only vertices whose degree moved.
+        self._check_classes((u, v), ())
+        super().end_edge(u, v)
 
     # -- batch deferral ---------------------------------------------------------------
     def begin_batch(self) -> None:
         """Defer both phase rollovers and dense/sparse class transitions.
 
         The Eq. (12) structures stay consistent with the *current* dense sets
-        at every update (``_maintain_sparse_wedges`` branches on membership),
-        and every query split is exact for any class assignment — hysteresis
-        already lets classes lag behind degrees.  Deferring the transition
-        checks to the batch boundary therefore preserves exactness.
+        at every update (their maintenance branches on membership), and every
+        query split is exact for any class assignment — hysteresis already
+        lets classes lag behind degrees.  Deferring the transition checks to
+        the batch boundary therefore preserves exactness.
         """
         super().begin_batch()
         if self._deferred_l2 is None:
@@ -185,20 +208,13 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
             self._deferred_l3 = set()
 
     def end_batch(self) -> None:
-        touched_l2 = self._deferred_l2 or ()
-        touched_l3 = self._deferred_l3 or ()
-        self._deferred_l2 = None
-        self._deferred_l3 = None
-        self._refresh_class_thresholds()
-        for x in touched_l2:
-            self._observe_l2(x)
-        for y in touched_l3:
-            self._observe_l3(y)
+        touched = (self._deferred_l2 or (), self._deferred_l3 or ())
+        self._deferred_l2 = self._deferred_l3 = None
+        self._check_classes(*touched)
         super().end_batch()
 
     def rebuild_from_mirrored_graph(
         self,
-        graph: "DynamicGraph",
         matrix: np.ndarray,
         labels: List[Vertex],
         square: Optional[np.ndarray] = None,
@@ -207,25 +223,20 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
 
         After the phase-oracle rebuild, the degree classes are recomputed from
         the interned degree vector (in the mirrored reduction every middle
-        layer's combined degree is ``2 deg``) and the Eq. (12) sparse-wedge
-        structures are rebuilt as one masked dense product
-        ``A . diag(sparse) . B`` — the same quantity Claim 5.3 maintains tuple
-        by tuple — instead of replaying per-update neighborhood scans.
+        layer's combined degree is ``2 deg``) and ``W`` is rebuilt as one
+        masked dense product ``A . diag(sparse) . A`` — the same quantity
+        Claim 5.3 maintains edge by edge — instead of replaying per-update
+        neighborhood scans.
         """
-        super().rebuild_from_mirrored_graph(graph, matrix, labels, square)
+        super().rebuild_from_mirrored_graph(matrix, labels, square)
         sparse_mask = self._recompute_mirrored_classes(2 * matrix.sum(axis=1), labels)
-        # A . diag(sparse) . B with A = B = adjacency; the L2 and L3 sparse
-        # sets coincide in the mirrored reduction, so one product serves both
-        # structures (as independent copies — they are mutated separately).
         wedges = exact_integer_matmul(matrix * sparse_mask, matrix)
-        self._wedges_a_sparse_b = CountMatrix.from_dense(wedges, labels)
-        self._wedges_b_sparse_c = self._wedges_a_sparse_b.copy()
+        self._wedges_a_sparse_b = self._wedges_b_sparse_c = CountMatrix.from_dense(wedges, labels)
         n = matrix.shape[0]
         self.cost.charge("batch_rebuild", n * n * n)
 
     def rebuild_from_mirrored_csr(
         self,
-        graph: "DynamicGraph",
         adjacency: CsrMatrix,
         labels: List[Vertex],
         square: CsrMatrix,
@@ -236,114 +247,94 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         Eq. (12) masked product becomes a column-filtered SpGEMM
         ``(A . diag(sparse)) . A`` — with no dense ``n x n`` materialized.
         """
-        super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
+        super().rebuild_from_mirrored_csr(adjacency, labels, square)
         sparse_mask = self._recompute_mirrored_classes(2 * adjacency.row_lengths(), labels)
         wedges, work = self._spgemm(adjacency.filter_columns(sparse_mask), adjacency)
-        self._wedges_a_sparse_b = CountMatrix.from_csr(wedges, labels)
-        self._wedges_b_sparse_c = self._wedges_a_sparse_b.copy()
+        self._wedges_a_sparse_b = self._wedges_b_sparse_c = CountMatrix.from_csr(wedges, labels)
         self.cost.charge("batch_rebuild", work)
 
     def _recompute_mirrored_classes(
         self, combined_degrees: np.ndarray, labels: List[Vertex]
     ) -> np.ndarray:
-        """Reset the dense L2/L3 sets from the mirrored combined degrees.
+        """Reset the one dense set from the mirrored combined degrees.
 
-        Returns the sparse-vertex indicator the Eq. (12) products mask with.
+        Returns the sparse-vertex indicator the Eq. (12) product masks with.
         """
         m = max(self.num_edges, 1)
         self._class_reference_m = m
         threshold = self._dense_threshold()
         dense_mask = combined_degrees >= 2.0 * threshold
-        dense_vertices = {labels[i] for i in np.nonzero(dense_mask)[0]}
-        self._dense_l2 = dense_vertices
-        self._dense_l3 = set(dense_vertices)
+        self._dense_l2 = self._dense_l3 = {labels[i] for i in np.nonzero(dense_mask)[0]}
         return ~dense_mask
 
     def _maintain_sparse_wedges(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
-        """On-the-fly maintenance of the Eq. (12) structures (Claim 5.3).
+        """On-the-fly maintenance of the Eq. (12) structures (Claim 5.3) for
+        one tuple of a layered oracle.
 
-        Each neighborhood scan changes one row or one column of a structure
-        and is applied as one bulk add, charged one ``structure_update`` per
-        wedge.
+        The tuple is an in-tuple of ``right`` in middle layer ``position + 1``
+        and an out-tuple of ``left`` in middle layer ``position``, where those
+        layers exist (an ``A`` tuple touches L2, a ``B`` tuple both, a ``C``
+        tuple L3).  Through a sparse middle it adds the wedges
+        ``left - right - out(right)`` as one bulk row add and
+        ``in(left) - left - right`` as one bulk column add, each charged one
+        ``structure_update`` per wedge.
         """
-        if position == 1:
-            # A update (u, x): wedges u - x - y for every B-neighbor y of a sparse x.
-            u, x = left, right
-            if x not in self._dense_l2:
-                scan = self.relation(2).forward.get(x, _EMPTY_SET)
+        if position < 3:
+            dense, wedges = self._middle(position + 1)
+            if right not in dense:
+                scan = self.relation(position + 1).forward.get(right, _EMPTY_SET)
                 self.cost.charge("structure_update", len(scan))
-                self._wedges_a_sparse_b.add_row(u, scan, sign)
-        elif position == 2:
-            # B update (x, y): contributes to both structures.
-            x, y = left, right
-            if x not in self._dense_l2:
-                scan = self.relation(1).backward.get(x, _EMPTY_SET)
+                wedges.add_row(left, scan, sign)
+        if position > 1:
+            dense, wedges = self._middle(position)
+            if left not in dense:
+                scan = self.relation(position - 1).backward.get(left, _EMPTY_SET)
                 self.cost.charge("structure_update", len(scan))
-                self._wedges_a_sparse_b.add_column(scan, y, sign)
-            if y not in self._dense_l3:
-                scan = self.relation(3).forward.get(y, _EMPTY_SET)
-                self.cost.charge("structure_update", len(scan))
-                self._wedges_b_sparse_c.add_row(x, scan, sign)
-        else:
-            # C update (y, v): wedges x - y - v for every B-neighbor x of a sparse y.
-            y, v = left, right
-            if y not in self._dense_l3:
-                scan = self.relation(2).backward.get(y, _EMPTY_SET)
-                self.cost.charge("structure_update", len(scan))
-                self._wedges_b_sparse_c.add_column(scan, v, sign)
+                wedges.add_column(scan, right, sign)
 
     def _refresh_class_thresholds(self) -> None:
         m = max(self.num_edges, 1)
         if m > 2 * self._class_reference_m or 2 * m < self._class_reference_m:
             self._class_reference_m = m
 
-    def _observe_classes(self, position: int, left: Vertex, right: Vertex) -> None:
-        """Check the affected middle-layer vertices for class transitions."""
-        if position == 1:
-            self._observe_l2(right)
-        elif position == 2:
-            self._observe_l2(left)
-            self._observe_l3(right)
-        else:
-            self._observe_l3(left)
+    def _check_classes(self, l2: Iterable[Vertex], l3: Iterable[Vertex]) -> None:
+        """Check the given middle vertices for class transitions; while
+        batching, collect them for the check at the boundary instead."""
+        if self._deferred_l2 is not None and self._deferred_l3 is not None:
+            self._deferred_l2.update(l2)
+            self._deferred_l3.update(l3)
+            return
+        self._refresh_class_thresholds()
+        for layer, middles in ((2, l2), (3, l3)):
+            for x in middles:
+                self._observe_middle(layer, x)
 
-    def _observe_l2(self, x: Vertex) -> None:
-        degree = self._combined_degree_l2(x)
+    def _observe_middle(self, layer: int, x: Vertex) -> None:
+        """Move middle vertex ``x`` to the dense class once its combined
+        degree (Section 4) reaches twice the threshold, and back once it
+        falls below the threshold."""
+        dense, _ = self._middle(layer)
+        degree = len(self.relation(layer - 1).backward.get(x, _EMPTY_SET)) + len(
+            self.relation(layer).forward.get(x, _EMPTY_SET)
+        )
         threshold = self._dense_threshold()
-        if x in self._dense_l2:
+        if x in dense:
             if degree < threshold:
-                self._dense_l2.discard(x)
-                self._patch_l2_transition(x, sign=+1)
+                dense.discard(x)
+                self._patch_transition(layer, x, sign=+1)
         elif degree >= 2.0 * threshold:
-            self._patch_l2_transition(x, sign=-1)
-            self._dense_l2.add(x)
+            self._patch_transition(layer, x, sign=-1)
+            dense.add(x)
 
-    def _observe_l3(self, y: Vertex) -> None:
-        degree = self._combined_degree_l3(y)
-        threshold = self._dense_threshold()
-        if y in self._dense_l3:
-            if degree < threshold:
-                self._dense_l3.discard(y)
-                self._patch_l3_transition(y, sign=+1)
-        elif degree >= 2.0 * threshold:
-            self._patch_l3_transition(y, sign=-1)
-            self._dense_l3.add(y)
-
-    def _patch_l2_transition(self, x: Vertex, sign: int) -> None:
+    def _patch_transition(self, layer: int, x: Vertex, sign: int) -> None:
         """Add (``sign=+1``) or remove (``-1``) every wedge through ``x`` from
-        the ``A^{*S} · B^{S*}`` structure when ``x`` changes class."""
-        a_side = self.relation(1).backward.get(x, _EMPTY_SET)
-        b_side = self.relation(2).forward.get(x, _EMPTY_SET)
-        self.cost.charge("rebuild_ops", len(a_side) * len(b_side))
-        for u in a_side:
-            self._wedges_a_sparse_b.add_row(u, b_side, sign)
-
-    def _patch_l3_transition(self, y: Vertex, sign: int) -> None:
-        b_side = self.relation(2).backward.get(y, _EMPTY_SET)
-        c_side = self.relation(3).forward.get(y, _EMPTY_SET)
-        self.cost.charge("rebuild_ops", len(b_side) * len(c_side))
-        for x in b_side:
-            self._wedges_b_sparse_c.add_row(x, c_side, sign)
+        its layer's Eq. (12) structure when ``x`` changes class."""
+        into = self.relation(layer - 1).backward.get(x, _EMPTY_SET)
+        out = self.relation(layer).forward.get(x, _EMPTY_SET)
+        self.cost.charge("rebuild_ops", len(into) * len(out))
+        _, wedges = self._middle(layer)
+        for u in into:
+            wedges.add_row(u, out, sign)
 
     # -- query -------------------------------------------------------------------------
     def count_three_paths(self, u: Vertex, v: Vertex) -> int:

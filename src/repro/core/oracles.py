@@ -8,6 +8,11 @@ number of layered 3-paths from ``u`` to ``v`` — i.e. the entry
 one per query relation) and the general-graph counters (one oracle via the
 Section 8 reduction) are thin wrappers around such an oracle.
 
+A *mirrored* oracle (:meth:`ThreePathOracle.mirror`) serves the Section 8
+reduction: its relations are a view of a general graph's adjacency, and it
+takes one ``update_edge`` and one ``end_edge`` per graph update instead of
+one ``update`` per tuple.
+
 This module defines:
 
 * :class:`ThreePathOracle` — the oracle interface plus the shared relation
@@ -19,8 +24,8 @@ This module defines:
   are precomputed by matrix multiplication spread over the phase (exact
   row-block SpGEMM standing in for the paper's fast matrix multiplication),
   and queries combine them with the signed delta edges of the recent phases.
-* :class:`OracleBackedCounter` — a general-graph 4-cycle counter driven by any
-  oracle through the Section 8 reduction.
+* :class:`OracleBackedCounter` — a general-graph 4-cycle counter driven by a
+  mirrored oracle through the Section 8 reduction.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Hashable, List, O
 import numpy as np
 
 from repro.core.base import DynamicFourCycleCounter
-from repro.exceptions import ConfigurationError, InvalidUpdateError
+from repro.exceptions import ConfigurationError, CounterStateError, InvalidUpdateError
 from repro.graph.static_counts import four_cycles_from_adjacency, four_cycles_from_csr_square
 from repro.instrumentation.cost_model import CostModel
 from repro.kernels import CsrMatrix, exact_integer_matmul
@@ -47,6 +52,8 @@ Vertex = Hashable
 
 #: Chain positions: 1 connects L1 to L2, 2 connects L2 to L3, 3 connects L3 to L4.
 CHAIN_POSITIONS = (1, 2, 3)
+#: The relation updates a mirrored graph edge stands for: both orientations.
+_TUPLES_PER_EDGE = 2 * len(CHAIN_POSITIONS)
 
 
 class _AllVertices:
@@ -152,6 +159,24 @@ class _ChainRelation:
         )
 
 
+class _GraphRelation(_ChainRelation):
+    """A mirrored oracle's every chain relation: a read-only view of a graph's
+    live label adjacency, holding each edge in both orientations."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "DynamicGraph") -> None:
+        self._graph = graph
+        self.forward = self.backward = graph.adjacency
+
+    @property
+    def size(self) -> int:  # type: ignore[override]
+        return 2 * self._graph.num_edges
+
+    def apply(self, left: Vertex, right: Vertex, sign: int) -> None:
+        raise CounterStateError("a mirrored oracle's relations are its graph: use update_edge")
+
+
 class ThreePathOracle(abc.ABC):
     """Interface and shared state of dynamic 3-path oracles."""
 
@@ -221,30 +246,47 @@ class ThreePathOracle(abc.ABC):
         amortized cost accounting does, so deferring them to the boundary is
         safe."""
 
+    # -- the mirrored setting (Section 8) -------------------------------------------
+    def mirror(self, graph: "DynamicGraph") -> None:
+        """Read all three chain relations off ``graph`` (``A = B = C`` in the
+        Section 8 reduction), keeping no copy: every edge ``{u, v}`` is the
+        tuples ``(u, v)`` and ``(v, u)``, and sizes stay in tuples
+        (``num_edges`` is six times the graph's ``m``), so thresholds and
+        phase lengths keep their units.  The graph's owner reports each edge
+        update through :meth:`update_edge` and :meth:`end_edge`;
+        :meth:`update` raises.  Call it on an empty oracle.
+        """
+        if self.num_edges:
+            raise CounterStateError(f"mirror() needs an empty oracle, not {self!r}")
+        self._relations = dict.fromkeys(CHAIN_POSITIONS, _GraphRelation(graph))
+
+    def update_edge(self, u: Vertex, v: Vertex, sign: int) -> None:
+        """The six tuple updates of graph edge ``{u, v}`` on a mirrored
+        oracle, reported while the edge is absent from the graph: just before
+        its insertion (``sign = +1``) or just after its deletion (``-1``)."""
+
+    def end_edge(self, u: Vertex, v: Vertex) -> None:
+        """Called once the mirrored graph reflects the update of ``{u, v}``,
+        where (as at :meth:`end_batch`) the graph equals the oracle's snapshot
+        plus its deltas: the only points where classes move and phases end."""
+
     def rebuild_from_mirrored_graph(
         self,
-        graph: "DynamicGraph",
         matrix: np.ndarray,
         labels: List[Vertex],
         square: Optional[np.ndarray] = None,
     ) -> None:
-        """Reset the oracle to mirror ``graph`` under the Section 8 reduction.
+        """Resynchronize a mirrored oracle after its graph changed in bulk.
 
-        The batched fast path of :class:`OracleBackedCounter` applies a whole
-        window to the graph in bulk and then calls this instead of replaying
-        the per-tuple hooks: all three chain relations are rebuilt to equal
-        the graph's adjacency (both orientations), and subclasses extend it to
-        rebuild their auxiliary structures with vectorized kernels over the
-        interned adjacency ``matrix`` (in ``labels`` order; ``square`` is
-        ``matrix @ matrix`` when the caller already has it).  Only valid in
-        the mirrored setting where ``A = B = C =`` the adjacency matrix.
+        The batched fast path of :class:`OracleBackedCounter` calls this
+        instead of reporting each edge.  The relations read the graph, so they
+        need nothing; subclasses rebuild their auxiliary structures with
+        vectorized kernels over the interned adjacency ``matrix`` (in
+        ``labels`` order; ``square`` is ``matrix @ matrix`` when known).
         """
-        del matrix, labels, square  # vectorized kernels live in subclasses
-        self._rebuild_mirrored_relations(graph)
 
     def rebuild_from_mirrored_csr(
         self,
-        graph: "DynamicGraph",
         adjacency: CsrMatrix,
         labels: List[Vertex],
         square: CsrMatrix,
@@ -256,24 +298,6 @@ class ThreePathOracle(abc.ABC):
         from them without ever materializing a dense ``n x n`` array — the
         path the density-aware dispatcher takes on sparse graphs.
         """
-        del adjacency, labels, square  # sparse kernels live in subclasses
-        self._rebuild_mirrored_relations(graph)
-
-    def _rebuild_mirrored_relations(self, graph: "DynamicGraph") -> None:
-        """Reset all three chain relations to mirror the graph's adjacency."""
-        for position in CHAIN_POSITIONS:
-            relation = _ChainRelation()
-            # Forward and backward maps (and each relation) need independent
-            # sets: later per-tuple updates mutate them one direction and one
-            # relation at a time.
-            relation.forward = {
-                vertex: set(graph.neighbors(vertex)) for vertex in graph.vertices()
-            }
-            relation.backward = {
-                vertex: set(graph.neighbors(vertex)) for vertex in graph.vertices()
-            }
-            relation.size = 2 * graph.num_edges
-            self._relations[position] = relation
 
     @abc.abstractmethod
     def count_three_paths(self, u: Vertex, v: Vertex) -> int:
@@ -413,10 +437,10 @@ class PhaseThreePathOracle(ThreePathOracle):
     # -- introspection ---------------------------------------------------------------
     @property
     def phase_length(self) -> int:
-        """The current phase length, counted in relation updates (calls of
-        :meth:`update`).  The general-graph counters mirror every graph
-        update into six of them (three chain relations, both orientations),
-        so for phase-fmm and assadi-shah it is in sixths of a graph update.
+        """The current phase length, counted in relation updates.  A mirrored
+        oracle counts each graph update as six (three chain relations, both
+        orientations), so for phase-fmm and assadi-shah it is in sixths of a
+        graph update, and a phase ends only at a graph-update boundary.
         """
         return self._phase_length
 
@@ -446,9 +470,28 @@ class PhaseThreePathOracle(ThreePathOracle):
     # -- update hooks ------------------------------------------------------------------
     def _after_relation_update(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
         self._record_delta(position, left, right, sign)
+        self._advance_phase(1)
+        self._end_phase_if_due()
+
+    def update_edge(self, u: Vertex, v: Vertex, sign: int) -> None:
+        """Record the edge's six tuples as deltas and advance the scheduler
+        and the phase clock by six relation updates."""
+        for position in CHAIN_POSITIONS:
+            self._record_delta(position, u, v, sign)
+            self._record_delta(position, v, u, sign)
+        self._advance_phase(_TUPLES_PER_EDGE)
+
+    def end_edge(self, u: Vertex, v: Vertex) -> None:
+        self._end_phase_if_due()
+
+    def _advance_phase(self, updates: int) -> None:
+        """Spend ``updates`` relation updates' product budget and clock."""
         if self._pending_jobs:
-            self.cost.charge("matmul_ops", self._scheduler.work())
-        self._updates_in_phase += 1
+            budget = updates * self._scheduler.budget_per_update
+            self.cost.charge("matmul_ops", self._scheduler.work(budget))
+        self._updates_in_phase += updates
+
+    def _end_phase_if_due(self) -> None:
         if self._updates_in_phase >= self._phase_length and not self._defer_phase_end:
             self._end_phase()
 
@@ -464,8 +507,7 @@ class PhaseThreePathOracle(ThreePathOracle):
 
     def end_batch(self) -> None:
         self._defer_phase_end = False
-        if self._updates_in_phase >= self._phase_length:
-            self._end_phase()
+        self._end_phase_if_due()
 
     def _record_delta(self, position: int, left: Vertex, right: Vertex, sign: int) -> None:
         """Record a signed tuple in the delta stores of the active and of the
@@ -579,12 +621,11 @@ class PhaseThreePathOracle(ThreePathOracle):
 
     def rebuild_from_mirrored_graph(
         self,
-        graph: "DynamicGraph",
         matrix: np.ndarray,
         labels: List[Vertex],
         square: Optional[np.ndarray] = None,
     ) -> None:
-        """Bulk mirror rebuild plus a vectorized phase synchronization.
+        """A vectorized phase synchronization after a bulk graph change.
 
         Instead of letting the scheduler spread the old-phase products over
         the next phase, the products of the *current* snapshot are computed
@@ -599,7 +640,6 @@ class PhaseThreePathOracle(ThreePathOracle):
         ``A[H,:]·B·C[:,H] = A²[H,:]·A[:,H]``.  When ``H`` is empty nothing is
         multiplied and the new phase sleeps.
         """
-        super().rebuild_from_mirrored_graph(graph, matrix, labels, square)
         high = self._mirrored_endpoints(matrix.sum(axis=1))
         if high is not None and not high.any():
             self._promote_mirrored_products(labels, high)
@@ -621,7 +661,6 @@ class PhaseThreePathOracle(ThreePathOracle):
 
     def rebuild_from_mirrored_csr(
         self,
-        graph: "DynamicGraph",
         adjacency: CsrMatrix,
         labels: List[Vertex],
         square: CsrMatrix,
@@ -631,7 +670,6 @@ class PhaseThreePathOracle(ThreePathOracle):
         The triple product ``A²[H,:]·A[:,H]`` comes from the SpGEMM kernel;
         everything else matches :meth:`rebuild_from_mirrored_graph`.
         """
-        super().rebuild_from_mirrored_csr(graph, adjacency, labels, square)
         high = self._mirrored_endpoints(adjacency.row_lengths())
         if high is not None and not high.any():
             self._promote_mirrored_products(labels, high)
@@ -758,10 +796,12 @@ class PhaseThreePathOracle(ThreePathOracle):
 class OracleBackedCounter(DynamicFourCycleCounter):
     """A general-graph 4-cycle counter driven by a 3-path oracle.
 
-    Implements the Section 8 reduction: every general edge ``{u, v}`` is
-    mirrored (in both orientations) into all three chain relations, whose
-    matrices therefore all equal the graph's adjacency matrix, and the number
-    of 4-cycles through ``{u, v}`` is the oracle's 3-path count ``(u, v)``.
+    Implements the Section 8 reduction: the oracle mirrors the counter's graph
+    (:meth:`ThreePathOracle.mirror`), so all three chain relations are its
+    adjacency, and the number of 4-cycles through ``{u, v}`` is the oracle's
+    3-path count ``(u, v)`` while the edge is absent.  Each edge update is one
+    :meth:`ThreePathOracle.update_edge` (edge absent) and one
+    :meth:`ThreePathOracle.end_edge` (graph updated).
     """
 
     name = "oracle-backed"
@@ -769,6 +809,7 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     def __init__(self, oracle: ThreePathOracle, workers: int = 1) -> None:
         super().__init__(workers=workers)
         self._oracle = oracle
+        oracle.mirror(self._graph)
         # Share one cost model so oracle work shows up in the counter's totals,
         # and one shard executor so the oracle's rebuild products parallelize
         # under the same worker configuration (and share the same pools).
@@ -782,10 +823,9 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     def _batch_hook(self, batch) -> bool:
         """Batch fast path: bulk-apply the window, then one vectorized rebuild.
 
-        The per-update path mirrors every edge into six relation updates, each
-        firing the oracle's Python maintenance hooks.  For a large window it
-        is cheaper to apply the net updates to the graph in bulk, rebuild the
-        oracle from the mirrored graph with matrix kernels
+        The per-update path runs the oracle's Python maintenance hooks once
+        per edge.  For a large window it is cheaper to apply the net updates
+        to the graph in bulk, resynchronize the oracle with matrix kernels
         (:meth:`ThreePathOracle.rebuild_from_mirrored_graph` on the dense
         path, :meth:`ThreePathOracle.rebuild_from_mirrored_csr` on the sparse
         one — the density-aware dispatcher picks), and take the exact boundary
@@ -794,17 +834,11 @@ class OracleBackedCounter(DynamicFourCycleCounter):
         if len(batch) < self.batch_fast_path_threshold:
             return False
         self._graph.apply_batch(batch)
-        if self._graph.num_edges == 0:
-            # Degenerate empty graph: both kernels reduce to clearing state.
-            matrix, labels = self._graph.interned_adjacency_matrix()
-            self._oracle.rebuild_from_mirrored_graph(self._graph, matrix, labels)
-            self._count = 0
-            return True
         decision = self._adjacency_product_decision()
         if decision.backend == "dense":
             matrix, labels = self._graph.interned_adjacency_matrix()
             square = exact_integer_matmul(matrix, matrix)
-            self._oracle.rebuild_from_mirrored_graph(self._graph, matrix, labels, square=square)
+            self._oracle.rebuild_from_mirrored_graph(matrix, labels, square=square)
             self._count = four_cycles_from_adjacency(
                 matrix, self._graph.num_edges, square=square
             )
@@ -814,7 +848,7 @@ class OracleBackedCounter(DynamicFourCycleCounter):
             adjacency = self._graph.csr_matrix()
             square, work = self._spgemm(adjacency, adjacency)
             labels = self._graph.interner.labels
-            self._oracle.rebuild_from_mirrored_csr(self._graph, adjacency, labels, square)
+            self._oracle.rebuild_from_mirrored_csr(adjacency, labels, square)
             self._count = four_cycles_from_csr_square(
                 square, adjacency.row_lengths(), self._graph.num_edges
             )
@@ -825,9 +859,10 @@ class OracleBackedCounter(DynamicFourCycleCounter):
         return self._oracle.count_three_paths(u, v)
 
     def _apply_structure_delta(self, u: Vertex, v: Vertex, sign: int) -> None:
-        for position in CHAIN_POSITIONS:
-            self._oracle.update(position, u, v, sign)
-            self._oracle.update(position, v, u, sign)
+        self._oracle.update_edge(u, v, sign)
+
+    def _post_update(self, u: Vertex, v: Vertex, sign: int) -> None:
+        self._oracle.end_edge(u, v)
 
     def _begin_batch(self, batch) -> None:
         self._oracle.begin_batch()

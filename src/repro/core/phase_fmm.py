@@ -7,6 +7,10 @@ spread across the phase (the code's stand-in for the paper's fast matrix
 multiplication, whose exponent is modelled in :mod:`repro.theory.omega`).
 It exposes the phase parameters so benchmarks (E6, E9) can sweep them.
 
+The oracle reads the counter's graph
+(:meth:`~repro.core.oracles.ThreePathOracle.mirror`): each graph update
+records its six tuple deltas and advances the phase by six relation updates,
+and a phase ends only once the graph reflects an update.
 Under ``apply_batch`` the counter inherits the oracle's batch deferral: phase
 rollovers that fall inside a batch are postponed to the batch boundary (the
 answers stay exact against the stretched phase's deltas), so a batch never
@@ -53,9 +57,3 @@ class PhaseFMMCounter(OracleBackedCounter):
     @property
     def phase_length(self) -> int:
         return self.phase_oracle.phase_length
-
-    @property
-    def updates_in_phase(self) -> int:
-        """Progress inside the current phase (may exceed ``phase_length``
-        mid-batch while a deferred rollover is pending)."""
-        return self.phase_oracle._updates_in_phase

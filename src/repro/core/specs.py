@@ -132,7 +132,7 @@ def available_counter_names() -> List[str]:
 def _phase_options() -> Tuple[OptionSpec, ...]:
     return COMMON_OPTIONS + (
         # Phases count chain-relation updates, six per graph update.
-        OptionSpec("phase_length", None, "fixed phase length, in sixths of a graph update (default: from m)"),
+        OptionSpec("phase_length", None, "fixed phase length, in sixths of a graph update, ending at an update boundary (default: from m)"),
         OptionSpec("delta", None, "degree-class exponent delta (default: solved)"),
         OptionSpec("min_phase_length", 16, "lower bound on the adaptive phase length (sixths of an update)"),
     )

@@ -12,8 +12,6 @@ from repro.graph.layered_graph import (
 from repro.graph.reduction import (
     expand_general_stream,
     expand_general_update,
-    expected_layered_cycle_count,
-    query_pair,
 )
 from repro.graph.static_counts import (
     closed_four_walks_from_adjacency,
@@ -46,8 +44,6 @@ __all__ = [
     "CLASSIFICATION_RELATIONS",
     "expand_general_update",
     "expand_general_stream",
-    "query_pair",
-    "expected_layered_cycle_count",
     "closed_four_walks_from_adjacency",
     "count_closed_four_walks",
     "four_cycles_from_adjacency",

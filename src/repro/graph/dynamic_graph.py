@@ -22,6 +22,7 @@ loops into integer set operations and vectorized numpy scatters.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Union
 
 import numpy as np
@@ -96,6 +97,12 @@ class DynamicGraph:
         """Mutation counter; changes whenever the graph structure changes."""
         return self._version
 
+    @property
+    def adjacency(self) -> Dict[Vertex, Set[Vertex]]:
+        """The live label adjacency, vertex -> neighbor set; read-only use
+        only (a mirrored 3-path oracle's chain relations read it)."""
+        return self._adjacency
+
     def vertices(self) -> Iterator[Vertex]:
         """Iterate over all registered vertices."""
         return iter(self._adjacency)
@@ -107,17 +114,28 @@ class DynamicGraph:
         (``u_id < v_id``) instead of calling the label comparison helper per
         *oriented* pair, and the emitted pair is canonicalized with one inline
         label comparison; non-comparable label mixes fall back to the
-        repr-keyed scalar path wholesale.
+        repr-keyed scalar path wholesale.  The id pairs come off the CSR view
+        when it is current (every batch hook leaves it so), else off the
+        int-id sets: rebuilding the view costs more than it saves.
         """
         labels = self._interner.labels
-        pairs: list[tuple[Vertex, Vertex]] = []
+        cache = self._csr_cache
         try:
-            for uid, neighbor_ids in enumerate(self._int_adjacency):
-                u = labels[uid]
-                for vid in neighbor_ids:
-                    if uid < vid:
-                        v = labels[vid]
-                        pairs.append((u, v) if u <= v else (v, u))  # type: ignore[operator]
+            if cache is not None and cache[0] == self._version:
+                _, indptr, indices = cache
+                rows = expand_csr_rows(indptr)
+                keep = rows < indices
+                lefts = map(labels.__getitem__, rows[keep].tolist())
+                rights = map(labels.__getitem__, indices[keep].tolist())
+                pairs = [(u, v) if u <= v else (v, u) for u, v in zip(lefts, rights)]  # type: ignore[operator]
+            else:
+                pairs = []
+                for uid, neighbor_ids in enumerate(self._int_adjacency):
+                    u = labels[uid]
+                    for vid in neighbor_ids:
+                        if uid < vid:
+                            v = labels[vid]
+                            pairs.append((u, v) if u <= v else (v, u))  # type: ignore[operator]
         except TypeError:
             return iter(self._edges_scalar())
         return iter(pairs)
@@ -349,13 +367,10 @@ class DynamicGraph:
         int_adjacency = self._int_adjacency
         n = len(int_adjacency)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        for vid, neighbor_ids in enumerate(int_adjacency):
-            indptr[vid + 1] = len(neighbor_ids)
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for vid, neighbor_ids in enumerate(int_adjacency):
-            if neighbor_ids:
-                indices[indptr[vid]:indptr[vid + 1]] = list(neighbor_ids)
+        np.cumsum(np.fromiter(map(len, int_adjacency), np.int64, n), out=indptr[1:])
+        indices = np.fromiter(
+            itertools.chain.from_iterable(int_adjacency), np.int64, int(indptr[-1])
+        )
         self._csr_cache = (self._version, indptr, indices)
         return indptr, indices
 

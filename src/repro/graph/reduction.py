@@ -11,17 +11,20 @@ Update ordering matters for exactness (Claim 8.1): on an *insertion* the query
 is asked against ``A, B, C`` *before* the new edge reaches them (the paper says
 "insert in D then C then B then A" — the query happens at the ``D`` step); on a
 *deletion* the edge is removed from ``A, B, C`` first and the query is asked
-afterwards.  With that ordering every 3-walk counted between ``u`` and ``v`` is
-a genuine 3-path, so the maintained count is exact.
+afterwards.  The query is the ``D``-edge ``(v ∈ L4, u ∈ L1)``, whose layered
+3-paths from ``u`` to ``v`` through ``A, B, C`` are the general graph's
+3-walks from ``u`` to ``v``; with the edge absent each is a genuine 3-path, a
+4-cycle through ``{u, v}``, so the general count is the signed sum of these
+answers (Algorithm 1).  The *totals* differ: a layered 4-cycle of ``G'`` is a
+closed 4-walk of ``G`` (its layer-vertices are distinct even when their labels
+repeat), so the layered count is ``tr(A^4)``, not ``8 x`` the general count.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.graph.updates import EdgeUpdate, LayeredEdgeUpdate, UpdateKind
-
-Vertex = Hashable
 
 #: Relation order used when expanding an insertion.  The query relation ``D``
 #: comes first so the query sees ``A, B, C`` without the new edge.
@@ -50,41 +53,3 @@ def expand_general_stream(updates: Iterable[EdgeUpdate]) -> Iterator[LayeredEdge
     """Expand a whole general-graph update stream, preserving order."""
     for update in updates:
         yield from expand_general_update(update)
-
-
-def query_pair(update: EdgeUpdate) -> tuple[Vertex, Vertex]:
-    """The ``(L1 vertex, L4 vertex)`` pair whose 3-path count equals the number
-    of general 4-cycles through the updated edge.
-
-    For the undirected edge ``{u, v}`` the paper queries the ``D``-edge
-    ``(v ∈ L4, u ∈ L1)``; the number of layered 3-paths from ``u ∈ L1`` to
-    ``v ∈ L4`` through ``A, B, C`` (each equal to the adjacency matrix) is the
-    number of 3-paths from ``u`` to ``v`` in the general graph, i.e. the number
-    of 4-cycles through ``{u, v}``.
-    """
-    return (update.u, update.v)
-
-
-def expected_layered_cycle_count(adjacency_closed_four_walks: int) -> int:
-    """The layered 4-cycle count of the reduced graph ``G'``.
-
-    Because every layer is a full copy of ``V`` and every relation equals the
-    adjacency matrix, a layered 4-cycle of ``G'`` is exactly a closed 4-walk of
-    the general graph (the four layer-vertices are distinct as layered vertices
-    even when their labels repeat), so the layered count equals ``tr(A^4)``.
-
-    This is deliberately *not* ``8 x`` the general 4-cycle count: the paper's
-    equivalence (Claim 8.1) is about the per-update query — the walks counted
-    between the endpoints of the updated edge are all genuine 3-paths because
-    the edge is absent from ``A, B, C`` at query time — not about the totals of
-    the two counting problems.  Tests use this helper to cross-check the
-    reduction against the closed-walk count.
-    """
-    return adjacency_closed_four_walks
-
-
-def general_four_cycles_from_reduction_queries(query_answers_signed_sum: int) -> int:
-    """The maintained general 4-cycle count is simply the signed sum of the
-    per-update query answers (number of 3-paths between the updated edge's
-    endpoints), as in Algorithm 1.  Provided for documentation symmetry."""
-    return query_answers_signed_sum

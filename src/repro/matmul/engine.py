@@ -615,13 +615,6 @@ class CountMatrix:
         return f"CountMatrix(nnz={self._nnz})"
 
     # -- linear-algebra style operations --------------------------------------
-    def copy(self) -> "CountMatrix":
-        clone = CountMatrix()
-        clone._rows = {row: dict(row_map) for row, row_map in self._rows.items()}
-        clone._nnz = self._nnz
-        clone._col_counts = dict(self._col_counts)
-        return clone
-
     def add_matrix(self, other: "CountMatrix", scale: int = 1) -> None:
         """In-place ``self += scale * other``.
 

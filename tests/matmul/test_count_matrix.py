@@ -101,12 +101,6 @@ class TestBulkAccess:
 
 
 class TestLinearAlgebra:
-    def test_copy_independent(self):
-        matrix = CountMatrix({(1, 2): 3})
-        clone = matrix.copy()
-        clone.add(1, 2, 1)
-        assert matrix.get(1, 2) == 3
-
     def test_add_matrix_with_scale(self):
         left = CountMatrix({(1, 2): 3})
         right = CountMatrix({(1, 2): 1, (2, 3): 2})

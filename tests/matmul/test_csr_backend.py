@@ -280,7 +280,7 @@ class TestDispatcher:
 class TestAddRow:
     def test_add_row_matches_pointwise_adds(self):
         bulk = CountMatrix({("a", "x"): 1})
-        pointwise = bulk.copy()
+        pointwise = CountMatrix({("a", "x"): 1})
         columns = ["x", "y", "z", "y"]
         deltas = [-1, 2, 3, 4]
         bulk.add_row("a", columns, deltas)
