@@ -607,7 +607,7 @@ class FourCycleEngine:
             config=self._config.to_dict(),
             count=self._counter.count,
             updates_processed=self._counter.updates_processed,
-            vertices=tuple(graph.vertices()),
+            vertices=graph.vertices(),
             edges=tuple(graph.edges()),
             wal_seq=self._last_durable_seq if self._wal is not None else None,
         )

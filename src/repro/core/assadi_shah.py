@@ -56,9 +56,11 @@ from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set
 import numpy as np
 
 from repro.core.oracles import OracleBackedCounter, PhaseThreePathOracle
+from repro.graph.updates import EdgeUpdate
 from repro.instrumentation.cost_model import CostModel
 from repro.kernels import CsrMatrix, exact_integer_matmul
 from repro.matmul.engine import CountMatrix
+from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST
 from repro.theory.parameters import solve_main_parameters
 
 if TYPE_CHECKING:  # typing only; avoids a runtime import cycle
@@ -252,6 +254,37 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         wedges, work = self._spgemm(adjacency.filter_columns(sparse_mask), adjacency)
         self._wedges_a_sparse_b = self._wedges_b_sparse_c = CountMatrix.from_csr(wedges, labels)
         self.cost.charge("batch_rebuild", work)
+
+    # -- batch pricing ----------------------------------------------------------------
+    def rebuild_cost(self, vertices: int, edges: int) -> float:
+        """The phase oracle's price plus ``W``: its masked SpGEMM and one
+        dict per row, and the counter's ``A²``, all read off ``nnz(W)``."""
+        wedges = self._wedges_a_sparse_b.nnz
+        return super().rebuild_cost(vertices, edges) + wedges * (DICT_OP_COST + 2 * CSR_OP_COST)
+
+    def replay_cost(self, updates: Iterable[EdgeUpdate], limit: float) -> float:
+        """Per update: :meth:`_replay_update_cost`, the class-split query's
+        ``|D2|·(1 + 2·|D3|) + |D3|`` operations plus the smaller endpoint
+        scan (a high/high query takes the phase path only when that is
+        cheaper), and ``2·deg + 1`` ``W`` entries per sparse endpoint."""
+        fixed = self._replay_update_cost()
+        neighbors = self.relation(2).forward
+        dense = self._dense_l2
+        split = len(dense) * (1 + 2 * len(self._dense_l3)) + len(self._dense_l3)
+        total = 0.0
+        for update in updates:
+            u, v = update.u, update.v
+            degree_u = len(neighbors.get(u, _EMPTY_SET))
+            degree_v = len(neighbors.get(v, _EMPTY_SET))
+            operations = split + min(degree_u, degree_v)
+            if v not in dense:
+                operations += 2 * degree_v + 1
+            if u not in dense:
+                operations += 2 * degree_u + 1
+            total += fixed + operations * DICT_OP_COST
+            if total >= limit:
+                break
+        return total
 
     def _recompute_mirrored_classes(
         self, combined_degrees: np.ndarray, labels: List[Vertex]

@@ -87,9 +87,10 @@ class DynamicFourCycleCounter(abc.ABC):
     #: Short machine-readable name used by the registry and benchmarks.
     name: str = "abstract"
 
-    #: Minimum net batch size before a counter's `_batch_hook` fast path is
-    #: worth taking; below it the per-update replay is typically cheaper (the
-    #: rebuild-style fast paths pay a fixed per-batch kernel cost).
+    #: Minimum net batch size before the brute-force, wedge and hhh22
+    #: `_batch_hook` fast paths are taken; below it the per-update replay is
+    #: typically cheaper (their rebuilds pay a fixed per-batch kernel cost).
+    #: The oracle-backed counters price both paths instead and ignore it.
     batch_fast_path_threshold: int = 32
 
     def __init__(self, workers: int = 1) -> None:

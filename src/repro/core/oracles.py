@@ -25,23 +25,38 @@ This module defines:
   row-block SpGEMM standing in for the paper's fast matrix multiplication),
   and queries combine them with the signed delta edges of the recent phases.
 * :class:`OracleBackedCounter` — a general-graph 4-cycle counter driven by a
-  mirrored oracle through the Section 8 reduction.
+  mirrored oracle through the Section 8 reduction, which replays or rebuilds
+  each batch window by the oracle's own prices for the two paths
+  (:meth:`ThreePathOracle.replay_cost`, :meth:`ThreePathOracle.rebuild_cost`).
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Hashable, List, Optional, Set, Union
+from typing import (
+    TYPE_CHECKING,
+    Collection,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.base import DynamicFourCycleCounter
 from repro.exceptions import ConfigurationError, CounterStateError, InvalidUpdateError
 from repro.graph.static_counts import four_cycles_from_adjacency, four_cycles_from_csr_square
+from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.instrumentation.cost_model import CostModel
 from repro.kernels import CsrMatrix, exact_integer_matmul
 from repro.matmul.engine import CountMatrix, CountMatrixCSR, csr_spgemm, spgemm_work
+from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST, VECTORIZED_PRODUCT_OVERHEAD
 from repro.matmul.scheduler import ChainProductJob, PhaseScheduler
 from repro.theory.parameters import solve_main_parameters
 
@@ -54,6 +69,22 @@ Vertex = Hashable
 CHAIN_POSITIONS = (1, 2, 3)
 #: The relation updates a mirrored graph edge stands for: both orientations.
 _TUPLES_PER_EDGE = 2 * len(CHAIN_POSITIONS)
+
+# Prices of the two batch paths of OracleBackedCounter, in the units of
+# repro.matmul.omega.  Label-keyed operations (a query's lookups and probes,
+# a W entry) cost DICT_OP_COST each; the constants below were fitted on
+# 256-update windows over uniform graphs (n = 10^4 / m = 5,000,
+# n = 2,000 / m = 20,000, n = 1,000 / m = 2,000) and E10's 24-vertex graph,
+# timed on 2 vCPUs under CPython 3.11, where a label-keyed operation took
+# 0.1-0.5 µs.
+#: One replayed update besides its oracle operations: validation, the graph
+#: mutation and the counter's and oracle's calls (15-25 µs).
+REPLAY_UPDATE_COST = 100 * DICT_OP_COST
+#: One bulk rebuild's fixed part: its kernel launches and set-up (0.4 ms).
+REBUILD_OVERHEAD = 60 * VECTORIZED_PRODUCT_OVERHEAD
+#: A bulk rebuild's cost per vertex and per edge: the CSR export, the degree
+#: vector, the per-row arrays and the count (about 1 µs).
+REBUILD_ELEMENT_COST = 5 * DICT_OP_COST
 
 
 class _AllVertices:
@@ -299,6 +330,21 @@ class ThreePathOracle(abc.ABC):
         path the density-aware dispatcher takes on sparse graphs.
         """
 
+    def rebuild_cost(self, vertices: int, edges: int) -> float:
+        """The estimated cost, in :mod:`repro.matmul.omega` units, of
+        :class:`OracleBackedCounter`'s bulk rebuild over a graph of
+        ``vertices`` and ``edges``: its fixed part, its per-vertex and
+        per-edge export, and whatever the oracle rebuilds besides."""
+        return REBUILD_OVERHEAD + (vertices + edges) * REBUILD_ELEMENT_COST
+
+    def replay_cost(self, updates: Iterable[EdgeUpdate], limit: float) -> float:
+        """The estimated cost, in :mod:`repro.matmul.omega` units, of
+        replaying ``updates`` (a normalized window) on a mirrored oracle one
+        graph update at a time, queries included; the sum may stop once it
+        reaches ``limit``.  An oracle that does not price its replay is
+        always rebuilt."""
+        return math.inf
+
     @abc.abstractmethod
     def count_three_paths(self, u: Vertex, v: Vertex) -> int:
         """The number of chain 3-paths from ``u`` (L1) to ``v`` (L4)."""
@@ -475,10 +521,13 @@ class PhaseThreePathOracle(ThreePathOracle):
 
     def update_edge(self, u: Vertex, v: Vertex, sign: int) -> None:
         """Record the edge's six tuples as deltas and advance the scheduler
-        and the phase clock by six relation updates."""
-        for position in CHAIN_POSITIONS:
-            self._record_delta(position, u, v, sign)
-            self._record_delta(position, v, u, sign)
+        and the phase clock by six relation updates.  While both the active
+        and the pending products sleep there is no delta store to record
+        into, so only the clock moves."""
+        if self._endpoints[0] or self._pending_endpoints[0]:
+            for position in CHAIN_POSITIONS:
+                self._record_delta(position, u, v, sign)
+                self._record_delta(position, v, u, sign)
         self._advance_phase(_TUPLES_PER_EDGE)
 
     def end_edge(self, u: Vertex, v: Vertex) -> None:
@@ -742,6 +791,52 @@ class PhaseThreePathOracle(ThreePathOracle):
         self._start_phase(endpoints, snapshots)
         self.cost.charge("batch_rebuild", work)
 
+    # -- batch pricing ----------------------------------------------------------------
+    def rebuild_cost(self, vertices: int, edges: int) -> float:
+        """The base price plus the old-phase products (nothing while they
+        sleep): ``A²[H,:]`` and the chain ``A²[H,:]·A[:,H]``."""
+        return super().rebuild_cost(vertices, edges) + self._product_work() * CSR_OP_COST
+
+    def _product_work(self) -> float:
+        """The SpGEMM work of one set of old-phase products, estimated from
+        the active ones: ``nnz(A[H,:]·B)`` for the square, twice (the
+        scheduler multiplies ``A[H,:]·B`` and ``B·C[:,H]``), and that times
+        the average ``B`` degree for the chain."""
+        relation = self.relation(2)
+        degree = relation.size / max(len(relation.forward), 1)
+        return self._product_ab.nnz * (2.0 + degree)
+
+    def replay_cost(self, updates: Iterable[EdgeUpdate], limit: float) -> float:
+        """Per update: :meth:`_replay_update_cost` and the phase query's
+        ``1 + |dA(u)| + |dC(v)| + |dA(u)|·|dC(v)| + 2·|dB|`` operations, where
+        each replayed update adds two ``B`` tuples to the ``A·dB·C`` scan of
+        every later query in the window while the active products are
+        awake."""
+        fixed = self._replay_update_cost()
+        growth = 2 if self._endpoints[0] else 0
+        delta_b = len(self._delta_b)
+        by_left, by_right = self._delta_a_by_left, self._delta_c_by_right
+        total = 0.0
+        for update in updates:
+            delta_a = len(by_left.get(update.u, _EMPTY_DICT))
+            delta_c = len(by_right.get(update.v, _EMPTY_DICT))
+            operations = 1 + delta_a + delta_c + delta_a * delta_c + 2 * delta_b
+            total += fixed + operations * DICT_OP_COST
+            if total >= limit:
+                break
+            delta_b += growth
+        return total
+
+    def _replay_update_cost(self) -> float:
+        """One replayed update's cost besides its query and maintenance:
+        :data:`REPLAY_UPDATE_COST` and, unless the phase sleeps, six delta
+        records plus six relation updates' share of a phase's product work
+        (the scheduler's budget, at the products' estimated real size)."""
+        if not (self._endpoints[0] or self._pending_endpoints[0]):
+            return REPLAY_UPDATE_COST
+        share = self._product_work() * CSR_OP_COST / self._phase_length
+        return REPLAY_UPDATE_COST + _TUPLES_PER_EDGE * (DICT_OP_COST + share)
+
     def _compute_phase_length(self) -> int:
         if self._fixed_phase_length is not None:
             return self._fixed_phase_length
@@ -801,7 +896,9 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     adjacency, and the number of 4-cycles through ``{u, v}`` is the oracle's
     3-path count ``(u, v)`` while the edge is absent.  Each edge update is one
     :meth:`ThreePathOracle.update_edge` (edge absent) and one
-    :meth:`ThreePathOracle.end_edge` (graph updated).
+    :meth:`ThreePathOracle.end_edge` (graph updated).  A batch window is
+    replayed that way or rebuilt in bulk, whichever the oracle prices lower
+    (:meth:`_batch_hook`).
     """
 
     name = "oracle-backed"
@@ -820,18 +917,20 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     def oracle(self) -> ThreePathOracle:
         return self._oracle
 
-    def _batch_hook(self, batch) -> bool:
-        """Batch fast path: bulk-apply the window, then one vectorized rebuild.
+    def _batch_hook(self, batch: UpdateBatch) -> bool:
+        """Batch path chosen by estimated cost: the per-update replay or one
+        bulk rebuild, whichever :meth:`_replay_is_cheaper` prices lower.
 
-        The per-update path runs the oracle's Python maintenance hooks once
-        per edge.  For a large window it is cheaper to apply the net updates
-        to the graph in bulk, resynchronize the oracle with matrix kernels
-        (:meth:`ThreePathOracle.rebuild_from_mirrored_graph` on the dense
-        path, :meth:`ThreePathOracle.rebuild_from_mirrored_csr` on the sparse
-        one — the density-aware dispatcher picks), and take the exact boundary
-        count from the closed-walk trace formula over the same adjacency.
+        The replay (return ``False``) runs the oracle's maintenance and query
+        once per net update, as :meth:`apply` does.  The rebuild applies the
+        net updates to the graph in bulk, resynchronizes the oracle with
+        matrix kernels (:meth:`ThreePathOracle.rebuild_from_mirrored_graph`
+        on the dense path, :meth:`ThreePathOracle.rebuild_from_mirrored_csr`
+        on the sparse one — the density-aware dispatcher picks), and takes
+        the exact boundary count from the closed-walk trace formula over the
+        same adjacency.  Both are exact.
         """
-        if len(batch) < self.batch_fast_path_threshold:
+        if self._replay_is_cheaper(batch):
             return False
         self._graph.apply_batch(batch)
         decision = self._adjacency_product_decision()
@@ -854,6 +953,26 @@ class OracleBackedCounter(DynamicFourCycleCounter):
             )
             self.cost.charge("batch_recount", work)
         return True
+
+    def _replay_is_cheaper(self, batch: UpdateBatch) -> bool:
+        """Whether replaying ``batch`` is estimated to cost less than the
+        bulk rebuild, both priced by the oracle in :mod:`repro.matmul.omega`
+        units from sizes it already holds (the CSR view is never exported).
+
+        The rebuild's price needs only the graph's size after the window, and
+        every replayed update costs at least :data:`REPLAY_UPDATE_COST`, so a
+        window that is large against the graph — set-up, ``load_state``, a
+        restore — is decided in O(1) without reading it.  Otherwise the
+        oracle prices the window update by update and stops as soon as the
+        sum passes the rebuild.
+        """
+        graph = self._graph
+        rebuild = self._oracle.rebuild_cost(
+            graph.num_vertices, graph.num_edges + batch.net_edge_delta()
+        )
+        if len(batch) * REPLAY_UPDATE_COST >= rebuild:
+            return False
+        return self._oracle.replay_cost(batch, rebuild) < rebuild
 
     def _three_paths(self, u: Vertex, v: Vertex) -> int:
         return self._oracle.count_three_paths(u, v)

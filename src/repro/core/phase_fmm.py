@@ -14,7 +14,10 @@ and a phase ends only once the graph reflects an update.
 Under ``apply_batch`` the counter inherits the oracle's batch deferral: phase
 rollovers that fall inside a batch are postponed to the batch boundary (the
 answers stay exact against the stretched phase's deltas), so a batch never
-pays a mid-window product promotion.
+pays a mid-window product promotion.  Its query scans every new ``B`` tuple,
+and a replayed window adds two per update, so the cost-chosen batch path
+(:meth:`~repro.core.oracles.OracleBackedCounter._batch_hook`) rebuilds a
+large window on a sparse graph, where the products are cheap.
 """
 
 from __future__ import annotations

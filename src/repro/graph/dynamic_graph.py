@@ -10,20 +10,24 @@ the adjacency exports the from-scratch recounts and the batch kernels read.
 Vertex indexing.  The paper's algorithms index vertices as the rows and
 columns of an ``n x n`` adjacency matrix; here that indexing is a
 :class:`~repro.graph.interning.VertexInterner`, which maps every label to a
-contiguous integer id in first-seen order.  Adjacency is kept twice: as label
-sets, which the per-update counter paths read, and mirrored as int-id sets
-indexed by id.  A CSR view (``indptr``/``indices`` numpy arrays) of the int-id
-sets is cached and rebuilt lazily whenever the graph has mutated since the
-last export.  The derived views — ``common_neighbors``, ``edges``,
-:meth:`DynamicGraph.interned_adjacency_matrix` — and the counters' batched
-numpy kernels all read the int-id side, which turns label-keyed Python
-loops into integer set operations and vectorized numpy scatters.
+contiguous integer id in first-seen order.  The edge set is kept three ways,
+each updated by every mutation:
+
+* label adjacency sets, which the per-update counter paths read;
+* int-id adjacency sets indexed by interned id, from which a CSR view
+  (``indptr``/``indices`` numpy arrays) is cached and rebuilt lazily the first
+  time it is asked for after a mutation; ``common_neighbors``,
+  :meth:`DynamicGraph.interned_adjacency_matrix` and the counters' batched
+  numpy kernels read that side;
+* an edge index, an insertion-ordered dict of canonical label pairs, which
+  :meth:`DynamicGraph.edges` copies, so checkpoints and read views list the
+  edges without touching either adjacency.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Union
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from repro.graph.updates import (
     EdgeUpdate,
     UpdateBatch,
     UpdateKind,
-    _canonical_first,
+    _canonical_order,
     normalize_batch,
 )
 from repro.kernels import CsrMatrix, expand_csr_rows
@@ -54,8 +58,8 @@ class DynamicGraph:
     paper's graphs have a fixed vertex set ``V`` with edges arriving over
     time).  Deleting the last edge of a vertex keeps the vertex registered so
     degree-0 vertices remain queryable.  Adjacency is mirrored into
-    integer-id sets behind a :class:`~repro.graph.interning.VertexInterner`
-    (see the module docstring).
+    integer-id sets behind a :class:`~repro.graph.interning.VertexInterner`,
+    and the edges are indexed as canonical pairs (see the module docstring).
     """
 
     def __init__(
@@ -68,6 +72,11 @@ class DynamicGraph:
         self._interner = VertexInterner()
         #: Int-id adjacency, indexed by interned id.
         self._int_adjacency: List[Set[int]] = []
+        #: The edge index: every edge once, as its canonical pair, in
+        #: insertion order (the values are unused).
+        self._edges: Dict[tuple[Vertex, Vertex], None] = {}
+        #: Every vertex, shared by :meth:`vertices` callers until one is added.
+        self._vertex_tuple: tuple[Vertex, ...] = ()
         #: Bumped on every structural mutation; derived-view caches key on it.
         self._version = 0
         self._csr_cache: Optional[tuple[int, np.ndarray, np.ndarray]] = None
@@ -103,49 +112,22 @@ class DynamicGraph:
         only (a mirrored 3-path oracle's chain relations read it)."""
         return self._adjacency
 
-    def vertices(self) -> Iterator[Vertex]:
-        """Iterate over all registered vertices."""
-        return iter(self._adjacency)
+    def vertices(self) -> tuple[Vertex, ...]:
+        """All registered vertices, in registration order.
 
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Iterate over all edges, each reported once in canonical order.
-
-        Each edge is enumerated once by comparing integer ids
-        (``u_id < v_id``) instead of calling the label comparison helper per
-        *oriented* pair, and the emitted pair is canonicalized with one inline
-        label comparison; non-comparable label mixes fall back to the
-        repr-keyed scalar path wholesale.  The id pairs come off the CSR view
-        when it is current (every batch hook leaves it so), else off the
-        int-id sets: rebuilding the view costs more than it saves.
+        Every caller gets the same tuple until a vertex is added: vertices are
+        never removed, so their count names the set.  Checkpoints keep the
+        tuple as it is, so many checkpoints of one run store one vertex set.
         """
-        labels = self._interner.labels
-        cache = self._csr_cache
-        try:
-            if cache is not None and cache[0] == self._version:
-                _, indptr, indices = cache
-                rows = expand_csr_rows(indptr)
-                keep = rows < indices
-                lefts = map(labels.__getitem__, rows[keep].tolist())
-                rights = map(labels.__getitem__, indices[keep].tolist())
-                pairs = [(u, v) if u <= v else (v, u) for u, v in zip(lefts, rights)]  # type: ignore[operator]
-            else:
-                pairs = []
-                for uid, neighbor_ids in enumerate(self._int_adjacency):
-                    u = labels[uid]
-                    for vid in neighbor_ids:
-                        if uid < vid:
-                            v = labels[vid]
-                            pairs.append((u, v) if u <= v else (v, u))  # type: ignore[operator]
-        except TypeError:
-            return iter(self._edges_scalar())
-        return iter(pairs)
+        if len(self._vertex_tuple) != len(self._adjacency):
+            self._vertex_tuple = tuple(self._adjacency)
+        return self._vertex_tuple
 
-    def _edges_scalar(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Label-keyed edge enumeration (repr fallback for exotic labels)."""
-        for u, neighbors in self._adjacency.items():
-            for v in neighbors:
-                if _canonical_first(u, v):
-                    yield (u, v)
+    def edges(self) -> List[tuple[Vertex, Vertex]]:
+        """Every edge once, as its canonical pair (see
+        :func:`~repro.graph.updates._canonical_order`), in insertion order: a
+        copy of the edge index."""
+        return list(self._edges)
 
     def add_vertex(self, vertex: Vertex) -> None:
         """Register ``vertex`` (a no-op if it already exists)."""
@@ -179,16 +161,6 @@ class DynamicGraph:
         """
         return self._adjacency.get(vertex, _EMPTY_SET)
 
-    def neighbor_ids(self, vertex: Vertex) -> Set[int]:
-        """The interned neighbor-id set of ``vertex``.
-
-        Empty set for unknown vertices.  Live internal set; do not mutate.
-        """
-        vid = self._interner.get_id(vertex)
-        if vid is None:
-            return _EMPTY_INT_SET
-        return self._int_adjacency[vid]
-
     def common_neighbors(self, u: Vertex, v: Vertex) -> Set[Vertex]:
         """Vertices adjacent to both ``u`` and ``v`` (the wedges between them).
 
@@ -221,6 +193,10 @@ class DynamicGraph:
         vid = self._interner.id_of(v)
         self._int_adjacency[uid].add(vid)
         self._int_adjacency[vid].add(uid)
+        try:
+            self._edges[(u, v) if u <= v else (v, u)] = None  # type: ignore[operator]
+        except TypeError:
+            self._edges[_canonical_order(u, v)] = None
         self._num_edges += 1
         self._version += 1
 
@@ -238,6 +214,10 @@ class DynamicGraph:
         vid = self._interner.id_of(v)
         self._int_adjacency[uid].discard(vid)
         self._int_adjacency[vid].discard(uid)
+        try:
+            del self._edges[(u, v) if u <= v else (v, u)]  # type: ignore[operator]
+        except TypeError:
+            del self._edges[_canonical_order(u, v)]
         self._num_edges -= 1
         self._version += 1
 
@@ -264,6 +244,7 @@ class DynamicGraph:
         adjacency = self._adjacency
         interner = self._interner
         int_adjacency = self._int_adjacency
+        index = self._edges
         inserted = 0
         try:
             for u, v in edges:
@@ -289,6 +270,10 @@ class DynamicGraph:
                 vid = interner.id_of(v)
                 int_adjacency[uid].add(vid)
                 int_adjacency[vid].add(uid)
+                try:
+                    index[(u, v) if u <= v else (v, u)] = None  # type: ignore[operator]
+                except TypeError:
+                    index[_canonical_order(u, v)] = None
                 self._num_edges += 1
                 inserted += 1
         finally:
@@ -302,6 +287,7 @@ class DynamicGraph:
         adjacency = self._adjacency
         interner = self._interner
         int_adjacency = self._int_adjacency
+        index = self._edges
         deleted = 0
         try:
             for u, v in edges:
@@ -314,6 +300,10 @@ class DynamicGraph:
                 vid = interner.id_of(v)
                 int_adjacency[uid].discard(vid)
                 int_adjacency[vid].discard(uid)
+                try:
+                    del index[(u, v) if u <= v else (v, u)]  # type: ignore[operator]
+                except TypeError:
+                    del index[_canonical_order(u, v)]
                 self._num_edges -= 1
                 deleted += 1
         finally:
@@ -343,15 +333,6 @@ class DynamicGraph:
         return batch
 
     # -- derived views -----------------------------------------------------
-    def copy(self) -> "DynamicGraph":
-        """An independent deep copy of the graph."""
-        clone = DynamicGraph()
-        clone._adjacency = {vertex: set(neighbors) for vertex, neighbors in self._adjacency.items()}
-        clone._num_edges = self._num_edges
-        clone._interner = self._interner.copy()
-        clone._int_adjacency = [set(neighbor_ids) for neighbor_ids in self._int_adjacency]
-        return clone
-
     def csr_view(self) -> tuple[np.ndarray, np.ndarray]:
         """A CSR view ``(indptr, indices)`` of the interned adjacency.
 
@@ -429,7 +410,7 @@ class DynamicGraph:
 
     def to_edge_set(self) -> set[tuple[Vertex, Vertex]]:
         """The current edge set as canonical pairs."""
-        return set(self.edges())
+        return set(self._edges)
 
     def __contains__(self, vertex: Vertex) -> bool:
         return vertex in self._adjacency
@@ -441,6 +422,5 @@ class DynamicGraph:
         return f"DynamicGraph(n={self.num_vertices}, m={self.num_edges})"
 
 
-#: Shared immutable empty sets returned for unknown vertices.
+#: Shared immutable empty set returned for unknown vertices.
 _EMPTY_SET: frozenset = frozenset()
-_EMPTY_INT_SET: frozenset = frozenset()

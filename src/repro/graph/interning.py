@@ -68,12 +68,6 @@ class VertexInterner:
         """All interned labels in id order (live list; do not mutate)."""
         return self._labels
 
-    def copy(self) -> "VertexInterner":
-        clone = VertexInterner()
-        clone._ids = dict(self._ids)
-        clone._labels = list(self._labels)
-        return clone
-
     def __len__(self) -> int:
         return len(self._labels)
 

@@ -139,7 +139,7 @@ class EngineView:
                 config=engine.config.to_dict(),
                 count=self.count,
                 updates_processed=self.updates_processed,
-                vertices=tuple(graph.vertices()),
+                vertices=graph.vertices(),
                 edges=tuple(graph.edges()),
                 wal_seq=self.last_durable_seq if engine.wal is not None else None,
             )

@@ -161,6 +161,25 @@ class TestEvents:
 
 
 class TestSnapshots:
+    def test_checkpoints_and_read_views_share_one_vertex_tuple(self):
+        from repro.service.registry import EngineView
+
+        class Tenant:
+            def __init__(self, engine):
+                self.engine = engine
+
+        engine = FourCycleEngine(EngineConfig(counter="wedge"))
+        engine.apply_batch([EdgeUpdate.insert(u, v) for u, v in k4_edges()])
+        first = engine.checkpoint()
+        view = EngineView(Tenant(engine), 1).load(engine)
+        assert view.snapshot.vertices is first.vertices
+        engine.apply(EdgeUpdate.delete(0, 1))
+        assert engine.checkpoint().vertices is first.vertices
+        engine.apply(EdgeUpdate.insert(0, 9))
+        grown = engine.checkpoint()
+        assert grown.vertices == first.vertices + (9,)
+        assert first.vertices == (0, 1, 2, 3)
+
     def test_checkpoint_restore_in_memory(self):
         stream = random_dynamic_stream(num_vertices=12, num_updates=100, seed=8)
         engine = FourCycleEngine(EngineConfig(counter="hhh22", batch_size=10))

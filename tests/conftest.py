@@ -133,6 +133,16 @@ def pin_kernel(counter, kernel: str):
     return counter
 
 
+def force_batch_path(counter, path: str):
+    """Make an oracle-backed counter's batch hook take ``path`` ("replay" or
+    "rebuild") on every window, by patching its cost decision on this one
+    counter; returns the counter."""
+    if path not in ("replay", "rebuild"):
+        raise ValueError(f"unknown batch path {path!r}")
+    counter._replay_is_cheaper = lambda batch: path == "replay"
+    return counter
+
+
 class PinnedVehicleExecutor(ShardExecutor):
     """A shard executor that starts every product on ``vehicle`` ("serial",
     "thread" or "process") instead of choosing one by cost; retries and the

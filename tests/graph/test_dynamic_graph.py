@@ -87,13 +87,6 @@ class TestUpdates:
 
 
 class TestDerivedViews:
-    def test_copy_is_independent(self):
-        graph = DynamicGraph(edges=[(1, 2)])
-        clone = graph.copy()
-        clone.insert_edge(2, 3)
-        assert graph.num_edges == 1
-        assert clone.num_edges == 2
-
     def test_to_edge_set(self):
         graph = DynamicGraph(edges=[(2, 1)])
         assert graph.to_edge_set() == {(1, 2)}
