@@ -5,17 +5,18 @@ density, uniform 1%-density integer matrices, and 30%-dense small matrices)
 with the dict baseline (``dict_product``), the CSR SpGEMM product
 (``repro.matmul.engine.multiply``), and one dense BLAS product
 (``dense_product``), and replays a standing-graph churn stream through the
-wedge counter's full-rebuild, incremental, and automatic batch-hook modes.
+wedge counter with every window forced to the full rebuild, forced to the
+update-by-update replay, and on the path its prices choose (``auto``).
 The acceptance claims:
 
 * on the sparse structured instance CSR SpGEMM is at least **3x** the dict
   baseline and at least **1.5x** dense BLAS (the full-size profile of
   ``repro-4cycles bench --experiments e12``, recorded in ``BENCH_E12.json``
   at n=6144 / 0.77% density, measures ~9-10x over dict and >20x over dense);
-* the incremental wedge hook is at least **1.3x** the full rebuild on the
-  churn stream, and the automatic mode never loses to rebuilding by more
-  than measurement noise;
-* every product variant and every hook mode produces **bit-identical
+* the wedge counter's chosen path (``auto``) is at least **1.3x** the full
+  rebuild on the churn stream (its small windows replay; forced replay
+  measured about 4.7x the full rebuild on this profile);
+* every product variant and every batch path produces **bit-identical
   results** — the experiment raises on any divergence, and ``consistent`` is
   true on every row (this, not timing, is what CI gates on).
 
@@ -54,7 +55,7 @@ def _speedups(rows):
     return {
         "csr_vs_dict": communities["csr"].speedup,
         "csr_vs_dense": communities["dense"].seconds / communities["csr"].seconds,
-        "incremental": wedge["incremental"].speedup,
+        "auto": wedge["auto"].speedup,
     }
 
 
@@ -70,13 +71,13 @@ def test_e12_spgemm_backends(benchmark, report_sink):
     # Exactness is non-negotiable (the experiment also raises on divergence).
     assert all(row.consistent for row in rows)
     # Wall-clock floors for the acceptance kernels; measured margins are well
-    # above them (~6.5x, ~5.5x, ~2.4x), and a transient scheduler stall gets
+    # above them (~6.5x, ~5.5x, ~4.7x), and a transient scheduler stall gets
     # one clean re-measurement before failing, as in E10/E11.
     best = _speedups(rows)
     if (
         best["csr_vs_dict"] < 3.0
         or best["csr_vs_dense"] < 1.5
-        or best["incremental"] < 1.3
+        or best["auto"] < 1.3
     ):
         best = _speedups(experiment_e12_spgemm_backends(**PARAMS))
     assert best["csr_vs_dict"] >= 3.0, (
@@ -87,7 +88,7 @@ def test_e12_spgemm_backends(benchmark, report_sink):
         f"CSR SpGEMM: expected >= 1.5x over dense BLAS on the sparse "
         f"structured instance, got {best['csr_vs_dense']:.2f}x"
     )
-    assert best["incremental"] >= 1.3, (
-        f"incremental wedge hook: expected >= 1.3x over the full rebuild, "
-        f"got {best['incremental']:.2f}x"
+    assert best["auto"] >= 1.3, (
+        f"wedge chosen batch path: expected >= 1.3x over the full rebuild, "
+        f"got {best['auto']:.2f}x"
     )

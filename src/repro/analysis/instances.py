@@ -92,7 +92,7 @@ def wedge_churn_stream(
     alternates deleting a random live edge and inserting a random absent one,
     keeping the standing graph size constant — so each churn batch touches a
     small fraction of the graph, which is the regime that separates the
-    incremental wedge hook from a full rebuild.
+    wedge counter's replay from its full rebuild.
     """
     rng = random.Random(seed)
     live: Dict[tuple, int] = {}

@@ -6,7 +6,7 @@ Two loops do all of the timing and checking:
 
 * :func:`race_engines` replays one update stream through fresh engines per
   :class:`~repro.api.EngineConfig` variant: E10's batch sizes, E11's
-  per-update/batched pair and E12's wedge batch-hook modes.
+  per-update/batched pair and E12's forced and chosen wedge batch paths.
 * :func:`race_products` keeps the minimum of ``repeats`` calls of each
   product variant: E12's dict/CSR/dense products and E14's ``workers``
   sweeps of :meth:`~repro.matmul.sharding.ShardExecutor.spgemm` and of the
@@ -92,16 +92,36 @@ def _rows(kernel: str, measured: Sequence[Tuple[str, str, int, float]]) -> List[
     ]
 
 
+#: One engine-race variant: its name, its config, and the batch path to force
+#: on its engines (see :func:`force_batch_path`; ``None`` lets the counter
+#: choose).
+EngineVariant = Tuple[str, EngineConfig, Optional[str]]
+
+
+def force_batch_path(counter, path: Optional[str]):
+    """Make ``counter`` take ``path`` ("replay" or "rebuild") on every batch
+    window, by patching the base class's cost decision on this one counter;
+    ``None`` leaves the decision alone.  The program has no setting for the
+    path: an experiment or a test that runs one path on purpose forces it
+    here.  Returns the counter."""
+    if path not in (None, "replay", "rebuild"):
+        raise ConfigurationError(f"unknown batch path {path!r}")
+    if path is not None:
+        counter._replay_is_cheaper = lambda batch: path == "replay"
+    return counter
+
+
 def race_engines(
     kernel: str,
     stream: UpdateStream,
-    variants: Sequence[Tuple[str, EngineConfig]],
+    variants: Sequence[EngineVariant],
     parameters: str,
     warmup: int = 0,
     repeats: int = 1,
 ) -> List[ThroughputRow]:
-    """Replay ``stream`` through fresh engines per ``(variant, config)``,
-    keeping the fastest of ``repeats`` replays as :func:`race_products` does.
+    """Replay ``stream`` through fresh engines per ``(variant, config,
+    path)``, keeping the fastest of ``repeats`` replays as
+    :func:`race_products` does.
 
     Each replay is timed by :func:`~repro.instrumentation.harness.time_replay`
     (normalization included, the engine's event dispatch not).  A positive
@@ -112,12 +132,15 @@ def race_engines(
     """
     measured: List[Tuple[str, str, int, float]] = []
     first_count = None
-    for variant, config in variants:
+    for variant, config, path in variants:
         if warmup:
-            time_replay(FourCycleEngine(config), stream[:warmup])
+            warm = FourCycleEngine(config)
+            force_batch_path(warm.counter, path)
+            time_replay(warm, stream[:warmup])
         seconds = math.inf
         for _ in range(max(repeats, 1)):
             engine = FourCycleEngine(config)
+            force_batch_path(engine.counter, path)
             seconds = min(seconds, max(time_replay(engine, stream), 1e-9))
             if not engine.is_consistent():
                 raise CounterStateError(
@@ -206,7 +229,7 @@ def experiment_e10_batch_throughput(
     rows: List[ThroughputRow] = []
     for name in sorted(counters if counters is not None else available_counter_names()):
         variants = [
-            (f"batch={size}", EngineConfig(counter=name, batch_size=size))
+            (f"batch={size}", EngineConfig(counter=name, batch_size=size), None)
             for size in batch_sizes
         ]
         rows.extend(
@@ -240,8 +263,8 @@ def experiment_e11_kernel_throughput(
     rows: List[ThroughputRow] = []
     for name in counters:
         variants = [
-            ("per-update", EngineConfig(counter=name)),
-            ("batched", EngineConfig(counter=name, batch_size=batch_size)),
+            ("per-update", EngineConfig(counter=name), None),
+            ("batched", EngineConfig(counter=name, batch_size=batch_size), None),
         ]
         rows.extend(
             race_engines(
@@ -257,7 +280,7 @@ def experiment_e11_kernel_throughput(
 
 
 # ---------------------------------------------------------------------------
-# E12 — sparse-vs-dense products and the incremental wedge hook
+# E12 — sparse-vs-dense products and the wedge batch paths
 # ---------------------------------------------------------------------------
 #: The E12 product variants, in race order: the dict baseline first.
 E12_PRODUCT_VARIANTS = ("dict", "csr", "dense")
@@ -314,7 +337,7 @@ def experiment_e12_spgemm_backends(
     seed: int = 0,
 ) -> List[ThroughputRow]:
     """E12: CSR SpGEMM versus the dict baseline and dense BLAS, plus the
-    incremental wedge batch hook versus its full rebuild.
+    wedge counter's chosen batch path versus its two forced paths.
 
     Two families:
 
@@ -327,13 +350,14 @@ def experiment_e12_spgemm_backends(
       snapshots are warmed before timing: they are shared mutation-keyed
       state (built at most once per matrix) and the dict baseline never
       uses them.
-    * **Wedge batch hook** — a large random graph is built in bulk and then
+    * **Wedge batch paths** — a large random graph is built in bulk and then
       churned with small delete/insert windows
       (:func:`~repro.analysis.instances.wedge_churn_stream`: a standing
       graph with ``wedge_base_edges`` edges, batches touching a small
-      fraction of it — the regime the incremental ``ΔW`` merge targets),
-      replayed with the hook forced to full rebuilds, forced incremental,
-      and in automatic mode; every mode must end at the full rebuild's
+      fraction of it), replayed with every window forced to the full
+      rebuild, forced to the update-by-update replay
+      (:func:`force_batch_path`), and on the path the counter's prices
+      choose (``auto``); every variant must end at the full rebuild's
       recount-verified count.
     """
     rows: List[ThroughputRow] = []
@@ -349,24 +373,15 @@ def experiment_e12_spgemm_backends(
         ]
         rows.extend(race_products(f"product:{instance}", variants, product_repeats))
     stream = wedge_churn_stream(wedge_vertices, wedge_base_edges, wedge_churn_updates, seed)
-    modes = (("full-rebuild", False), ("incremental", True), ("auto", None))
-    configs = [
-        (
-            mode,
-            EngineConfig(
-                counter="wedge",
-                options={"incremental": incremental},
-                batch_size=wedge_batch_size,
-                track_costs=False,
-            ),
-        )
-        for mode, incremental in modes
+    config = EngineConfig(counter="wedge", batch_size=wedge_batch_size, track_costs=False)
+    variants = [
+        ("full-rebuild", config, "rebuild"), ("replay", config, "replay"), ("auto", config, None)
     ]
     rows.extend(
         race_engines(
             "wedge-batch-hook",
             stream,
-            configs,
+            variants,
             f"n={wedge_vertices} base_m={wedge_base_edges} churn={wedge_churn_updates}",
         )
     )
@@ -417,8 +432,10 @@ def _e14_rebuild_variants(
     Each engine is built from an :class:`EngineConfig` carrying ``workers``
     (exercising the spec/config forwarding path) and loaded with the whole
     community graph.  A timed call re-inserts the churn edges that its
-    untimed ``prepare`` deleted: both windows clear the hook threshold, so
-    every timed window is one full masked rebuild at standing graph size.
+    untimed ``prepare`` deleted.  Every engine is forced to the rebuild
+    (:func:`force_batch_path`; its prices would replay a window this small
+    against the graph), so every timed window is one full masked rebuild at
+    standing graph size.
     """
     deletes = [EdgeUpdate.delete(u, v) for u, v in churn]
     inserts = [EdgeUpdate.insert(u, v) for u, v in churn]
@@ -428,6 +445,7 @@ def _e14_rebuild_variants(
                 counter="hhh22", workers=count, batch_size=len(edges), track_costs=False
             )
         )
+        force_batch_path(engine.counter, "rebuild")
         engine.apply_batch([EdgeUpdate.insert(u, v) for u, v in edges])
         try:
             yield (

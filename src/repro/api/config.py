@@ -72,6 +72,14 @@ _REMOVED_KEYS: Dict[str, Tuple[Callable[[object], bool], str]] = {
         "repro.instrumentation measures every update or window",
     ),
 }
+#: The same for removed counter options, keyed by ``(counter, option)``.
+_REMOVED_OPTIONS: Dict[Tuple[str, str], Tuple[Callable[[object], bool], str]] = {
+    ("wedge", "incremental"): (
+        lambda value: value is None or isinstance(value, bool),
+        "the setting was removed; every counter replays or rebuilds each "
+        "batch window, whichever its cost estimate prices lower",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -203,10 +211,11 @@ class EngineConfig:
         """Inverse of :meth:`to_dict`; every key is optional, unknown keys are
         rejected with a :class:`ConfigurationError`.
 
-        Snapshots and WAL meta files written by earlier versions carry the
-        keys of removed settings (``interned``, ``backend``, ``shard_policy``,
-        ``block_entries``, ``record_metrics``); each is accepted with any
-        value those versions accepted, and dropped.
+        Snapshots, WAL meta files and service requests written by earlier
+        versions carry the keys of removed settings (``interned``,
+        ``backend``, ``shard_policy``, ``block_entries``, ``record_metrics``)
+        and removed counter options (the wedge counter's ``incremental``);
+        each is accepted with any value those versions accepted, and dropped.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
@@ -231,6 +240,21 @@ class EngineConfig:
             raise ConfigurationError(
                 f"engine-config options must be a mapping, got {type(options).__name__}"
             )
+        counter = payload.get("counter", cls.counter)
+        removed = {
+            option: rule
+            for (name, option), rule in _REMOVED_OPTIONS.items()
+            if name == counter and option in options
+        }
+        for option, (accepted, replacement) in removed.items():
+            if not accepted(options[option]):
+                raise ConfigurationError(
+                    f"{counter} option {option}={options[option]!r} is not supported: "
+                    f"{replacement}"
+                )
+        if removed:
+            options = {key: value for key, value in options.items() if key not in removed}
+            payload = dict(payload, options=options)
         return cls(**payload)
 
     @classmethod

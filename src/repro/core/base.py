@@ -36,24 +36,25 @@ semantics are:
   :attr:`DynamicFourCycleCounter.count` equals the number of 4-cycles of the
   graph obtained by replaying the raw window update-by-update (normalization
   preserves the final graph, and the final graph determines the count);
-* **Claim A.3's ordering is preserved within a batch** — the default
-  implementation replays the normalized updates through the same
-  query-before/after-maintenance sequencing as :meth:`apply`, so every
-  per-update delta is still a count of genuine 3-paths;
 * intermediate counts *within* a batch are not reported; the harness
   measures the whole window as one entry of its per-update metrics.
 
-Concrete counters can amortize work across the window by overriding
-:meth:`DynamicFourCycleCounter._batch_hook` (replace the replay entirely, e.g.
-one recount or one vectorized rebuild per batch) or
-:meth:`DynamicFourCycleCounter._begin_batch` /
-:meth:`DynamicFourCycleCounter._end_batch` (defer degree-class and phase
-rebuild checks to the batch boundary while keeping the per-update replay).
+Every counter is exact after every update, so a window has two exact paths:
+replay the normalized updates through :meth:`apply`'s Claim A.3 ordering (so
+every per-update delta is still a count of genuine 3-paths), or apply them to
+the graph in bulk and recompute the structures and the count from it
+(:meth:`DynamicFourCycleCounter._rebuild`).
+:meth:`DynamicFourCycleCounter._replay_is_cheaper` is the one decision between
+them, from the counter's prices for both (``_replay_cost``,
+``_rebuild_cost``; a counter without a bulk path prices its rebuild at
+infinity).  ``_begin_batch``/``_end_batch`` bracket either path, so counters
+can defer degree-class and phase checks to the batch boundary.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from typing import Hashable, Iterable, List, Union
 
 import numpy as np
@@ -75,10 +76,34 @@ from repro.graph.updates import (
 )
 from repro.instrumentation.cost_model import CostModel
 from repro.matmul.engine import CsrMatrix
+from repro.matmul.omega import DICT_OP_COST, VECTORIZED_PRODUCT_OVERHEAD
 from repro.matmul.scheduler import ProductDispatcher
 from repro.matmul.sharding import ShardExecutor
 
 Vertex = Hashable
+
+# Prices of the two batch paths, in the units of repro.matmul.omega.  A
+# label-keyed operation (a query's lookup or probe, a stored entry) costs
+# DICT_OP_COST.  The constants below were fitted on 256-update windows over
+# uniform graphs (n = 10^4 / m = 5,000, n = 2,000 / m = 20,000,
+# n = 1,000 / m = 2,000) and E10's 24-vertex graph, timed on 2 vCPUs under
+# CPython 3.11, where a label-keyed operation took 0.1-0.5 µs; the counters'
+# own terms were checked on E10-E12's windows and on uniform and Zipf graphs
+# of 2,000-20,000 vertices.
+#: One replayed update besides the counter's own operations: validation, the
+#: graph mutation and the counter's calls (15-25 µs).
+REPLAY_UPDATE_COST = 100 * DICT_OP_COST
+#: One bulk rebuild's fixed part: its kernel launches and set-up (0.4 ms).
+REBUILD_OVERHEAD = 60 * VECTORIZED_PRODUCT_OVERHEAD
+#: A bulk rebuild's cost per vertex and per edge: the CSR export, the degree
+#: vector, the per-row arrays and the count (about 1 µs).
+REBUILD_ELEMENT_COST = 5 * DICT_OP_COST
+
+
+def rebuild_base_cost(vertices: int, edges: int) -> float:
+    """The part of any bulk rebuild's price that only the graph's size sets:
+    its fixed part and its per-vertex and per-edge export."""
+    return REBUILD_OVERHEAD + (vertices + edges) * REBUILD_ELEMENT_COST
 
 
 class DynamicFourCycleCounter(abc.ABC):
@@ -87,24 +112,18 @@ class DynamicFourCycleCounter(abc.ABC):
     #: Short machine-readable name used by the registry and benchmarks.
     name: str = "abstract"
 
-    #: Minimum net batch size before the brute-force, wedge and hhh22
-    #: `_batch_hook` fast paths are taken; below it the per-update replay is
-    #: typically cheaper (their rebuilds pay a fixed per-batch kernel cost).
-    #: The oracle-backed counters price both paths instead and ignore it.
-    batch_fast_path_threshold: int = 32
-
     def __init__(self, workers: int = 1) -> None:
-        #: The batched ``_batch_hook`` fast paths build their vectorized
-        #: kernels on the graph's interned representation; the per-update
-        #: paths read its label adjacency.
+        #: The bulk :meth:`_rebuild` paths build their vectorized kernels on
+        #: the graph's interned representation; the per-update paths read
+        #: its label adjacency.
         self._graph = DynamicGraph()
         self._count = 0
         self._updates_processed = 0
         self.cost = CostModel()
-        #: Density-aware dense-BLAS vs CSR-SpGEMM choice for the batch hooks'
+        #: Density-aware dense-BLAS vs CSR-SpGEMM choice for the rebuilds'
         #: whole-graph products, decided per product from cost estimates.
         self.product_dispatcher = ProductDispatcher(workers=workers)
-        #: Shard-parallel SpGEMM executor for the batch hooks' CSR products.
+        #: Shard-parallel SpGEMM executor for the rebuilds' CSR products.
         #: ``workers=1`` (the default) is an exact pass-through to the serial
         #: kernel; more workers row-partition each product into
         #: column-compressed shards and fan them out on the vehicle the
@@ -120,7 +139,7 @@ class DynamicFourCycleCounter(abc.ABC):
     def _spgemm(self, left: CsrMatrix, right: CsrMatrix) -> tuple[CsrMatrix, int]:
         """``left @ right`` through the counter's shard executor.
 
-        Batch hooks route their CSR products here instead of calling
+        Rebuilds route their CSR products here instead of calling
         :func:`repro.matmul.engine.csr_spgemm` directly, so one constructor
         knob parallelizes every rebuild.  Bit-identical to the serial kernel
         for every worker count.
@@ -182,23 +201,28 @@ class DynamicFourCycleCounter(abc.ABC):
         Raw windows are normalized first (insert/delete pairs cancel,
         consistency is validated once against the live graph); an
         already-normalized :class:`~repro.graph.updates.UpdateBatch` is
-        consumed as-is.  The count is exact at the batch boundary.
+        consumed as-is.  The window is replayed or rebuilt, whichever
+        :meth:`_replay_is_cheaper` picks; the count is exact at the batch
+        boundary either way.
         """
         if isinstance(updates, UpdateBatch):
             batch = updates
         else:
             batch = normalize_batch(updates, self._graph.has_edge)
-        if not batch.is_empty:
-            self._begin_batch(batch)
+        if batch.is_empty:
+            self._register_touched(batch)
+        else:
+            self._begin_batch()
             try:
-                if not self._batch_hook(batch):
+                if self._replay_is_cheaper(batch):
                     self._register_touched(batch)
                     for update in batch:
                         self._apply_update_core(update)
+                else:
+                    self._graph.apply_batch(batch)
+                    self._rebuild()
             finally:
-                self._end_batch(batch)
-        else:
-            self._register_touched(batch)
+                self._end_batch()
         self._updates_processed += batch.raw_size
         return self._count
 
@@ -229,22 +253,32 @@ class DynamicFourCycleCounter(abc.ABC):
         """Load a snapshotted graph state into a freshly constructed counter.
 
         Registers ``vertices`` (in order, so isolated vertices and interner id
-        assignment are reproduced), bulk-inserts ``edges`` through the exact
-        batched pipeline — which rebuilds every auxiliary structure — and then
-        resets the bookkeeping (update total, cost model) so the restore
-        itself leaves no trace in measurements.  Returns the count.
-        Used by :meth:`repro.api.engine.FourCycleEngine.restore`.
+        assignment are reproduced) and inserts ``edges`` — in one bulk call
+        and one :meth:`_rebuild` when their number alone settles the batch
+        decision, else through :meth:`apply_batch` — then resets the
+        bookkeeping (update total, cost model) so the restore itself leaves
+        no trace in measurements.  A self-loop or a repeated edge raises.
+        Returns the count.  Used by
+        :meth:`repro.api.engine.FourCycleEngine.restore`.
         """
         if self._updates_processed or self.num_edges:
             raise CounterStateError(
                 "load_state requires a freshly constructed counter "
                 f"(updates={self._updates_processed}, m={self.num_edges})"
             )
+        graph = self._graph
         for vertex in vertices:
-            self._graph.add_vertex(vertex)
-        inserts = [EdgeUpdate.insert(u, v) for u, v in edges]
-        if inserts:
-            self.apply_batch(inserts)
+            graph.add_vertex(vertex)
+        edges = list(edges)
+        if len(edges) * REPLAY_UPDATE_COST < self._rebuild_cost(graph.num_vertices, len(edges)):
+            self.apply_batch([EdgeUpdate.insert(u, v) for u, v in edges])
+        elif edges:
+            graph.insert_edges(edges)
+            self._begin_batch()
+            try:
+                self._rebuild()
+            finally:
+                self._end_batch()
         self._updates_processed = updates_processed
         self.cost.reset()
         return self._count
@@ -279,33 +313,55 @@ class DynamicFourCycleCounter(abc.ABC):
     def _register_touched(self, batch: UpdateBatch) -> None:
         """Register every vertex the raw window touched (cancelled pairs
         included) so the graph matches a per-update replay exactly.  The
-        replay path calls this itself; fast-path hooks get it for free from
+        replay path calls this itself; the rebuild path gets it for free from
         :meth:`DynamicGraph.apply_batch`."""
         for vertex in batch.touched_vertices:
             self._graph.add_vertex(vertex)
 
+    # -- the batch-path decision ------------------------------------------------
+    def _replay_is_cheaper(self, batch: UpdateBatch) -> bool:
+        """Whether replaying ``batch`` is estimated to cost less than the bulk
+        rebuild, both priced by the counter from sizes it already holds (no
+        price exports the CSR view).  Every replayed update costs at least
+        :data:`REPLAY_UPDATE_COST`, so a window that is large against the
+        graph after it (set-up, a restore, a merged WAL-recovery window) is
+        decided without pricing its updates; otherwise the replay's price is
+        summed update by update until it passes the rebuild's."""
+        graph = self._graph
+        rebuild = self._rebuild_cost(
+            graph.num_vertices + len(batch.touched_vertices.difference(graph.adjacency)),
+            graph.num_edges + batch.net_edge_delta(),
+        )
+        if len(batch) * REPLAY_UPDATE_COST >= rebuild:
+            return False
+        return self._replay_cost(batch, rebuild) < rebuild
+
+    def _rebuild_cost(self, vertices: int, edges: int) -> float:
+        """The estimated cost of :meth:`_rebuild` over a graph of ``vertices``
+        and ``edges``.  The default counter has no bulk path: infinity."""
+        return math.inf
+
+    def _replay_cost(self, batch: UpdateBatch, limit: float) -> float:
+        """The estimated cost of replaying ``batch`` update by update,
+        queries included; the sum may stop once it reaches ``limit``."""
+        return len(batch) * REPLAY_UPDATE_COST
+
+    def _rebuild(self) -> None:
+        """The bulk path: recompute the auxiliary structures and the count
+        from the graph, which has already applied the window.  Called only
+        when :meth:`_rebuild_cost` is finite; it returns nothing and never
+        declines."""
+        raise NotImplementedError(f"{type(self).__name__} has no bulk rebuild")
+
     # -- hooks for subclasses --------------------------------------------------
-    def _batch_hook(self, batch: UpdateBatch) -> bool:
-        """Amortized fast path for a whole normalized batch.
-
-        Called with the graph still in its pre-batch state.  Return ``True``
-        after fully applying the batch (graph, auxiliary structures, *and*
-        :attr:`count`); return ``False`` without touching any state to fall
-        back to the exact per-update replay.  The default always falls back.
-        Hooks should mutate the graph via :meth:`DynamicGraph.apply_batch`,
-        which also registers the window's touched vertices (the replay path
-        registers them itself via :meth:`_register_touched`).
-        """
-        return False
-
-    def _begin_batch(self, batch: UpdateBatch) -> None:
-        """Hook called before a batch is applied (fast path or replay).
+    def _begin_batch(self) -> None:
+        """Hook called before a batch is applied (replay or rebuild).
 
         Counters use it to start deferring degree-class and phase rebuild
         checks to the batch boundary.
         """
 
-    def _end_batch(self, batch: UpdateBatch) -> None:
+    def _end_batch(self) -> None:
         """Hook called after a batch is applied; flush deferred checks here."""
 
     @abc.abstractmethod

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.base import DynamicFourCycleCounter
+from repro.core.base import REPLAY_UPDATE_COST, DynamicFourCycleCounter
 from repro.graph.updates import UpdateBatch
+from repro.matmul.omega import DENSE_FLOP_COST, DICT_OP_COST, VECTORIZED_PRODUCT_OVERHEAD
 
 Vertex = Hashable
 
@@ -22,24 +23,38 @@ class BruteForceCounter(DynamicFourCycleCounter):
 
     name = "brute-force"
 
-    def _batch_hook(self, batch: UpdateBatch) -> bool:
-        """Batch fast path: apply the net updates in bulk, then recount once.
+    def _replay_cost(self, batch: UpdateBatch, limit: float) -> float:
+        """``deg(u)·deg(v)`` adjacency probes per update, each a charged
+        ``has_edge`` call (about three label-keyed operations)."""
+        neighbors = self._graph.neighbors
+        total = 0.0
+        for update in batch:
+            probes = len(neighbors(update.u)) * len(neighbors(update.v))
+            total += REPLAY_UPDATE_COST + 3 * probes * DICT_OP_COST
+            if total >= limit:
+                break
+        return total
 
-        The per-update path pays ``O(deg(u) * deg(v))`` Python-level probes per
-        update; for a window it is far cheaper to mutate the graph in bulk and
-        run a single trace-formula recount (one numpy ``tr(A^4)``) at the batch
-        boundary — which is also exactly where the batch contract requires the
-        count to be exact.
-        """
-        if len(batch) < self.batch_fast_path_threshold:
-            return False
-        self._graph.apply_batch(batch)
+    def _rebuild_cost(self, vertices: int, edges: int) -> float:
+        """The dense ``tr(A^4)`` recount it runs: its export and array passes,
+        and ``n^3`` BLAS multiply-adds at the tenth of a unit each they took
+        on the fitted shapes.  So a large sparse graph replays instead of
+        densifying."""
+        return (
+            10 * VECTORIZED_PRODUCT_OVERHEAD
+            + (vertices + edges) * DICT_OP_COST
+            + vertices**3 * DENSE_FLOP_COST / 10
+        )
+
+    def _rebuild(self) -> None:
+        """One trace-formula recount (one numpy ``tr(A^4)``) at the batch
+        boundary, which is exactly where the batch contract requires the
+        count to be exact."""
         n = self._graph.num_vertices
         # tr(A^4) costs two dense n x n products (A^2, then squared): ~2 n^3
         # multiply-adds, so the ops columns stay comparable across batch sizes.
         self.cost.charge("batch_recount", 2 * n * n * n)
         self._count = self.recount()
-        return True
 
     def _three_paths(self, u: Vertex, v: Vertex) -> int:
         graph = self._graph

@@ -34,10 +34,11 @@ from typing import Hashable, Iterable, Optional, Set
 
 import numpy as np
 
-from repro.core.base import DynamicFourCycleCounter
+from repro.core.base import REPLAY_UPDATE_COST, DynamicFourCycleCounter, rebuild_base_cost
 from repro.graph.updates import UpdateBatch
 from repro.kernels import csr_linear_combination, exact_integer_matmul
 from repro.matmul.engine import CountMatrix
+from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST
 
 Vertex = Hashable
 
@@ -73,31 +74,51 @@ class HHH22Counter(DynamicFourCycleCounter):
     def is_high(self, vertex: Vertex) -> bool:
         return vertex in self._high
 
-    # -- batched fast path -------------------------------------------------------
-    def _batch_hook(self, batch: UpdateBatch) -> bool:
-        """Batch fast path: one vectorized full rebuild per batch.
+    # -- batch paths -------------------------------------------------------------
+    def _replay_cost(self, batch: UpdateBatch, limit: float) -> float:
+        """Per update, by class: ``2·deg`` W entries per low centre, the
+        middle-edge ``deg(u)·deg(v)`` P_LL term when both endpoints are low,
+        and per low endpoint the end-edge term, the degree sum over its low
+        neighbours (``O(2θ)`` to read, as the endpoint is low).  A window
+        whose net delta moves ``m`` out of the factor-2 band ends in
+        :meth:`_full_rebuild`, so it is priced as a rebuild."""
+        m = max(self._graph.num_edges + batch.net_edge_delta(), 1)
+        if m > 2 * self._reference_m or 2 * m < self._reference_m:
+            return limit
+        neighbors = self._graph.neighbors
+        high = self._high
+        total = 0.0
+        for update in batch:
+            u, v = update.u, update.v
+            operations = 0
+            for endpoint in (u, v):
+                if endpoint not in high:
+                    around = neighbors(endpoint)
+                    operations += 2 * len(around) + sum(
+                        len(neighbors(y)) for y in around if y not in high
+                    )
+            if u not in high and v not in high:
+                operations += len(neighbors(u)) * len(neighbors(v))
+            total += REPLAY_UPDATE_COST + operations * DICT_OP_COST
+            if total >= limit:
+                break
+        return total
 
-        The per-update path pays ``O(deg^2)``-ish Python dictionary updates
-        per update; for a large window it is cheaper to apply the net updates
-        in bulk and rebuild every structure from the interned adjacency matrix
-        with a handful of dense products.  Exactness is preserved because the
-        rebuild recomputes classes and structures from scratch (the hysteresis
-        band makes class *timing* a pure performance concern) and the count is
-        taken from the full wedge matrix, which is exact at the batch boundary
-        — exactly where the batch contract requires it.
-        """
-        if len(batch) < self.batch_fast_path_threshold:
-            return False
-        self._graph.apply_batch(batch)
-        self._vectorized_rebuild()
-        return True
+    def _rebuild_cost(self, vertices: int, edges: int) -> float:
+        """The export and the stored entries of ``W_low``, ``W_hh`` and
+        ``P_LL``, each one dict entry and two SpGEMM expansions."""
+        entries = self._wedges_low.nnz + self._wedges_high.nnz + self._paths_ll.nnz
+        return rebuild_base_cost(vertices, edges) + entries * (DICT_OP_COST + 2 * CSR_OP_COST)
 
-    def _vectorized_rebuild(self) -> None:
+    def _rebuild(self) -> None:
         """Recompute classes, structures, and the count with matrix kernels.
 
-        The structures are the same quantities ``_full_rebuild`` assembles
-        edge by edge, expressed as matrix products over the interned adjacency
-        matrix ``A`` with ``L``/``H`` the low/high indicator vectors:
+        Exact because classes and structures are recomputed from scratch (the
+        hysteresis band makes class *timing* a pure performance concern) and
+        the count is taken from the full wedge matrix.  The structures are
+        the same quantities ``_full_rebuild`` assembles edge by edge,
+        expressed as matrix products over the interned adjacency matrix ``A``
+        with ``L``/``H`` the low/high indicator vectors:
 
         * ``W_low  = (A . diag(L) . A)`` off-diagonal — wedges through a low
           center;
@@ -332,10 +353,10 @@ class HHH22Counter(DynamicFourCycleCounter):
             return
         self._run_class_checks((u, v))
 
-    def _begin_batch(self, batch: UpdateBatch) -> None:
+    def _begin_batch(self) -> None:
         self._deferred_class_checks = set()
 
-    def _end_batch(self, batch: UpdateBatch) -> None:
+    def _end_batch(self) -> None:
         touched = self._deferred_class_checks or ()
         self._deferred_class_checks = None
         self._run_class_checks(touched)

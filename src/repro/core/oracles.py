@@ -25,9 +25,11 @@ This module defines:
   row-block SpGEMM standing in for the paper's fast matrix multiplication),
   and queries combine them with the signed delta edges of the recent phases.
 * :class:`OracleBackedCounter` — a general-graph 4-cycle counter driven by a
-  mirrored oracle through the Section 8 reduction, which replays or rebuilds
-  each batch window by the oracle's own prices for the two paths
-  (:meth:`ThreePathOracle.replay_cost`, :meth:`ThreePathOracle.rebuild_cost`).
+  mirrored oracle through the Section 8 reduction.  The base class's batch
+  decision replays or rebuilds each window at the oracle's own prices for
+  the two paths (:meth:`ThreePathOracle.replay_cost`,
+  :meth:`ThreePathOracle.rebuild_cost`), in the units and with the constants
+  of :mod:`repro.core.base`.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ from typing import (
 
 import numpy as np
 
-from repro.core.base import DynamicFourCycleCounter
+from repro.core.base import REPLAY_UPDATE_COST, DynamicFourCycleCounter, rebuild_base_cost
 from repro.exceptions import ConfigurationError, CounterStateError, InvalidUpdateError
 from repro.graph.static_counts import four_cycles_from_adjacency, four_cycles_from_csr_square
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.instrumentation.cost_model import CostModel
 from repro.kernels import CsrMatrix, exact_integer_matmul
 from repro.matmul.engine import CountMatrix, CountMatrixCSR, csr_spgemm, spgemm_work
-from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST, VECTORIZED_PRODUCT_OVERHEAD
+from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST
 from repro.matmul.scheduler import ChainProductJob, PhaseScheduler
 from repro.theory.parameters import solve_main_parameters
 
@@ -69,23 +71,6 @@ Vertex = Hashable
 CHAIN_POSITIONS = (1, 2, 3)
 #: The relation updates a mirrored graph edge stands for: both orientations.
 _TUPLES_PER_EDGE = 2 * len(CHAIN_POSITIONS)
-
-# Prices of the two batch paths of OracleBackedCounter, in the units of
-# repro.matmul.omega.  Label-keyed operations (a query's lookups and probes,
-# a W entry) cost DICT_OP_COST each; the constants below were fitted on
-# 256-update windows over uniform graphs (n = 10^4 / m = 5,000,
-# n = 2,000 / m = 20,000, n = 1,000 / m = 2,000) and E10's 24-vertex graph,
-# timed on 2 vCPUs under CPython 3.11, where a label-keyed operation took
-# 0.1-0.5 µs.
-#: One replayed update besides its oracle operations: validation, the graph
-#: mutation and the counter's and oracle's calls (15-25 µs).
-REPLAY_UPDATE_COST = 100 * DICT_OP_COST
-#: One bulk rebuild's fixed part: its kernel launches and set-up (0.4 ms).
-REBUILD_OVERHEAD = 60 * VECTORIZED_PRODUCT_OVERHEAD
-#: A bulk rebuild's cost per vertex and per edge: the CSR export, the degree
-#: vector, the per-row arrays and the count (about 1 µs).
-REBUILD_ELEMENT_COST = 5 * DICT_OP_COST
-
 
 class _AllVertices:
     """Stands for "every vertex" wherever an endpoint set is expected."""
@@ -309,8 +294,8 @@ class ThreePathOracle(abc.ABC):
     ) -> None:
         """Resynchronize a mirrored oracle after its graph changed in bulk.
 
-        The batched fast path of :class:`OracleBackedCounter` calls this
-        instead of reporting each edge.  The relations read the graph, so they
+        The bulk rebuild of :class:`OracleBackedCounter` calls this instead
+        of reporting each edge.  The relations read the graph, so they
         need nothing; subclasses rebuild their auxiliary structures with
         vectorized kernels over the interned adjacency ``matrix`` (in
         ``labels`` order; ``square`` is ``matrix @ matrix`` when known).
@@ -335,7 +320,7 @@ class ThreePathOracle(abc.ABC):
         :class:`OracleBackedCounter`'s bulk rebuild over a graph of
         ``vertices`` and ``edges``: its fixed part, its per-vertex and
         per-edge export, and whatever the oracle rebuilds besides."""
-        return REBUILD_OVERHEAD + (vertices + edges) * REBUILD_ELEMENT_COST
+        return rebuild_base_cost(vertices, edges)
 
     def replay_cost(self, updates: Iterable[EdgeUpdate], limit: float) -> float:
         """The estimated cost, in :mod:`repro.matmul.omega` units, of
@@ -897,8 +882,9 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     3-path count ``(u, v)`` while the edge is absent.  Each edge update is one
     :meth:`ThreePathOracle.update_edge` (edge absent) and one
     :meth:`ThreePathOracle.end_edge` (graph updated).  A batch window is
-    replayed that way or rebuilt in bulk, whichever the oracle prices lower
-    (:meth:`_batch_hook`).
+    replayed that way or rebuilt in bulk (:meth:`_rebuild`), whichever the
+    oracle prices lower (:meth:`ThreePathOracle.replay_cost`,
+    :meth:`ThreePathOracle.rebuild_cost`).
     """
 
     name = "oracle-backed"
@@ -917,22 +903,19 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     def oracle(self) -> ThreePathOracle:
         return self._oracle
 
-    def _batch_hook(self, batch: UpdateBatch) -> bool:
-        """Batch path chosen by estimated cost: the per-update replay or one
-        bulk rebuild, whichever :meth:`_replay_is_cheaper` prices lower.
+    def _replay_cost(self, batch: UpdateBatch, limit: float) -> float:
+        return self._oracle.replay_cost(batch, limit)
 
-        The replay (return ``False``) runs the oracle's maintenance and query
-        once per net update, as :meth:`apply` does.  The rebuild applies the
-        net updates to the graph in bulk, resynchronizes the oracle with
-        matrix kernels (:meth:`ThreePathOracle.rebuild_from_mirrored_graph`
-        on the dense path, :meth:`ThreePathOracle.rebuild_from_mirrored_csr`
-        on the sparse one — the density-aware dispatcher picks), and takes
-        the exact boundary count from the closed-walk trace formula over the
-        same adjacency.  Both are exact.
-        """
-        if self._replay_is_cheaper(batch):
-            return False
-        self._graph.apply_batch(batch)
+    def _rebuild_cost(self, vertices: int, edges: int) -> float:
+        return self._oracle.rebuild_cost(vertices, edges)
+
+    def _rebuild(self) -> None:
+        """Resynchronize the oracle with matrix kernels
+        (:meth:`ThreePathOracle.rebuild_from_mirrored_graph` on the dense
+        path, :meth:`ThreePathOracle.rebuild_from_mirrored_csr` on the sparse
+        one — the density-aware dispatcher picks), and take the exact
+        boundary count from the closed-walk trace formula over the same
+        adjacency."""
         decision = self._adjacency_product_decision()
         if decision.backend == "dense":
             matrix, labels = self._graph.interned_adjacency_matrix()
@@ -952,27 +935,6 @@ class OracleBackedCounter(DynamicFourCycleCounter):
                 square, adjacency.row_lengths(), self._graph.num_edges
             )
             self.cost.charge("batch_recount", work)
-        return True
-
-    def _replay_is_cheaper(self, batch: UpdateBatch) -> bool:
-        """Whether replaying ``batch`` is estimated to cost less than the
-        bulk rebuild, both priced by the oracle in :mod:`repro.matmul.omega`
-        units from sizes it already holds (the CSR view is never exported).
-
-        The rebuild's price needs only the graph's size after the window, and
-        every replayed update costs at least :data:`REPLAY_UPDATE_COST`, so a
-        window that is large against the graph — set-up, ``load_state``, a
-        restore — is decided in O(1) without reading it.  Otherwise the
-        oracle prices the window update by update and stops as soon as the
-        sum passes the rebuild.
-        """
-        graph = self._graph
-        rebuild = self._oracle.rebuild_cost(
-            graph.num_vertices, graph.num_edges + batch.net_edge_delta()
-        )
-        if len(batch) * REPLAY_UPDATE_COST >= rebuild:
-            return False
-        return self._oracle.replay_cost(batch, rebuild) < rebuild
 
     def _three_paths(self, u: Vertex, v: Vertex) -> int:
         return self._oracle.count_three_paths(u, v)
@@ -983,10 +945,10 @@ class OracleBackedCounter(DynamicFourCycleCounter):
     def _post_update(self, u: Vertex, v: Vertex, sign: int) -> None:
         self._oracle.end_edge(u, v)
 
-    def _begin_batch(self, batch) -> None:
+    def _begin_batch(self) -> None:
         self._oracle.begin_batch()
 
-    def _end_batch(self, batch) -> None:
+    def _end_batch(self) -> None:
         self._oracle.end_batch()
 
 

@@ -16,8 +16,8 @@ rollovers that fall inside a batch are postponed to the batch boundary (the
 answers stay exact against the stretched phase's deltas), so a batch never
 pays a mid-window product promotion.  Its query scans every new ``B`` tuple,
 and a replayed window adds two per update, so the cost-chosen batch path
-(:meth:`~repro.core.oracles.OracleBackedCounter._batch_hook`) rebuilds a
-large window on a sparse graph, where the products are cheap.
+(:meth:`~repro.core.base.DynamicFourCycleCounter._replay_is_cheaper`)
+rebuilds a large window on a sparse graph, where the products are cheap.
 """
 
 from __future__ import annotations

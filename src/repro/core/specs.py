@@ -13,9 +13,8 @@ without instantiating it:
   option dictionaries can be validated at the API boundary — an unknown option
   raises :class:`~repro.exceptions.ConfigurationError` naming the option and
   the counter instead of a bare ``TypeError`` deep inside a constructor;
-* **capabilities**: whether the counter implements an amortized
-  ``_batch_hook`` fast path, and whether it routes queries through a 3-path
-  oracle;
+* **capabilities**: whether the counter implements a bulk ``_rebuild``
+  batch path, and whether it routes queries through a 3-path oracle;
 * the **asymptotic class** of its worst-case update time, for the CLI's
   capability table and for documentation.
 
@@ -158,15 +157,7 @@ register_spec(
         asymptotic="O(n)",
         supports_batch_hook=True,
         needs_oracle=False,
-        options=COMMON_OPTIONS
-        + (
-            OptionSpec(
-                "incremental",
-                None,
-                "batch hook mode: None=auto cost choice, True=force delta merge, "
-                "False=always full rebuild",
-            ),
-        ),
+        options=COMMON_OPTIONS,
     )
 )
 register_spec(

@@ -368,32 +368,6 @@ class DynamicGraph:
             indptr, indices, np.ones(len(indices), dtype=np.int64), len(indptr) - 1
         )
 
-    def interned_update_delta(self, batch: UpdateBatch) -> CsrMatrix:
-        """The signed adjacency delta of a normalized batch, in interned ids.
-
-        Entry ``(u, v)`` is ``+1`` for a net insertion and ``-1`` for a net
-        deletion, stored in both orientations (the adjacency is symmetric), so
-        for the pre-batch adjacency ``A_old`` and the post-batch ``A_new``
-        this is exactly ``ΔA = A_new - A_old``.  Must be called *after* the
-        batch has been applied (so every endpoint is interned); the matrix is
-        shaped to the current id universe.
-        """
-        id_of = self._interner.id_of
-        size = len(batch)
-        rows = np.empty(2 * size, dtype=np.int64)
-        cols = np.empty(2 * size, dtype=np.int64)
-        data = np.empty(2 * size, dtype=np.int64)
-        cursor = 0
-        for updates, sign in ((batch.deletions, -1), (batch.insertions, +1)):
-            for update in updates:
-                uid = id_of(update.u)
-                vid = id_of(update.v)
-                rows[cursor], cols[cursor], data[cursor] = uid, vid, sign
-                rows[cursor + 1], cols[cursor + 1], data[cursor + 1] = vid, uid, sign
-                cursor += 2
-        n = len(self._interner)
-        return CsrMatrix.from_coo(rows, cols, data, n, n)
-
     def interned_adjacency_matrix(self, dtype=np.int64) -> tuple[np.ndarray, List[Vertex]]:
         """The dense adjacency matrix in interned-id order.
 

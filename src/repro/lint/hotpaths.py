@@ -10,7 +10,7 @@ is flagged (REP103) and may only exist as a baselined, shrinking debt.
 Two mechanisms register a function as hot:
 
 * by *name* — any function named in :data:`HOT_FUNCTION_NAMES` is hot in
-  every file (all ``_batch_hook`` implementations, wherever a new counter
+  every file (all ``_rebuild`` bulk batch paths, wherever a new counter
   adds one);
 * by *manifest entry* — ``(path suffix, dotted qualname)`` pairs in
   :data:`HOT_PATHS` pin specific per-update methods.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Tuple
 
 #: Function names that are hot wherever they appear.
-HOT_FUNCTION_NAMES: Tuple[str, ...] = ("_batch_hook",)
+HOT_FUNCTION_NAMES: Tuple[str, ...] = ("_rebuild",)
 
 #: ``(path suffix, qualname)`` pairs for the per-update hot paths.  The path
 #: suffix is matched against the end of the linted file's display path.
@@ -37,7 +37,6 @@ HOT_PATHS: Tuple[Tuple[str, str], ...] = (
     ("repro/core/base.py", "DynamicFourCycleCounter._apply_structure_delta"),
     ("repro/core/wedge_counter.py", "WedgeCounter._apply_structure_delta"),
     ("repro/core/wedge_counter.py", "WedgeCounter._three_paths"),
-    ("repro/core/wedge_counter.py", "WedgeCounter._apply_incremental_delta"),
     ("repro/core/hhh22.py", "HHH22Counter._apply_structure_delta"),
     ("repro/core/oracles.py", "OracleBackedCounter._apply_structure_delta"),
     # The phase scheduler's per-update share of the old-phase products.

@@ -439,8 +439,8 @@ class CountMatrix:
         column.  Semantically identical to calling :meth:`add` per pair, but
         the row dict, the nnz/column bookkeeping, and the version bump are
         handled once per call instead of once per entry — the single-update
-        hot paths (wedge maintenance) and the incremental batch hooks apply
-        whole delta rows through this.
+        hot paths (wedge and assadi-shah maintenance) apply whole delta rows
+        through this.
         """
         if not columns or (isinstance(deltas, int) and deltas == 0):
             return

@@ -31,7 +31,8 @@ DENSE_FLOP_COST = 1.0
 CSR_OP_COST = 48.0
 
 #: Cost of merging one entry into a label-keyed dict (hash, probe, boxed
-#: arithmetic); the wedge counter's incremental batch path pays it per entry.
+#: arithmetic); the counters' batch-path prices charge it per label-keyed
+#: operation.
 DICT_OP_COST = 600.0
 
 #: Fixed per-product overhead of a vectorized kernel launch, in cost units.

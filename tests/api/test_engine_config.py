@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.api import EngineConfig, FourCycleEngine
+from repro.api import EngineConfig, FourCycleEngine, counter_spec
 from repro.exceptions import ConfigurationError
 
 
@@ -192,6 +192,30 @@ class TestRoundTrips:
             EngineConfig(counter="wedge", options={"record_metrics": True})
         with pytest.raises(ConfigurationError, match="'record_metrics'"):
             EngineConfig.from_counter_kwargs("wedge", {"record_metrics": True})
+
+    @pytest.mark.parametrize("value", [None, True, False])
+    def test_legacy_wedge_incremental_option_is_accepted_and_dropped(self, value):
+        """Snapshots, WAL meta files and ``POST /engines`` bodies written
+        while the wedge counter had its incremental batch mode carry it."""
+        legacy = dict(
+            EngineConfig(counter="wedge", batch_size=4).to_dict(),
+            options={"incremental": value},
+        )
+        config = EngineConfig.from_dict(legacy)
+        assert config == EngineConfig(counter="wedge", batch_size=4)
+        assert config.options == {}
+
+    @pytest.mark.parametrize("value", ["auto", 1, 0, "true"])
+    def test_legacy_wedge_incremental_other_values_are_refused(self, value):
+        with pytest.raises(ConfigurationError, match="incremental=.*setting was removed"):
+            EngineConfig.from_dict({"counter": "wedge", "options": {"incremental": value}})
+
+    def test_incremental_is_no_longer_an_option(self):
+        assert counter_spec("wedge").option_names() == ("workers",)
+        with pytest.raises(ConfigurationError, match="'incremental'"):
+            EngineConfig(counter="wedge", options={"incremental": True})
+        with pytest.raises(ConfigurationError, match="'incremental'"):
+            EngineConfig.from_dict({"counter": "hhh22", "options": {"incremental": True}})
 
     def test_with_updates(self):
         config = EngineConfig(counter="wedge")

@@ -12,8 +12,9 @@ from repro.api import (
     EngineSnapshot,
     FourCycleEngine,
     GeneratorSource,
+    available_counter_names,
 )
-from repro.exceptions import ConfigurationError, CounterStateError
+from repro.exceptions import ConfigurationError, CounterStateError, ReproError
 from repro.graph.updates import EdgeUpdate, UpdateStream
 
 from tests.conftest import k4_edges, random_dynamic_stream
@@ -265,6 +266,20 @@ class TestLoadStateGuard:
         engine.insert(1, 2)
         with pytest.raises(CounterStateError, match="freshly constructed"):
             engine.counter.load_state([], [])
+
+    @pytest.mark.parametrize("bad_edge", [(1, 1), (1, 0)], ids=["self-loop", "repeated-edge"])
+    @pytest.mark.parametrize("size", [3, 60], ids=["replayed", "bulk"])
+    @pytest.mark.parametrize("name", sorted(available_counter_names()))
+    def test_restore_refuses_a_snapshot_with_a_bad_edge(self, name, size, bad_edge):
+        """A 60-edge path is loaded in bulk, a 3-edge one through the batch
+        pipeline; either way the bad edge raises before ``restore``
+        returns."""
+        engine = FourCycleEngine(EngineConfig(counter=name))
+        engine.run(UpdateStream.from_edges([(i, i + 1) for i in range(size)]))
+        payload = engine.checkpoint().to_dict()
+        payload["edges"].append(list(bad_edge))
+        with pytest.raises(ReproError):
+            FourCycleEngine.restore(payload)
 
 
 class TestGeneratorDrivenRun:

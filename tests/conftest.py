@@ -127,19 +127,9 @@ class PinnedDispatcher(ProductDispatcher):
 
 
 def pin_kernel(counter, kernel: str):
-    """Make ``counter``'s batch hooks run ``kernel`` for every whole-graph
+    """Make ``counter``'s rebuilds run ``kernel`` for every whole-graph
     product; returns the counter."""
     counter.product_dispatcher = PinnedDispatcher(kernel=kernel, workers=counter.workers)
-    return counter
-
-
-def force_batch_path(counter, path: str):
-    """Make an oracle-backed counter's batch hook take ``path`` ("replay" or
-    "rebuild") on every window, by patching its cost decision on this one
-    counter; returns the counter."""
-    if path not in ("replay", "rebuild"):
-        raise ValueError(f"unknown batch path {path!r}")
-    counter._replay_is_cheaper = lambda batch: path == "replay"
     return counter
 
 

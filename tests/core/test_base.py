@@ -118,12 +118,13 @@ class TestApplyBatch:
         assert len(counts) == 3
         assert counts[-1] == 3
 
-    def test_fast_path_engages_above_threshold(self):
-        # A window at least as large as the threshold must route through the
-        # brute-force recount hook instead of the per-update replay.
-        counter = BruteForceCounter()
-        size = counter.batch_fast_path_threshold
-        edges = [(0, i) for i in range(1, size + 1)]
-        counter.apply_batch(UpdateStream.from_edges(edges))
-        assert counter.cost.get("batch_recount") > 0
-        assert counter.is_consistent()
+    def test_a_window_large_against_the_graph_rebuilds(self, any_counter):
+        # Every counter takes its bulk path for a window that fills an empty
+        # graph, and the rebuild is exact.
+        rebuild = any_counter._rebuild
+        rebuilds = []
+        any_counter._rebuild = lambda: rebuilds.append(rebuild())
+        edges = [(0, i) for i in range(1, 33)] + [(i, i + 1) for i in range(1, 32)]
+        any_counter.apply_batch(UpdateStream.from_edges(edges))
+        assert len(rebuilds) == 1
+        assert any_counter.is_consistent()

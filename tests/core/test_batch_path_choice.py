@@ -1,13 +1,16 @@
-"""The oracle-backed counters' batch path is chosen by cost and is exact.
+"""Every counter's batch path is chosen by cost and is exact.
 
-``OracleBackedCounter._batch_hook`` replays a window update by update or
-rebuilds the oracle in bulk, whichever its oracle prices lower.  Both paths
-and the choice between them must give bit-identical counts at every batch
-boundary; and on the shapes the prices were fitted on, the choice must be
-the faster path: assadi-shah replays a window that touches little of a large
-sparse graph, phase-fmm (whose query scans every new ``B`` tuple) rebuilds
-it, and set-up, ``load_state`` and small dense graphs rebuild without the
-decision reading the window.
+``DynamicFourCycleCounter.apply_batch`` replays a window update by update or
+rebuilds in bulk, whichever ``_replay_is_cheaper`` prices lower from the
+counter's own prices.  Both paths and the choice between them must give
+bit-identical counts at every batch boundary for every built-in counter (and
+the wedge counter the same wedge matrix as a per-update replay); and on the
+shapes the prices were fitted on, the choice must be the faster path: a
+window that touches little of a large sparse graph replays (except on
+phase-fmm, whose query scans every new ``B`` tuple), the windows that fill a
+small dense graph rebuild, brute-force never densifies a large sparse graph,
+and set-up and ``load_state`` rebuild without the decision pricing the
+window.
 """
 
 from __future__ import annotations
@@ -16,18 +19,30 @@ import random
 
 import pytest
 
+from repro.analysis.throughput import force_batch_path
+from repro.api import available_counter_names, counter_spec
 from repro.core.assadi_shah import AssadiShahCounter
-from repro.core.oracles import REPLAY_UPDATE_COST
+from repro.core.base import REPLAY_UPDATE_COST
+from repro.core.brute_force import BruteForceCounter
 from repro.core.phase_fmm import PhaseFMMCounter
+from repro.core.wedge_counter import WedgeCounter
 from repro.graph.static_counts import count_four_cycles_wedges
 from repro.graph.updates import EdgeUpdate, normalize_batch
 from repro.workloads.generators import erdos_renyi_stream
 
-from tests.conftest import AdjacencyModel, force_batch_path
+from tests.conftest import AdjacencyModel
 from tests.core.test_mirrored_oracle import COUNTERS, STREAMS, make_counter
 
 WINDOWS = (1, 7, 32, 64, 256)
 PATHS = ("replay", "rebuild", "chosen")
+ALL_COUNTERS = sorted(available_counter_names())
+
+
+def _make(name: str, path: str = "chosen"):
+    """The counter ``name`` (the Section 8 ones with short phases and low
+    thresholds), forced to ``path`` unless it is "chosen"."""
+    counter = make_counter(name) if name in COUNTERS else counter_spec(name).create()
+    return counter if path == "chosen" else force_batch_path(counter, path)
 
 
 def _counts_at_boundaries(counter, updates, window: int) -> list:
@@ -40,7 +55,7 @@ def _counts_at_boundaries(counter, updates, window: int) -> list:
 
 @pytest.mark.parametrize("stream", list(STREAMS))
 @pytest.mark.parametrize("window", WINDOWS)
-@pytest.mark.parametrize("name", list(COUNTERS))
+@pytest.mark.parametrize("name", ALL_COUNTERS)
 def test_both_paths_and_the_choice_are_bit_identical(name, window, stream):
     updates = STREAMS[stream]()
     model = AdjacencyModel()
@@ -49,12 +64,51 @@ def test_both_paths_and_the_choice_are_bit_identical(name, window, stream):
         for update in updates[start:start + window]:
             model.apply(update)
         expected.append(count_four_cycles_wedges(model))
+    reference = WedgeCounter()
+    reference.apply_all(updates)
     for path in PATHS:
-        counter = make_counter(name)
-        if path != "chosen":
-            force_batch_path(counter, path)
+        counter = _make(name, path)
         assert _counts_at_boundaries(counter, updates, window) == expected, path
         assert counter.is_consistent()
+        if name == "wedge":
+            assert counter.wedge_matrix == reference.wedge_matrix, path
+
+
+def _clique_then_deletions() -> list:
+    """A 10-clique, then a deletion-only window: negative deltas and entries
+    that cancel."""
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    return [
+        [EdgeUpdate.insert(u, v) for u, v in edges],
+        [EdgeUpdate.delete(u, v) for u, v in edges[::3]],
+    ]
+
+
+def _windows_adding_vertices() -> list:
+    """A path, then a window whose insertions name 40 new vertices."""
+    return [
+        [EdgeUpdate.insert(i, i + 1) for i in range(40)],
+        [EdgeUpdate.insert(100 + i, i) for i in range(40)]
+        + [EdgeUpdate.insert(100 + i, i + 1) for i in range(40)],
+    ]
+
+
+@pytest.mark.parametrize("windows", [_clique_then_deletions, _windows_adding_vertices])
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("name", ALL_COUNTERS)
+def test_deletion_only_and_new_vertex_windows(name, path, windows):
+    counter = _make(name, path)
+    reference = WedgeCounter()
+    model = AdjacencyModel()
+    for window in windows():
+        counter.apply_batch(window)
+        for update in window:
+            reference.apply(update)
+            model.apply(update)
+        assert counter.count == reference.count == count_four_cycles_wedges(model)
+        if name == "wedge":
+            assert counter.wedge_matrix == reference.wedge_matrix
+    assert counter.is_consistent()
 
 
 def _uniform_graph(num_vertices: int, num_edges: int, seed: int) -> tuple:
@@ -89,21 +143,37 @@ def _churn_window(rng, live: list, num_vertices: int, size: int) -> list:
     return window
 
 
-def _loaded(counter_class, num_vertices: int = 10_000, num_edges: int = 5_000):
+def _loaded(factory, num_vertices: int = 10_000, num_edges: int = 5_000):
+    """A counter holding a uniform graph on ``num_vertices`` registered
+    vertices, loaded as a restore loads it."""
     rng, live = _uniform_graph(num_vertices, num_edges, seed=7)
-    counter = counter_class()
-    counter.apply_batch([EdgeUpdate.insert(u, v) for u, v in live])
+    counter = factory()
+    counter.load_state(range(num_vertices), live)
     return counter, rng, live
 
 
 def _unexported(counter) -> None:
-    """Make any CSR export of ``counter``'s graph fail the test."""
+    """Make any CSR or dense export of ``counter``'s graph fail the test."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CSR view was exported")
+        raise AssertionError("the graph was exported")
 
     counter.graph.csr_view = refuse
     counter.graph.csr_matrix = refuse
+    counter.graph.interned_adjacency_matrix = refuse
+
+
+def _recording(counter) -> list:
+    """Record every decision of ``counter`` as ``(net size, replayed)``."""
+    chosen = []
+    decide = counter._replay_is_cheaper
+
+    def recording(batch):
+        chosen.append((len(batch), decide(batch)))
+        return chosen[-1][1]
+
+    counter._replay_is_cheaper = recording
+    return chosen
 
 
 class TestTheChoiceOnFittedShapes:
@@ -128,24 +198,64 @@ class TestTheChoiceOnFittedShapes:
         assert counter.cost.get("batch_rebuild") > 0
         assert counter.count == count_four_cycles_wedges(counter.graph)
 
-    @pytest.mark.parametrize("counter_class", [AssadiShahCounter, PhaseFMMCounter])
-    def test_a_window_large_against_the_graph_rebuilds_without_reading_it(self, counter_class):
-        """An empty-graph load and ``load_state`` are decided from sizes
-        alone: the oracle is never asked to price the replay."""
+    @pytest.mark.parametrize(
+        "num_vertices, num_edges, size",
+        [(20_000, 10_000, 8), (20_000, 10_000, 64), (10_000, 5_000, 256)],
+        ids=["served-durable-8", "served-durable-64", "batch-windows-256"],
+    )
+    @pytest.mark.parametrize("name", ["wedge", "hhh22"])
+    def test_wedge_and_hhh22_replay_a_window_on_a_large_sparse_graph(
+        self, name, num_vertices, num_edges, size
+    ):
+        counter, rng, live = _loaded(counter_spec(name).create, num_vertices, num_edges)
+        window = _churn_window(rng, live, num_vertices, size)
+        batch = normalize_batch(window, counter.graph.has_edge)
+        assert counter._replay_is_cheaper(batch)
+        _unexported(counter)
+        counter.apply_batch(batch)
+        assert counter.count == count_four_cycles_wedges(counter.graph)
 
-        def unpriced(updates, limit):
+    def test_brute_force_replays_instead_of_densifying(self):
+        """A dense ``n x n`` over 20,000 vertices would take 3.2 GB: the
+        64-update window replays, and nothing exports the graph."""
+        counter, rng, live = _loaded(BruteForceCounter, 20_000, 10_000)
+        window = _churn_window(rng, live, 20_000, 64)
+        chosen = _recording(counter)
+        _unexported(counter)
+        counter.apply_batch(window)
+        assert chosen == [(64, True)]
+        assert counter.count == count_four_cycles_wedges(counter.graph)
+
+    @pytest.mark.parametrize("name", ["wedge", "hhh22"])
+    def test_e11s_filling_windows_rebuild(self, name):
+        """E11's 32-vertex churn stream: the windows that fill the graph
+        rebuild."""
+        updates = list(erdos_renyi_stream(32, 2560, seed=0))
+        counter = counter_spec(name).create()
+        chosen = _recording(counter)
+        for start in range(0, len(updates), 256):
+            counter.apply_batch(updates[start:start + 256])
+        assert [replay for _, replay in chosen[:3]] == [False, False, False]
+        assert counter.is_consistent()
+
+    @pytest.mark.parametrize("name", ALL_COUNTERS)
+    def test_a_window_large_against_the_graph_rebuilds_without_reading_it(self, name):
+        """An empty-graph load and ``load_state`` are decided from sizes
+        alone: the counter is never asked to price the replay."""
+
+        def unpriced(batch, limit):
             raise AssertionError("the replay was priced")
 
-        _, edges = _uniform_graph(10_000, 5_000, seed=3)
-        fresh = counter_class()
-        fresh.oracle.replay_cost = unpriced
+        _, edges = _uniform_graph(200, 1_000, seed=3)
+        fresh = _make(name)
+        fresh._replay_cost = unpriced
         batch = normalize_batch([EdgeUpdate.insert(u, v) for u, v in edges])
-        assert len(batch) * REPLAY_UPDATE_COST >= fresh.oracle.rebuild_cost(0, len(edges))
+        assert len(batch) * REPLAY_UPDATE_COST >= fresh._rebuild_cost(200, len(edges))
         assert not fresh._replay_is_cheaper(batch)
 
-        restored = counter_class()
-        restored.oracle.replay_cost = unpriced
-        restored.load_state(range(10_000), edges)
+        restored = _make(name)
+        restored._replay_cost = unpriced
+        restored.load_state(range(200), edges)
         assert restored.count == count_four_cycles_wedges(restored.graph)
 
     @pytest.mark.parametrize("counter_class", [AssadiShahCounter, PhaseFMMCounter])
@@ -155,14 +265,7 @@ class TestTheChoiceOnFittedShapes:
         updates, and those replay."""
         updates = list(erdos_renyi_stream(24, 1280, seed=0))
         counter = counter_class()
-        chosen = []
-        decide = counter._replay_is_cheaper
-
-        def recording(batch):
-            chosen.append((len(batch), decide(batch)))
-            return chosen[-1][1]
-
-        counter._replay_is_cheaper = recording
+        chosen = _recording(counter)
         for start in range(0, len(updates), 256):
             counter.apply_batch(updates[start:start + 256])
         assert [replay for _, replay in chosen] == [False, False, False, True, True]

@@ -530,6 +530,43 @@ class TestLegacyRecordMetricsKey:
         assert [recovered.apply(update) for update in updates[40:]] == trajectory[40:]
 
 
+class TestLegacyWedgeIncrementalOption:
+    """Wedge configs written while the counter had its incremental batch mode
+    carry ``"options": {"incremental": ...}`` in every snapshot and
+    ``<wal>.meta.json``; they recover bit-identically, the option dropped."""
+
+    @pytest.mark.parametrize("value", [None, True, False])
+    def test_snapshot_generation_and_meta_recover_bit_identically(self, tmp_path, value):
+        from repro.io.serialization import load_engine_snapshot, save_engine_snapshot
+
+        updates = stream(seed=12, n=90)
+        reference = FourCycleEngine("wedge")
+        trajectory = [reference.apply(update) for update in updates]
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(
+            EngineConfig(counter="wedge", wal_path=str(wal), snapshot_every=25)
+        ) as engine:
+            engine.run(updates[:60])
+        save_wal_meta(wal, dict(load_wal_meta(wal), options={"incremental": value}))
+        for _, path in list_snapshot_paths(wal):
+            payload = load_engine_snapshot(path)
+            payload["config"]["options"] = {"incremental": value}
+            save_engine_snapshot(payload, path)
+        recovered, report = recover(wal, attach=False)
+        assert report.snapshot_path is not None
+        assert recovered.config.options == {}
+        assert recovered.count == trajectory[59]
+        assert [recovered.apply(update) for update in updates[60:]] == trajectory[60:]
+
+    def test_values_the_old_version_refused_are_refused(self, tmp_path):
+        wal = tmp_path / "run.wal"
+        with FourCycleEngine(EngineConfig(counter="wedge", wal_path=str(wal))) as durable:
+            durable.run(stream(n=20))
+        save_wal_meta(wal, dict(load_wal_meta(wal), options={"incremental": "auto"}))
+        with pytest.raises(ConfigurationError, match="incremental="):
+            recover(wal, attach=False)
+
+
 class TestReplayWindows:
     """Replay merges records into windows of at least the engine's n + m."""
 

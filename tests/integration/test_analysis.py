@@ -152,7 +152,7 @@ class TestEmpiricalExperiments:
             # Every variant reports the expansion work of the dict baseline.
             assert len({row.operations for row in variants}) == 1
         hook = [row.variant for row in rows if row.kernel == "wedge-batch-hook"]
-        assert hook == ["full-rebuild", "incremental", "auto"]
+        assert hook == ["full-rebuild", "replay", "auto"]
 
 
 

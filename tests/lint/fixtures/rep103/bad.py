@@ -2,7 +2,7 @@
 
 
 class Counter:
-    def _batch_hook(self, updates):
+    def _rebuild(self, updates):
         per_label = {u: 1 for u in updates}           # finding: dict comprehension
         extra = dict(per_label)                       # finding: dict() construction
         table = {"a": 1}                              # finding: dict literal

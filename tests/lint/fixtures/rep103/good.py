@@ -4,7 +4,7 @@ import numpy as np
 
 
 class Counter:
-    def _batch_hook(self, rows, cols, signs):
+    def _rebuild(self, rows, cols, signs):
         # Int-indexed array work is exactly what the rule wants hot paths on.
         deltas = np.bincount(rows, minlength=8)
         empty = {}  # empty dict literal: allocation only, no label traffic
@@ -14,6 +14,6 @@ class Counter:
         # Not a registered hot path: dict work is fine here.
         return {label: count for label, count in per_label.items()}
 
-    def _batch_hook_metrics(self, timings):
-        # Name does not match the manifest (``_batch_hook`` exactly).
+    def _rebuild_metrics(self, timings):
+        # Name does not match the manifest (``_rebuild`` exactly).
         return dict(timings)

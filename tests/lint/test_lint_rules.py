@@ -95,7 +95,7 @@ class TestHotPathRule:
     def test_bad_fixture_fires_on_every_dict_use(self):
         findings = lint_fixture("rep103/bad.py")
         assert rules_of(findings) == ["REP103"] * 4
-        assert all("_batch_hook" in finding.message for finding in findings)
+        assert all("_rebuild" in finding.message for finding in findings)
 
     def test_good_fixture_is_silent(self):
         assert lint_fixture("rep103/good.py") == []

@@ -6,10 +6,8 @@ boundary whichever kernel its dispatcher picks.  The program never pins one:
 the dispatcher decides per product from cost estimates, and on the tiny
 hypothesis graphs it picks dense almost always.  So each stream is replayed
 twice with the test-side :class:`~tests.conftest.PinnedDispatcher`, once per
-kernel, with the batch fast path taken on every window
-(``batch_fast_path_threshold = 1`` for wedge and hhh22, the rebuild forced by
-:func:`~tests.conftest.force_batch_path` for the oracle-backed phase-fmm and
-assadi-shah).  Both runs must agree with each other
+kernel, with the rebuild forced on every window by
+:func:`~repro.analysis.throughput.force_batch_path`.  Both runs must agree with each other
 and with label-keyed wedge enumeration over a plain adjacency model at every
 boundary; for the wedge counter the maintained wedge matrices must also be
 equal.
@@ -20,10 +18,11 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.throughput import force_batch_path
 from repro.api import counter_spec
 from repro.graph.static_counts import count_four_cycles_wedges
 
-from tests.conftest import AdjacencyModel, force_batch_path, pin_kernel
+from tests.conftest import AdjacencyModel, pin_kernel
 from tests.property.test_property_counters import consistent_streams
 
 #: The counters whose batch hooks dispatch between the dense and CSR kernels.
@@ -36,15 +35,7 @@ FAST_SETTINGS = settings(
 
 
 def _pinned_counter(name: str, kernel: str):
-    counter = pin_kernel(counter_spec(name).create(), kernel)
-    if name in ("phase-fmm", "assadi-shah"):
-        return force_batch_path(counter, "rebuild")
-    counter.batch_fast_path_threshold = 1
-    if name == "wedge":
-        # A full rebuild on every window, so each one runs the pinned kernel
-        # (the incremental merge runs the same code under both pins).
-        counter.incremental = False
-    return counter
+    return force_batch_path(pin_kernel(counter_spec(name).create(), kernel), "rebuild")
 
 
 @given(

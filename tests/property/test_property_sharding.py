@@ -19,9 +19,10 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.throughput import force_batch_path
 from repro.api import counter_spec
 
-from tests.conftest import PinnedVehicleExecutor, force_batch_path, pin_kernel
+from tests.conftest import PinnedVehicleExecutor, pin_kernel
 from tests.property.test_property_counters import consistent_streams
 
 #: The counters whose batch hooks route products through the shard executor.
@@ -42,16 +43,7 @@ def _sharded_counter(name: str, workers: int, vehicle: str = "serial"):
     oracle = getattr(counter, "_oracle", None)
     if oracle is not None and hasattr(oracle, "shard_executor"):
         oracle.shard_executor = executor
-    return _every_window_rebuilds(counter)
-
-
-def _every_window_rebuilds(counter):
-    """Take the batch fast path on every window: force the oracle-backed
-    counters' rebuild, lower the others' threshold."""
-    if hasattr(counter, "_replay_is_cheaper"):
-        return force_batch_path(counter, "rebuild")
-    counter.batch_fast_path_threshold = 1
-    return counter
+    return force_batch_path(counter, "rebuild")
 
 
 def _replay_in_batches(counter, stream, window: int):
@@ -71,7 +63,7 @@ def _replay_in_batches(counter, stream, window: int):
 )
 @FAST_SETTINGS
 def test_sharded_counters_match_serial_at_every_batch_boundary(name, workers, window, stream):
-    serial = _every_window_rebuilds(pin_kernel(counter_spec(name).create(workers=1), "csr"))
+    serial = force_batch_path(pin_kernel(counter_spec(name).create(workers=1), "csr"), "rebuild")
     sharded = _sharded_counter(name, workers)
     assert _replay_in_batches(sharded, stream, window) == _replay_in_batches(
         serial, stream, window
@@ -84,7 +76,7 @@ def test_sharded_counters_match_serial_at_every_batch_boundary(name, workers, wi
 )
 @FAST_SETTINGS
 def test_sharded_wedge_matrix_is_bit_identical(workers, stream):
-    serial = _every_window_rebuilds(pin_kernel(counter_spec("wedge").create(workers=1), "csr"))
+    serial = force_batch_path(pin_kernel(counter_spec("wedge").create(workers=1), "csr"), "rebuild")
     sharded = _sharded_counter("wedge", workers)
     serial.apply_batch(list(stream))
     sharded.apply_batch(list(stream))

@@ -15,6 +15,7 @@ import socket
 
 import pytest
 
+from repro.analysis.throughput import force_batch_path
 from repro.exceptions import CounterStateError
 from repro.service import ServiceRunner
 
@@ -251,13 +252,12 @@ class TestFailStopReads:
             service, "POST", "/engines/alpha/updates", {"updates": K4_CYCLE}
         )
         assert status == 200
-        counter = service.service.registry.get("alpha").engine.counter
+        counter = force_batch_path(service.service.registry.get("alpha").engine.counter, "rebuild")
 
-        def torn_hook(batch):
-            counter.graph.apply_batch(batch)
+        def torn_rebuild():
             raise CounterStateError("injected failure after the graph batch applied")
 
-        counter._batch_hook = torn_hook
+        counter._rebuild = torn_rebuild
         status, body = request(
             service,
             "POST",
