@@ -152,8 +152,9 @@ def _loaded(factory, num_vertices: int = 10_000, num_edges: int = 5_000):
     return counter, rng, live
 
 
-def _unexported(counter) -> None:
-    """Make any CSR or dense export of ``counter``'s graph fail the test."""
+def _unexported(counter):
+    """Make any CSR or dense export of ``counter``'s graph fail the test;
+    returns the counter."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the graph was exported")
@@ -161,6 +162,7 @@ def _unexported(counter) -> None:
     counter.graph.csr_view = refuse
     counter.graph.csr_matrix = refuse
     counter.graph.interned_adjacency_matrix = refuse
+    return counter
 
 
 def _recording(counter) -> list:
@@ -216,14 +218,24 @@ class TestTheChoiceOnFittedShapes:
         assert counter.count == count_four_cycles_wedges(counter.graph)
 
     def test_brute_force_replays_instead_of_densifying(self):
-        """A dense ``n x n`` over 20,000 vertices would take 3.2 GB: the
-        64-update window replays, and nothing exports the graph."""
-        counter, rng, live = _loaded(BruteForceCounter, 20_000, 10_000)
+        """A dense ``n x n`` over 20,000 vertices would take 3.2 GB: the load
+        and the 64-update window replay.  Every export is refused from the
+        start, so a wrong choice fails instead of allocating."""
+        counter, rng, live = _loaded(lambda: _unexported(BruteForceCounter()), 20_000, 10_000)
         window = _churn_window(rng, live, 20_000, 64)
         chosen = _recording(counter)
-        _unexported(counter)
         counter.apply_batch(window)
         assert chosen == [(64, True)]
+        assert counter.count == count_four_cycles_wedges(counter.graph)
+
+    def test_brute_force_prices_the_vertices_a_window_brings(self):
+        """10,000 edges on 20,000 new vertices, applied to an empty counter:
+        the dense price counts the window's vertices, so it replays."""
+        _, live = _uniform_graph(20_000, 10_000, seed=7)
+        counter = _unexported(BruteForceCounter())
+        chosen = _recording(counter)
+        counter.apply_batch([EdgeUpdate.insert(u, v) for u, v in live])
+        assert chosen == [(10_000, True)]
         assert counter.count == count_four_cycles_wedges(counter.graph)
 
     @pytest.mark.parametrize("name", ["wedge", "hhh22"])
