@@ -1,8 +1,9 @@
-"""E11 — vectorized batch hooks versus the per-update paths.
+"""E11 — the batch paths versus the per-update paths.
 
 Replays the standard dense churn workload through the wedge/HHH22/assadi-shah
-counters two ways (one update at a time, and in batched windows through the
-vectorized batch hooks).  The acceptance claims:
+counters two ways (one update at a time, and in batched windows, which
+rebuild while they fill the graph and replay once it is complete).  The
+acceptance claims:
 
 * the wedge-counter batched path is at least **5x** updates/sec over its
   per-update path;

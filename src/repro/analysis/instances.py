@@ -2,7 +2,7 @@
 
 Clique-community adjacencies (label-keyed for E12's products, interned CSR
 for E14's SpGEMM), uniformly random sparse and dense matrices, and the
-standing-graph churn stream E12 replays through the wedge batch hook.  Every
+standing-graph churn stream E12 replays through the wedge batch paths.  Every
 builder is deterministic in its arguments.
 """
 

@@ -239,7 +239,7 @@ def experiment_e10_batch_throughput(
 
 
 # ---------------------------------------------------------------------------
-# E11 — vectorized batch hooks against the per-update paths
+# E11 — the batch paths against the per-update paths
 # ---------------------------------------------------------------------------
 def experiment_e11_kernel_throughput(
     num_vertices: int = 32,
@@ -248,11 +248,12 @@ def experiment_e11_kernel_throughput(
     counters: Sequence[str] = ("wedge", "hhh22", "assadi-shah"),
     seed: int = 0,
 ) -> List[ThroughputRow]:
-    """E11: the counters' vectorized batch hooks versus their per-update paths.
+    """E11: the counters' batch paths versus their per-update paths.
 
     The standard dense churn stream is replayed through each counter twice:
     one update at a time (variant ``per-update``), and in windows of
-    ``batch_size`` through the vectorized batch hook (``batched``).  Each
+    ``batch_size`` (``batched``: the windows that fill the graph rebuild, the
+    rest replay, as each counter's prices choose).  Each
     variant's time is the fastest of three replays (the batched wedge replay
     takes about 10 ms, short enough for one stall to sink it), after one
     untimed replay of the stream's first ``batch_size`` updates through a

@@ -72,7 +72,7 @@ def four_cycles_from_adjacency(
     """Exact 4-cycle count from a symmetric 0/1 adjacency matrix.
 
     The closed-walk trace formula shared by every vectorized recount path
-    (brute-force and counter batch hooks, static validation):
+    (brute-force and counter rebuilds, static validation):
     ``C4 = (tr(A^4) - 2 m - 2 * sum_v deg(v) (deg(v) - 1)) / 8``.
     """
     walk_count = closed_four_walks_from_adjacency(matrix, square)
