@@ -272,7 +272,7 @@ class DynamicFourCycleCounter(abc.ABC):
         edges = list(edges)
         if len(edges) * REPLAY_UPDATE_COST < self._rebuild_cost(graph.num_vertices, len(edges)):
             self.apply_batch([EdgeUpdate.insert(u, v) for u, v in edges])
-        elif edges:
+        else:
             graph.insert_edges(edges)
             self._begin_batch()
             try:
