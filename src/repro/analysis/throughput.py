@@ -92,12 +92,6 @@ def _rows(kernel: str, measured: Sequence[Tuple[str, str, int, float]]) -> List[
     ]
 
 
-#: One engine-race variant: its name, its config, and the batch path to force
-#: on its engines (see :func:`force_batch_path`; ``None`` lets the counter
-#: choose).
-EngineVariant = Tuple[str, EngineConfig, Optional[str]]
-
-
 def force_batch_path(counter, path: Optional[str]):
     """Make ``counter`` take ``path`` ("replay" or "rebuild") on every batch
     window, by patching the base class's cost decision on this one counter;
@@ -114,13 +108,14 @@ def force_batch_path(counter, path: Optional[str]):
 def race_engines(
     kernel: str,
     stream: UpdateStream,
-    variants: Sequence[EngineVariant],
+    variants: Sequence[Tuple[str, EngineConfig, Optional[str]]],
     parameters: str,
     warmup: int = 0,
     repeats: int = 1,
 ) -> List[ThroughputRow]:
     """Replay ``stream`` through fresh engines per ``(variant, config,
-    path)``, keeping the fastest of ``repeats`` replays as
+    path)``, each forced to ``path`` by :func:`force_batch_path` (``None``
+    lets the counter choose), keeping the fastest of ``repeats`` replays as
     :func:`race_products` does.
 
     Each replay is timed by :func:`~repro.instrumentation.harness.time_replay`

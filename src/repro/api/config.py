@@ -72,14 +72,13 @@ _REMOVED_KEYS: Dict[str, Tuple[Callable[[object], bool], str]] = {
         "repro.instrumentation measures every update or window",
     ),
 }
-#: The same for removed counter options, keyed by ``(counter, option)``.
-_REMOVED_OPTIONS: Dict[Tuple[str, str], Tuple[Callable[[object], bool], str]] = {
-    ("wedge", "incremental"): (
-        lambda value: value is None or isinstance(value, bool),
-        "the setting was removed; every counter replays or rebuilds each "
-        "batch window, whichever its cost estimate prices lower",
-    ),
-}
+#: Removed counter options that persisted configs and ``POST /engines`` bodies
+#: still carry, as ``(counter, option)``.  The versions that had them stored
+#: any value unchecked, and none changed a count, so
+#: :meth:`EngineConfig.from_dict` drops them whatever their value.  The wedge
+#: counter's ``incremental`` chose its batch path; every counter now replays
+#: or rebuilds each window, whichever its cost estimate prices lower.
+_REMOVED_OPTIONS = frozenset({("wedge", "incremental")})
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,10 @@ class EngineConfig:
 
         Snapshots, WAL meta files and service requests written by earlier
         versions carry the keys of removed settings (``interned``,
-        ``backend``, ``shard_policy``, ``block_entries``, ``record_metrics``)
-        and removed counter options (the wedge counter's ``incremental``);
-        each is accepted with any value those versions accepted, and dropped.
+        ``backend``, ``shard_policy``, ``block_entries``, ``record_metrics``),
+        each accepted with any value those versions accepted and dropped, and
+        removed counter options (the wedge counter's ``incremental``), dropped
+        whatever their value.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
@@ -242,16 +242,8 @@ class EngineConfig:
             )
         counter = payload.get("counter", cls.counter)
         removed = {
-            option: rule
-            for (name, option), rule in _REMOVED_OPTIONS.items()
-            if name == counter and option in options
+            option for name, option in _REMOVED_OPTIONS if name == counter and option in options
         }
-        for option, (accepted, replacement) in removed.items():
-            if not accepted(options[option]):
-                raise ConfigurationError(
-                    f"{counter} option {option}={options[option]!r} is not supported: "
-                    f"{replacement}"
-                )
         if removed:
             options = {key: value for key, value in options.items() if key not in removed}
             payload = dict(payload, options=options)

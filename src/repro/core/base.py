@@ -47,8 +47,10 @@ the graph in bulk and recompute the structures and the count from it
 :meth:`DynamicFourCycleCounter._replay_is_cheaper` is the one decision between
 them, from the counter's prices for both (``_replay_cost``,
 ``_rebuild_cost``; a counter without a bulk path prices its rebuild at
-infinity).  ``_begin_batch``/``_end_batch`` bracket either path, so counters
-can defer degree-class and phase checks to the batch boundary.
+infinity) and an O(1) bound on the first (``_replay_bound``) that settles
+small windows without pricing their updates.  ``_begin_batch``/``_end_batch``
+bracket either path, so counters can defer degree-class and phase checks to
+the batch boundary.
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ def rebuild_base_cost(vertices: int, edges: int) -> float:
     """The part of any bulk rebuild's price that only the graph's size sets:
     its fixed part and its per-vertex and per-edge export."""
     return REBUILD_OVERHEAD + (vertices + edges) * REBUILD_ELEMENT_COST
+
+
+def _rebuild_is_settled(size: int, rebuild: float) -> bool:
+    """Whether ``size`` updates, each replayed at no less than
+    :data:`REPLAY_UPDATE_COST`, already cost ``rebuild``."""
+    return size * REPLAY_UPDATE_COST >= rebuild
 
 
 class DynamicFourCycleCounter(abc.ABC):
@@ -270,15 +278,15 @@ class DynamicFourCycleCounter(abc.ABC):
         for vertex in vertices:
             graph.add_vertex(vertex)
         edges = list(edges)
-        if len(edges) * REPLAY_UPDATE_COST < self._rebuild_cost(graph.num_vertices, len(edges)):
-            self.apply_batch([EdgeUpdate.insert(u, v) for u, v in edges])
-        else:
+        if _rebuild_is_settled(len(edges), self._rebuild_cost(graph.num_vertices, len(edges))):
             graph.insert_edges(edges)
             self._begin_batch()
             try:
                 self._rebuild()
             finally:
                 self._end_batch()
+        else:
+            self.apply_batch([EdgeUpdate.insert(u, v) for u, v in edges])
         self._updates_processed = updates_processed
         self.cost.reset()
         return self._count
@@ -322,18 +330,21 @@ class DynamicFourCycleCounter(abc.ABC):
     def _replay_is_cheaper(self, batch: UpdateBatch) -> bool:
         """Whether replaying ``batch`` is estimated to cost less than the bulk
         rebuild, both priced by the counter from sizes it already holds (no
-        price exports the CSR view).  Every replayed update costs at least
-        :data:`REPLAY_UPDATE_COST`, so a window that is large against the
-        graph after it (set-up, a restore, a merged WAL-recovery window) is
-        decided without pricing its updates; otherwise the replay's price is
-        summed update by update until it passes the rebuild's."""
+        price exports the CSR view).  Two O(1) tests decide most windows
+        without pricing their updates: one that is large against the graph
+        after it (set-up, a restore, a merged WAL-recovery window) rebuilds,
+        and one whose :meth:`_replay_bound` stays below the rebuild's price
+        replays.  Otherwise the replay's price is summed update by update
+        until it passes the rebuild's."""
         graph = self._graph
         rebuild = self._rebuild_cost(
             graph.num_vertices + len(batch.touched_vertices.difference(graph.adjacency)),
             graph.num_edges + batch.net_edge_delta(),
         )
-        if len(batch) * REPLAY_UPDATE_COST >= rebuild:
+        if _rebuild_is_settled(len(batch), rebuild):
             return False
+        if self._replay_bound(batch) < rebuild:
+            return True
         return self._replay_cost(batch, rebuild) < rebuild
 
     def _rebuild_cost(self, vertices: int, edges: int) -> float:
@@ -345,6 +356,11 @@ class DynamicFourCycleCounter(abc.ABC):
         """The estimated cost of replaying ``batch`` update by update,
         queries included; the sum may stop once it reaches ``limit``."""
         return len(batch) * REPLAY_UPDATE_COST
+
+    def _replay_bound(self, batch: UpdateBatch) -> float:
+        """An upper bound on :meth:`_replay_cost`, read in O(1) from sizes the
+        counter holds; infinity where it keeps none."""
+        return math.inf
 
     def _rebuild(self) -> None:
         """The bulk path: recompute the auxiliary structures and the count

@@ -30,6 +30,7 @@ degeneracy concern (Claim A.3 / Claim 8.1 style argument).
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Optional, Set
 
 import numpy as np
@@ -82,8 +83,7 @@ class HHH22Counter(DynamicFourCycleCounter):
         neighbours (``O(2θ)`` to read, as the endpoint is low).  A window
         whose net delta moves ``m`` out of the factor-2 band ends in
         :meth:`_full_rebuild`, so it is priced as a rebuild."""
-        m = max(self._graph.num_edges + batch.net_edge_delta(), 1)
-        if m > 2 * self._reference_m or 2 * m < self._reference_m:
+        if self._outside_band(self._graph.num_edges + batch.net_edge_delta()):
             return limit
         neighbors = self._graph.neighbors
         high = self._high
@@ -103,6 +103,21 @@ class HHH22Counter(DynamicFourCycleCounter):
             if total >= limit:
                 break
         return total
+
+    def _replay_bound(self, batch: UpdateBatch) -> float:
+        """Every update at the low-degree bound ``2θ`` (a low vertex is
+        promoted on reaching it): at most ``4·2θ + 3·(2θ)²`` entries.  A
+        window that leaves the band has no bound."""
+        if self._outside_band(self._graph.num_edges + batch.net_edge_delta()):
+            return math.inf
+        low = 2.0 * self._theta
+        return len(batch) * (REPLAY_UPDATE_COST + (4 * low + 3 * low * low) * DICT_OP_COST)
+
+    def _outside_band(self, edges: int) -> bool:
+        """Whether ``edges`` lies outside the factor-2 band around the ``m``
+        the threshold was set at (:meth:`_run_class_checks` then rebuilds)."""
+        m = max(edges, 1)
+        return m > 2 * self._reference_m or 2 * m < self._reference_m
 
     def _rebuild_cost(self, vertices: int, edges: int) -> float:
         """The export and the stored entries of ``W_low``, ``W_hh`` and
@@ -370,8 +385,7 @@ class HHH22Counter(DynamicFourCycleCounter):
         boundary never affects exactness — it only lets vertex classes lag by
         at most one batch.
         """
-        m = max(self._graph.num_edges, 1)
-        if m > 2 * self._reference_m or 2 * m < self._reference_m:
+        if self._outside_band(self._graph.num_edges):
             self._full_rebuild()
             return
         for vertex in vertices:

@@ -17,6 +17,7 @@ matrix.  Both paths end bit-identical; the choice is pure performance.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable
 
 import numpy as np
@@ -64,6 +65,14 @@ class WedgeCounter(DynamicFourCycleCounter):
             if total >= limit:
                 break
         return total
+
+    def _replay_bound(self, batch: UpdateBatch) -> float:
+        """Every update at the largest degree ``d``: a vertex of degree ``d``
+        puts its ``d(d-1)`` ordered neighbour pairs in W, so ``d`` is at most
+        the root of ``nnz(W)``, and an update prices at most ``5·d`` entries
+        and lookups."""
+        degree = (1 + math.sqrt(1 + 4 * self._wedges.nnz)) / 2
+        return len(batch) * (REPLAY_UPDATE_COST + 5 * degree * DICT_OP_COST)
 
     def _rebuild_cost(self, vertices: int, edges: int) -> float:
         """The export and ``A @ A``'s stored entries: one dict entry and two

@@ -9,12 +9,14 @@ shapes the prices were fitted on, the choice must be the faster path: a
 window that touches little of a large sparse graph replays (except on
 phase-fmm, whose query scans every new ``B`` tuple), the windows that fill a
 small dense graph rebuild, brute-force never densifies a large sparse graph,
-and set-up and ``load_state`` rebuild without the decision pricing the
-window.
+set-up and ``load_state`` rebuild without the decision pricing the window,
+and served-durable's small windows replay without it, on an O(1) bound that
+is never below the summed price.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -109,6 +111,21 @@ def test_deletion_only_and_new_vertex_windows(name, path, windows):
         if name == "wedge":
             assert counter.wedge_matrix == reference.wedge_matrix
     assert counter.is_consistent()
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("name", ALL_COUNTERS)
+def test_the_replay_bound_bounds_the_replay_price(name, window):
+    """Wherever a counter's O(1) ``_replay_bound`` is finite it is at least
+    the summed ``_replay_cost``, so replaying on the bound picks the path the
+    sum would have picked."""
+    for stream in STREAMS.values():
+        counter = _make(name)
+        updates = stream()
+        for start in range(0, len(updates), window):
+            batch = normalize_batch(updates[start:start + window], counter.graph.has_edge)
+            assert counter._replay_cost(batch, math.inf) <= counter._replay_bound(batch)
+            counter.apply_batch(batch)
 
 
 def _uniform_graph(num_vertices: int, num_edges: int, seed: int) -> tuple:
@@ -250,25 +267,55 @@ class TestTheChoiceOnFittedShapes:
         assert [replay for _, replay in chosen[:3]] == [False, False, False]
         assert counter.is_consistent()
 
-    @pytest.mark.parametrize("name", ALL_COUNTERS)
-    def test_a_window_large_against_the_graph_rebuilds_without_reading_it(self, name):
+    @pytest.mark.parametrize(
+        "name, num_vertices, num_edges",
+        [(name, 10_000, 5_000) for name in ALL_COUNTERS if name != "brute-force"]
+        + [("brute-force", 200, 1_000)],
+    )
+    def test_a_window_large_against_the_graph_rebuilds_without_reading_it(
+        self, name, num_vertices, num_edges
+    ):
         """An empty-graph load and ``load_state`` are decided from sizes
-        alone: the counter is never asked to price the replay."""
+        alone: the counter is never asked to price the replay.  The shape is
+        batch-windows' set-up and restore, except for brute-force, whose
+        dense ``n^3`` price replays a load onto 10^4 vertices (see
+        ``test_brute_force_prices_the_vertices_a_window_brings``)."""
 
         def unpriced(batch, limit):
             raise AssertionError("the replay was priced")
 
-        _, edges = _uniform_graph(200, 1_000, seed=3)
+        _, edges = _uniform_graph(num_vertices, num_edges, seed=3)
         fresh = _make(name)
         fresh._replay_cost = unpriced
         batch = normalize_batch([EdgeUpdate.insert(u, v) for u, v in edges])
-        assert len(batch) * REPLAY_UPDATE_COST >= fresh._rebuild_cost(200, len(edges))
+        touched = len(batch.touched_vertices)
+        assert len(batch) * REPLAY_UPDATE_COST >= fresh._rebuild_cost(touched, num_edges)
         assert not fresh._replay_is_cheaper(batch)
 
         restored = _make(name)
         restored._replay_cost = unpriced
-        restored.load_state(range(200), edges)
+        restored.load_state(range(num_vertices), edges)
         assert restored.count == count_four_cycles_wedges(restored.graph)
+
+    @pytest.mark.parametrize("size", [8, 64])
+    @pytest.mark.parametrize("name", ["wedge", "hhh22"])
+    def test_served_durable_windows_replay_without_being_priced(self, name, size):
+        """The served-durable shape's small windows are decided by the O(1)
+        replay bound; hhh22's bound, at its low-degree threshold, settles
+        only the 8-update window."""
+        counter, rng, live = _loaded(counter_spec(name).create, 20_000, 10_000)
+        window = _churn_window(rng, live, 20_000, size)
+        batch = normalize_batch(window, counter.graph.has_edge)
+        priced = []
+        price = counter._replay_cost
+
+        def recording(batch, limit):
+            priced.append(len(batch))
+            return price(batch, limit)
+
+        counter._replay_cost = recording
+        assert counter._replay_is_cheaper(batch)
+        assert priced == ([] if name == "wedge" or size == 8 else [size])
 
     @pytest.mark.parametrize("counter_class", [AssadiShahCounter, PhaseFMMCounter])
     def test_e10s_dense_graph_rebuilds(self, counter_class):
