@@ -250,7 +250,7 @@ def experiment_e11_kernel_throughput(
     ``batch_size`` (``batched``: the windows that fill the graph rebuild, the
     rest replay, as each counter's prices choose).  Each
     variant's time is the fastest of three replays (the batched wedge replay
-    takes about 10 ms, short enough for one stall to sink it), after one
+    takes about 3.5 ms, short enough for one stall to sink it), after one
     untimed replay of the stream's first ``batch_size`` updates through a
     throwaway engine of the same config.  Both must end at bit-identical,
     recount-verified counts.

@@ -11,8 +11,10 @@ top of the phase + FMM oracle:
   update, exactly as Claim 5.3 describes, and patched when a vertex changes
   class (the Section 7 Type-2 transitions).
 * Mirrored (the Section 8 reduction), the L2 and L3 classes are one dense
-  set and the two Eq. (12) structures one symmetric ``W = A·diag(S)·A``,
-  maintained per graph edge (:meth:`AssadiShahThreePathOracle.update_edge`).
+  set and the two Eq. (12) structures one symmetric ``W = A·diag(S)·A``, a
+  :class:`~repro.matmul.engine.SymmetricCountMatrix` maintained per graph
+  edge (:meth:`AssadiShahThreePathOracle.update_edge`): each sparse endpoint
+  adds its star in one pass that writes both orientations.
 * Queries are routed by the endpoint and middle classes as in Section 5.3 /
   Algorithm 3: paths through a dense middle are found by iterating the (few)
   dense vertices of that layer; paths through two sparse middles are found by
@@ -51,7 +53,7 @@ implemented and tested separately in :mod:`repro.core.warmup`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set, Union
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from repro.core.oracles import OracleBackedCounter, PhaseThreePathOracle
 from repro.graph.updates import EdgeUpdate
 from repro.instrumentation.cost_model import CostModel
 from repro.kernels import CsrMatrix, exact_integer_matmul
-from repro.matmul.engine import CountMatrix
+from repro.matmul.engine import CountMatrix, SymmetricCountMatrix
 from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST
 from repro.theory.parameters import solve_main_parameters
 
@@ -67,6 +69,8 @@ if TYPE_CHECKING:  # typing only; avoids a runtime import cycle
     from repro.graph.dynamic_graph import DynamicGraph
 
 Vertex = Hashable
+#: An Eq. (12) structure: a layered oracle's, or the mirrored symmetric ``W``.
+WedgeTable = Union[CountMatrix, SymmetricCountMatrix]
 
 
 class AssadiShahThreePathOracle(PhaseThreePathOracle):
@@ -115,11 +119,11 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         return self._dense_l3
 
     @property
-    def sparse_wedges_ab(self) -> CountMatrix:
+    def sparse_wedges_ab(self) -> WedgeTable:
         return self._wedges_a_sparse_b
 
     @property
-    def sparse_wedges_bc(self) -> CountMatrix:
+    def sparse_wedges_bc(self) -> WedgeTable:
         return self._wedges_b_sparse_c
 
     def _dense_threshold(self) -> float:
@@ -137,7 +141,7 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         query goes through the class split, which never reads them."""
         return self._high_threshold()
 
-    def _middle(self, layer: int) -> tuple[Set[Vertex], CountMatrix]:
+    def _middle(self, layer: int) -> tuple[Set[Vertex], WedgeTable]:
         """The dense set and the Eq. (12) structure of middle layer ``layer``
         (2 for L2, 3 for L3), whose vertices' in-tuples sit at chain position
         ``layer - 1`` and out-tuples at ``layer``."""
@@ -167,25 +171,26 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
     # -- the mirrored setting -------------------------------------------------------------
     def mirror(self, graph: "DynamicGraph") -> None:
         # Both middle layers are the graph's vertices, with combined degree
-        # 2·deg: one class split, and one W serves both Eq. (12) structures.
+        # 2·deg: one class split, and one symmetric W serves both Eq. (12)
+        # structures.
         super().mirror(graph)
         self._dense_l3 = self._dense_l2
-        self._wedges_b_sparse_c = self._wedges_a_sparse_b
+        self._wedges_a_sparse_b = self._wedges_b_sparse_c = SymmetricCountMatrix()
 
     def update_edge(self, u: Vertex, v: Vertex, sign: int) -> None:
         """Claim 5.3 for a graph edge: ``W += sign·(ΔA·S·A + A·S·ΔA + ΔA·S·ΔA)``
         with ``ΔA = e_u e_v^T + e_v e_u^T`` and ``A`` the graph without it.  A
-        sparse ``v`` adds its neighbourhood to row and column ``u`` plus
-        ``W[u, u]`` (``2·deg(v) + 1`` wedges, charged one ``structure_update``
-        each), and a sparse ``u`` does the same for ``v``."""
+        sparse ``v`` adds ``u``'s star over its neighbourhood, row and column
+        ``u`` in one pass, plus ``W[u, u]`` (``2·deg(v) + 1`` wedges, charged
+        one ``structure_update`` each), and a sparse ``u`` does the same for
+        ``v``."""
         wedges = self._wedges_a_sparse_b
         neighbors = self.relation(2).forward
         for middle, endpoint in ((v, u), (u, v)):
             if middle not in self._dense_l2:
                 scan = neighbors.get(middle, _EMPTY_SET)
                 self.cost.charge("structure_update", 2 * len(scan) + 1)
-                wedges.add_row(endpoint, scan, sign)
-                wedges.add_column(scan, endpoint, sign)
+                wedges.add_star(endpoint, scan, sign)
                 wedges.add(endpoint, endpoint, sign)
         super().update_edge(u, v, sign)
 
@@ -233,7 +238,9 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         super().rebuild_from_mirrored_graph(matrix, labels, square)
         sparse_mask = self._recompute_mirrored_classes(2 * matrix.sum(axis=1), labels)
         wedges = exact_integer_matmul(matrix * sparse_mask, matrix)
-        self._wedges_a_sparse_b = self._wedges_b_sparse_c = CountMatrix.from_dense(wedges, labels)
+        self._wedges_a_sparse_b = self._wedges_b_sparse_c = SymmetricCountMatrix.from_dense(
+            wedges, labels
+        )
         n = matrix.shape[0]
         self.cost.charge("batch_rebuild", n * n * n)
 
@@ -252,7 +259,9 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
         super().rebuild_from_mirrored_csr(adjacency, labels, square)
         sparse_mask = self._recompute_mirrored_classes(2 * adjacency.row_lengths(), labels)
         wedges, work = self._spgemm(adjacency.filter_columns(sparse_mask), adjacency)
-        self._wedges_a_sparse_b = self._wedges_b_sparse_c = CountMatrix.from_csr(wedges, labels)
+        self._wedges_a_sparse_b = self._wedges_b_sparse_c = SymmetricCountMatrix.from_csr(
+            wedges, labels
+        )
         self.cost.charge("batch_rebuild", work)
 
     # -- batch pricing ----------------------------------------------------------------
@@ -361,13 +370,18 @@ class AssadiShahThreePathOracle(PhaseThreePathOracle):
 
     def _patch_transition(self, layer: int, x: Vertex, sign: int) -> None:
         """Add (``sign=+1``) or remove (``-1``) every wedge through ``x`` from
-        its layer's Eq. (12) structure when ``x`` changes class."""
+        its layer's Eq. (12) structure when ``x`` changes class: one row add
+        per in-neighbour, or, on the mirrored ``W``, the square of ``x``'s
+        neighbourhood (its in- and out-neighbours)."""
         into = self.relation(layer - 1).backward.get(x, _EMPTY_SET)
         out = self.relation(layer).forward.get(x, _EMPTY_SET)
         self.cost.charge("rebuild_ops", len(into) * len(out))
         _, wedges = self._middle(layer)
-        for u in into:
-            wedges.add_row(u, out, sign)
+        if isinstance(wedges, SymmetricCountMatrix):
+            wedges.add_square(out, sign)
+        else:
+            for u in into:
+                wedges.add_row(u, out, sign)
 
     # -- query -------------------------------------------------------------------------
     def count_three_paths(self, u: Vertex, v: Vertex) -> int:

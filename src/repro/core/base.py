@@ -275,8 +275,7 @@ class DynamicFourCycleCounter(abc.ABC):
                 f"(updates={self._updates_processed}, m={self.num_edges})"
             )
         graph = self._graph
-        for vertex in vertices:
-            graph.add_vertex(vertex)
+        graph.add_vertices(vertices)
         edges = list(edges)
         if _rebuild_is_settled(len(edges), self._rebuild_cost(graph.num_vertices, len(edges))):
             graph.insert_edges(edges)
@@ -323,8 +322,7 @@ class DynamicFourCycleCounter(abc.ABC):
         included) so the graph matches a per-update replay exactly.  The
         replay path calls this itself; the rebuild path gets it for free from
         :meth:`DynamicGraph.apply_batch`."""
-        for vertex in batch.touched_vertices:
-            self._graph.add_vertex(vertex)
+        self._graph.add_vertices(batch.touched_vertices)
 
     # -- the batch-path decision ------------------------------------------------
     def _replay_is_cheaper(self, batch: UpdateBatch) -> bool:
@@ -335,15 +333,26 @@ class DynamicFourCycleCounter(abc.ABC):
         after it (set-up, a restore, a merged WAL-recovery window) rebuilds,
         and one whose :meth:`_replay_bound` stays below the rebuild's price
         replays.  Otherwise the replay's price is summed update by update
-        until it passes the rebuild's."""
+        until it passes the rebuild's.
+
+        The bound is first tested against the rebuild priced at the current
+        vertex count, which settles a small window without counting the
+        vertices it brings.  That takes the same path: a window only adds
+        vertices, a counter that keeps a bound prices its rebuild no lower
+        for more of them, and the bound is at least
+        ``len(batch)·REPLAY_UPDATE_COST``, so a window it settles never has a
+        settled rebuild."""
         graph = self._graph
+        edges = graph.num_edges + batch.net_edge_delta()
+        bound = self._replay_bound(batch)
+        if bound < math.inf and bound < self._rebuild_cost(graph.num_vertices, edges):
+            return True
         rebuild = self._rebuild_cost(
-            graph.num_vertices + len(batch.touched_vertices.difference(graph.adjacency)),
-            graph.num_edges + batch.net_edge_delta(),
+            graph.num_vertices + len(batch.touched_vertices.difference(graph.adjacency)), edges
         )
         if _rebuild_is_settled(len(batch), rebuild):
             return False
-        if self._replay_bound(batch) < rebuild:
+        if bound < rebuild:
             return True
         return self._replay_cost(batch, rebuild) < rebuild
 
@@ -359,7 +368,11 @@ class DynamicFourCycleCounter(abc.ABC):
 
     def _replay_bound(self, batch: UpdateBatch) -> float:
         """An upper bound on :meth:`_replay_cost`, read in O(1) from sizes the
-        counter holds; infinity where it keeps none."""
+        counter holds; infinity where it keeps none.  A counter whose rebuild
+        price can fall as the vertex count grows must keep none (the oracle
+        counters keep none: their product estimate reads the average degree
+        ``2m/n``), because :meth:`_replay_is_cheaper` tests a finite bound
+        against the rebuild priced before the window's new vertices."""
         return math.inf
 
     def _rebuild(self) -> None:

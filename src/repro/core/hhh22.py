@@ -23,7 +23,9 @@ degree ``2 * theta`` and demoted below ``theta``, and the whole structure is
 rebuilt when ``m`` drifts by more than a factor of two since the threshold was
 set, so class-transition work is amortized exactly as in [HHH22].  All
 structures count *geometric* configurations (each path/wedge once, stored
-symmetrically), and — as everywhere in this package — the updated edge is
+symmetrically in a :class:`~repro.matmul.engine.SymmetricCountMatrix`, whose
+``add_star`` writes one vertex's new wedges or paths, both orientations, in
+one pass), and — as everywhere in this package — the updated edge is
 absent from the graph during maintenance and queries, which removes every
 degeneracy concern (Claim A.3 / Claim 8.1 style argument).
 """
@@ -38,7 +40,7 @@ import numpy as np
 from repro.core.base import REPLAY_UPDATE_COST, DynamicFourCycleCounter, rebuild_base_cost
 from repro.graph.updates import UpdateBatch
 from repro.kernels import csr_linear_combination, exact_integer_matmul
-from repro.matmul.engine import CountMatrix
+from repro.matmul.engine import SymmetricCountMatrix
 from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST
 
 Vertex = Hashable
@@ -52,9 +54,9 @@ class HHH22Counter(DynamicFourCycleCounter):
     def __init__(self, workers: int = 1) -> None:
         super().__init__(workers=workers)
         self._high: Set[Vertex] = set()
-        self._wedges_low = CountMatrix()    # W_low[a][b], low center
-        self._wedges_high = CountMatrix()   # W_hh[a][b], high center, a and b high
-        self._paths_ll = CountMatrix()      # P_LL[a][b], both middles low
+        self._wedges_low = SymmetricCountMatrix()   # W_low[a][b], low center
+        self._wedges_high = SymmetricCountMatrix()  # W_hh[a][b], high center, a and b high
+        self._paths_ll = SymmetricCountMatrix()     # P_LL[a][b], both middles low
         self._reference_m = 1
         self._theta = 1.0
         #: While a batch is in flight, class checks are deferred: touched
@@ -174,10 +176,10 @@ class HHH22Counter(DynamicFourCycleCounter):
         # Wedges split by their center's class.
         low_centers = exact_integer_matmul(matrix * low_mask, matrix)
         np.fill_diagonal(low_centers, 0)
-        self._wedges_low = CountMatrix.from_dense(low_centers, labels)
+        self._wedges_low = SymmetricCountMatrix.from_dense(low_centers, labels)
         high_centers = wedge - low_centers  # complementary center classes
         high_centers *= np.outer(high_mask, high_mask)
-        self._wedges_high = CountMatrix.from_dense(high_centers, labels)
+        self._wedges_high = SymmetricCountMatrix.from_dense(high_centers, labels)
         # 3-paths with two low middles, by inclusion-exclusion on 3-walks.
         middle = matrix * np.outer(low_mask, low_mask)
         walks = exact_integer_matmul(exact_integer_matmul(matrix, middle), matrix)
@@ -185,7 +187,7 @@ class HHH22Counter(DynamicFourCycleCounter):
         end_reuse = (low_mask * low_degrees)[:, None] * matrix
         paths = walks - end_reuse - end_reuse.T + middle
         np.fill_diagonal(paths, 0)
-        self._paths_ll = CountMatrix.from_dense(paths, labels)
+        self._paths_ll = SymmetricCountMatrix.from_dense(paths, labels)
         # Four dense n x n products, charged so the ops columns stay
         # comparable with the per-update structure_update path.
         self.cost.charge("batch_rebuild", 4 * n * n * n)
@@ -216,13 +218,13 @@ class HHH22Counter(DynamicFourCycleCounter):
         low_centers, spent = self._spgemm(masked_columns, adjacency)
         work += spent
         low_centers = low_centers.without_diagonal()
-        self._wedges_low = CountMatrix.from_csr(low_centers, labels)
+        self._wedges_low = SymmetricCountMatrix.from_csr(low_centers, labels)
         high_centers = (
             csr_linear_combination([(1, wedge), (-1, low_centers)], n, n)
             .filter_rows(high_mask)
             .filter_columns(high_mask)
         )
-        self._wedges_high = CountMatrix.from_csr(high_centers, labels)
+        self._wedges_high = SymmetricCountMatrix.from_csr(high_centers, labels)
         middle = masked_columns.filter_rows(low_mask)  # diag(L) . A . diag(L)
         inner, spent = self._spgemm(adjacency, middle)
         work += spent
@@ -233,7 +235,7 @@ class HHH22Counter(DynamicFourCycleCounter):
         paths = csr_linear_combination(
             [(1, walks), (-1, end_reuse), (-1, end_reuse.transpose()), (1, middle)], n, n
         ).without_diagonal()
-        self._paths_ll = CountMatrix.from_csr(paths, labels)
+        self._paths_ll = SymmetricCountMatrix.from_csr(paths, labels)
         self.cost.charge("batch_rebuild", work)
 
     # -- query ------------------------------------------------------------------
@@ -317,49 +319,58 @@ class HHH22Counter(DynamicFourCycleCounter):
 
     def _update_wedges(self, center: Vertex, other: Vertex, sign: int) -> None:
         """Wedges created/destroyed with ``center`` as the middle vertex and the
-        new edge ``{center, other}`` as one of the wedge's two edges."""
-        graph = self._graph
+        new edge ``{center, other}`` as one of the wedge's two edges: the star
+        of ``other`` over ``center``'s neighbours (its high ones, for
+        ``W_hh``), charged one ``structure_update`` per entry.  The edge is
+        absent, so ``other`` is not among them."""
         if center in self._high:
             if other not in self._high:
                 return
-            for b in self._high_neighbors(center):
-                self.cost.charge("structure_update", 2)
-                self._wedges_high.add(other, b, sign)
-                self._wedges_high.add(b, other, sign)
+            # Materialized first: the scan charges as it iterates.
+            ends = list(self._high_neighbors(center))
+            wedges = self._wedges_high
         else:
-            for b in graph.neighbors(center):
-                self.cost.charge("structure_update", 2)
-                self._wedges_low.add(other, b, sign)
-                self._wedges_low.add(b, other, sign)
+            ends = self._graph.neighbors(center)
+            wedges = self._wedges_low
+        self.cost.charge("structure_update", 2 * len(ends))
+        wedges.add_star(other, ends, sign)
 
     def _update_paths_middle_edge(self, u: Vertex, v: Vertex, sign: int) -> None:
         """3-paths whose *middle* edge is the new edge ``{u, v}`` (both middles
-        must be low)."""
+        must be low): for every ``a`` in ``N(u)``, its star over ``N(v)``
+        without ``a``, charged one ``structure_update`` per pair scanned."""
         if u in self._high or v in self._high:
             return
         graph = self._graph
-        for a in graph.neighbors(u):
-            for b in graph.neighbors(v):
-                self.cost.charge("structure_update")
-                if a != b:
-                    self._paths_ll.add(a, b, sign)
-                    self._paths_ll.add(b, a, sign)
+        paths = self._paths_ll
+        neighbors_u = graph.neighbors(u)
+        neighbors_v = graph.neighbors(v)
+        self.cost.charge("structure_update", len(neighbors_u) * len(neighbors_v))
+        for a in neighbors_u:
+            paths.add_star(a, neighbors_v - {a} if a in neighbors_v else neighbors_v, sign)
 
     def _update_paths_end_edge(self, endpoint: Vertex, middle: Vertex, sign: int) -> None:
         """3-paths whose first edge is the new edge: ``endpoint - middle - y - b``
-        with ``middle`` and ``y`` both low."""
+        with ``middle`` and ``y`` both low.  Per low ``y``, the star of
+        ``endpoint`` over ``N(y)`` without ``endpoint`` and ``middle``; the
+        scan of ``N(middle)`` is charged per neighbour and the star per
+        neighbour of ``y``."""
         if middle in self._high:
             return
         graph = self._graph
-        for y in graph.neighbors(middle):
-            self.cost.charge("neighborhood_scan")
-            if y in self._high:
+        high = self._high
+        paths = self._paths_ll
+        around = graph.neighbors(middle)
+        excluded = {endpoint, middle}
+        scanned = 0
+        for y in around:
+            if y in high:
                 continue
-            for b in graph.neighbors(y):
-                self.cost.charge("structure_update")
-                if b != endpoint and b != middle:
-                    self._paths_ll.add(endpoint, b, sign)
-                    self._paths_ll.add(b, endpoint, sign)
+            ends = graph.neighbors(y)
+            scanned += len(ends)
+            paths.add_star(endpoint, ends - excluded, sign)
+        self.cost.charge("neighborhood_scan", len(around))
+        self.cost.charge("structure_update", scanned)
 
     # -- class transitions ---------------------------------------------------------
     def _post_update(self, u: Vertex, v: Vertex, sign: int) -> None:
@@ -483,9 +494,9 @@ class HHH22Counter(DynamicFourCycleCounter):
         self._high = {
             vertex for vertex in graph.vertices() if graph.degree(vertex) >= 2.0 * self._theta
         }
-        self._wedges_low = CountMatrix()
-        self._wedges_high = CountMatrix()
-        self._paths_ll = CountMatrix()
+        self._wedges_low = SymmetricCountMatrix()
+        self._wedges_high = SymmetricCountMatrix()
+        self._paths_ll = SymmetricCountMatrix()
         # Wedges, grouped by their center's class.
         for center in graph.vertices():
             neighbors = list(graph.neighbors(center))

@@ -1,11 +1,14 @@
 """The simple wedge-based counter of Appendix A.
 
-Maintains the number of wedges (2-paths) between every pair of vertices.  An
-edge update touches ``deg(u) + deg(v) = O(n)`` wedge counts, and a query sums
-``deg(u) = O(n)`` stored counts, giving the ``O(n)`` worst-case update time of
-Lemma A.1.  The distinctness argument of Claim A.3 — every 3-walk counted is a
-genuine 3-path because the updated edge is absent at query time — is inherited
-from the base-class ordering.
+Maintains the number of wedges (2-paths) between every pair of vertices, in
+a :class:`~repro.matmul.engine.SymmetricCountMatrix` (both orientations).  An
+edge update adds the star of each endpoint over the other's neighbours,
+``2·(deg(u) + deg(v)) = O(n)`` wedge entries written in two one-pass
+:meth:`~repro.matmul.engine.SymmetricCountMatrix.add_star` calls, and a
+query sums ``deg(u) = O(n)`` stored counts, giving the ``O(n)`` worst-case
+update time of Lemma A.1.  The distinctness argument of Claim A.3 — every
+3-walk counted is a genuine 3-path because the updated edge is absent at
+query time — is inherited from the base-class ordering.
 
 A batch window is replayed update by update or rebuilt in bulk, whichever the
 base class's decision prices lower (the replay at its wedge-entry updates and
@@ -25,7 +28,7 @@ import numpy as np
 from repro.core.base import REPLAY_UPDATE_COST, DynamicFourCycleCounter, rebuild_base_cost
 from repro.graph.updates import UpdateBatch
 from repro.kernels import exact_integer_matmul
-from repro.matmul.engine import CountMatrix
+from repro.matmul.engine import SymmetricCountMatrix
 from repro.matmul.omega import CSR_OP_COST, DICT_OP_COST
 
 Vertex = Hashable
@@ -40,10 +43,10 @@ class WedgeCounter(DynamicFourCycleCounter):
         super().__init__(workers=workers)
         #: ``wedges[a][b]`` = number of common neighbors of ``a`` and ``b``;
         #: stored symmetrically (both orientations) for O(1) lookups.
-        self._wedges = CountMatrix()
+        self._wedges = SymmetricCountMatrix()
 
     @property
-    def wedge_matrix(self) -> CountMatrix:
+    def wedge_matrix(self) -> SymmetricCountMatrix:
         """The maintained wedge-count matrix (read-only use only)."""
         return self._wedges
 
@@ -98,7 +101,7 @@ class WedgeCounter(DynamicFourCycleCounter):
         adjacency = self._graph.csr_matrix()
         wedge, work = self._spgemm(adjacency, adjacency)
         wedge = wedge.without_diagonal()
-        self._wedges = CountMatrix.from_csr(wedge, self._graph.interner.labels)
+        self._wedges = SymmetricCountMatrix.from_csr(wedge, self._graph.interner.labels)
         pairs = wedge.data * (wedge.data - 1) // 2
         self._count = int(pairs.sum()) // 4
         self.cost.charge("batch_rebuild", work)
@@ -111,7 +114,7 @@ class WedgeCounter(DynamicFourCycleCounter):
         # One dense n x n product: ~n^3 multiply-adds, charged so the ops
         # columns stay comparable with the per-update structure_update path.
         self.cost.charge("batch_rebuild", n * n * n)
-        self._wedges = CountMatrix.from_dense(wedge, order)
+        self._wedges = SymmetricCountMatrix.from_dense(wedge, order)
         pairs = wedge * (wedge - 1) // 2
         self._count = int(pairs.sum()) // 4
 
@@ -138,16 +141,15 @@ class WedgeCounter(DynamicFourCycleCounter):
         # New wedges created (or destroyed) by the edge {u, v} are exactly the
         # wedges centered at u (paired with v) and centered at v (paired with
         # u); the edge itself is absent from the graph here, so the neighbor
-        # sets never contain the opposite endpoint.  The matrix is symmetric:
-        # each endpoint's neighbors change one row and one column.
+        # sets never contain the opposite endpoint.  Each endpoint's
+        # neighbours are the star of the other one: one symmetric pass writes
+        # both orientations, charged one structure_update per entry.
         wedges = self._wedges
         neighbors_u = self._graph.neighbors(u)
         if neighbors_u:
             self.cost.charge("structure_update", 2 * len(neighbors_u))
-            wedges.add_row(v, neighbors_u, sign)
-            wedges.add_column(neighbors_u, v, sign)
+            wedges.add_star(v, neighbors_u, sign)
         neighbors_v = self._graph.neighbors(v)
         if neighbors_v:
             self.cost.charge("structure_update", 2 * len(neighbors_v))
-            wedges.add_row(u, neighbors_v, sign)
-            wedges.add_column(neighbors_v, u, sign)
+            wedges.add_star(u, neighbors_v, sign)

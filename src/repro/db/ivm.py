@@ -111,39 +111,28 @@ def normalize_tuple_updates(
     :func:`repro.graph.updates.simulate_window_presence`, so the two batch
     contracts cannot drift apart.
     """
-    initially, present, order, raw_size = simulate_window_presence(
-        updates,
-        lambda update: (update.relation, update.left, update.right),
+    last, net, raw_size = simulate_window_presence(
         (
-            (lambda key: is_tuple_live(key[0], key[1], key[2]))
-            if is_tuple_live is not None
-            else lambda key: False
+            ((update.relation, update.left, update.right), update.is_insert, update)
+            for update in updates
         ),
-        lambda update: update.is_insert,
+        is_tuple_live,
         "tuple",
     )
-    relation_order: List[str] = []
-    for key in order:
-        if key[0] not in relation_order:
-            relation_order.append(key[0])
+    relation_order = tuple(dict.fromkeys(relation for relation, _, _ in last))
     deletions: Dict[str, List[TupleUpdate]] = {name: [] for name in relation_order}
     insertions: Dict[str, List[TupleUpdate]] = {name: [] for name in relation_order}
-    net = 0
-    for key in order:
-        if initially[key] == present[key]:
-            continue
-        relation, left, right = key
-        net += 1
-        if present[key]:
+    for (relation, left, right), inserting, _ in net:
+        if inserting:
             insertions[relation].append(TupleUpdate.insert(relation, left, right))
         else:
             deletions[relation].append(TupleUpdate.delete(relation, left, right))
     return TupleBatch(
-        relations=tuple(relation_order),
+        relations=relation_order,
         deletions={name: tuple(values) for name, values in deletions.items()},
         insertions={name: tuple(values) for name, values in insertions.items()},
         raw_size=raw_size,
-        cancelled=raw_size - net,
+        cancelled=raw_size - len(net),
     )
 
 

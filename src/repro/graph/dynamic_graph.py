@@ -80,8 +80,7 @@ class DynamicGraph:
         #: Bumped on every structural mutation; derived-view caches key on it.
         self._version = 0
         self._csr_cache: Optional[tuple[int, np.ndarray, np.ndarray]] = None
-        for vertex in vertices:
-            self.add_vertex(vertex)
+        self.add_vertices(vertices)
         for u, v in edges:
             self.insert_edge(u, v)
 
@@ -135,6 +134,18 @@ class DynamicGraph:
             self._adjacency[vertex] = set()
             self._interner.intern(vertex)
             self._int_adjacency.append(set())
+            self._version += 1
+
+    def add_vertices(self, vertices: Iterable[Vertex]) -> None:
+        """Register every vertex of ``vertices`` not registered yet, in order,
+        in one bulk step: the graph and the interner ids one
+        :meth:`add_vertex` per vertex would give."""
+        adjacency = self._adjacency
+        fresh = [vertex for vertex in dict.fromkeys(vertices) if vertex not in adjacency]
+        if fresh:
+            self._interner.intern_new(fresh)
+            adjacency.update({vertex: set() for vertex in fresh})
+            self._int_adjacency.extend([set() for _ in fresh])
             self._version += 1
 
     def has_vertex(self, vertex: Vertex) -> bool:
@@ -326,8 +337,7 @@ class DynamicGraph:
             batch = updates
         else:
             batch = normalize_batch(updates, self.has_edge)
-        for vertex in batch.touched_vertices:
-            self.add_vertex(vertex)
+        self.add_vertices(batch.touched_vertices)
         self.delete_edges(update.endpoints for update in batch.deletions)
         self.insert_edges(update.endpoints for update in batch.insertions)
         return batch

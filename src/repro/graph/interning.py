@@ -22,7 +22,7 @@ registered" semantics.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 Vertex = Hashable
 
@@ -50,6 +50,14 @@ class VertexInterner:
     def intern_many(self, labels: Iterable[Vertex]) -> List[int]:
         """Intern several labels at once, returning their ids in order."""
         return [self.intern(label) for label in labels]
+
+    def intern_new(self, labels: Sequence[Vertex]) -> None:
+        """Intern ``labels`` in one bulk step: the ids one :meth:`intern` per
+        label would assign.  The labels must be distinct and not interned yet
+        (a graph registering only the vertices it does not hold)."""
+        start = len(self._labels)
+        self._labels.extend(labels)
+        self._ids.update(zip(labels, range(start, len(self._labels))))
 
     def id_of(self, label: Vertex) -> int:
         """The id of an already-interned label (raises ``KeyError`` if new)."""

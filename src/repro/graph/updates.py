@@ -14,9 +14,11 @@ module defines the small value types that represent those updates:
   updates for the batched fast paths: insert/delete pairs on the same edge are
   cancelled, consistency is validated once against a live-edge snapshot, and
   the surviving net updates are ordered deletions-first so they can be applied
-  in bulk.  Replaying a normalized batch produces the same graph — and hence
-  the same 4-cycle count — as replaying the raw window, so counts are exact at
-  batch boundaries.
+  in bulk.  The window is read in one pass, shared with the tuple windows of
+  :mod:`repro.db.ivm` (:func:`simulate_window_presence`).  Replaying a
+  normalized batch produces the same graph — and hence the same 4-cycle
+  count — as replaying the raw window, so counts are exact at batch
+  boundaries.
 
 All value types are immutable so they can be hashed, put in sets, and replayed
 any number of times.
@@ -25,6 +27,7 @@ any number of times.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -56,6 +59,9 @@ class UpdateKind(enum.Enum):
     def inverse(self) -> "UpdateKind":
         """Return the opposite kind (insert <-> delete)."""
         return UpdateKind.DELETE if self is UpdateKind.INSERT else UpdateKind.INSERT
+
+
+_INSERT = UpdateKind.INSERT
 
 
 @dataclass(frozen=True)
@@ -178,10 +184,11 @@ class UpdateBatch:
 
     Produced by :func:`normalize_batch`.  The batch stores only the *net*
     updates of the window — insert/delete pairs on the same edge cancel — split
-    into deletions and insertions.  Against the live-edge snapshot the window
-    was normalized for, every deletion targets a live edge and every insertion
-    an absent one, so the batch can be applied deletions-first without any
-    per-update validation, in any interleaving.
+    into deletions and insertions; each is the window's own last update of
+    its edge.  Against the live-edge snapshot the window was normalized for,
+    every deletion targets a live edge and every insertion an absent one, so
+    the batch can be applied deletions-first without any per-update
+    validation, in any interleaving.
 
     ``raw_size`` is the length of the original window (the number of logical
     stream positions the batch consumes) and ``cancelled`` how many of those
@@ -228,50 +235,69 @@ class UpdateBatch:
 
 
 def simulate_window_presence(
-    updates: Iterable,
-    key_of: Callable,
-    is_key_live: Callable,
-    is_insert_of: Callable,
+    entries: Iterable[tuple],
+    is_key_live: Optional[Callable[..., bool]],
     what: str,
-) -> tuple[dict, dict, list, int]:
-    """Shared first pass of batch normalization (edges *and* tuples).
+) -> tuple[dict, list, int]:
+    """Shared pass of batch normalization (edges *and* tuples).
 
-    Walks a raw window once, simulating per-key presence: each distinct key is
-    probed against the live snapshot exactly once (via ``is_key_live``), each
-    update is validated against the simulated state, and toggles are tracked.
-    Returns ``(initially, present, first_touch_order, raw_size)``; the caller
-    derives net deletions (initially live, finally absent) and net insertions
-    (initially absent, finally live) from the first two maps.
+    ``entries`` yields one ``(key, inserting, update)`` triple per raw
+    update, in window order.  Each distinct key is probed against the live
+    snapshot exactly once, as ``is_key_live(*key)`` (``None`` means nothing
+    is live), each update is validated against the simulated state, and a
+    key's last entry carries its final state, so the pass keeps one dict
+    write per update.  Returns
+    ``(last, net, raw_size)``: ``last`` maps every distinct key, in
+    first-touch order, to its last entry; ``net`` lists, in the same order,
+    the last entries of the keys whose presence the window changes (a net
+    insertion's last update inserts, a net deletion's deletes, so those
+    update objects stand for the net updates); ``raw_size`` is the window's
+    length.
 
     Raises :class:`InvalidUpdateError` on an insertion of a present key or a
     deletion of an absent one, accounting for earlier updates in the window;
     ``what`` names the key kind in the error message.
     """
+    if is_key_live is None:
+        is_key_live = _never_live
     initially: dict = {}
-    present: dict = {}
-    order: list = []
-    raw_size = 0
-    for position, update in enumerate(updates):
-        raw_size += 1
-        key = key_of(update)
-        live = present.get(key)
-        if live is None:
-            live = bool(is_key_live(key))
-            initially[key] = live
-            order.append(key)
-        if is_insert_of(update):
+    last: dict = {}
+    position = -1
+    for position, entry in enumerate(entries):
+        key, inserting, _ = entry
+        previous = last.get(key)
+        if previous is None:
+            live = initially[key] = bool(is_key_live(*key))
+        else:
+            live = previous[1]
+        if inserting:
             if live:
                 raise InvalidUpdateError(
                     f"batch update #{position} inserts {what} {key} which is already present"
                 )
-            present[key] = True
-        else:
-            if not live:
-                raise InvalidUpdateError(
-                    f"batch update #{position} deletes {what} {key} which is not present"
-                )
-            present[key] = False
-    return initially, present, order, raw_size
+        elif not live:
+            raise InvalidUpdateError(
+                f"batch update #{position} deletes {what} {key} which is not present"
+            )
+        last[key] = entry
+    net = [entry for key, entry in last.items() if bool(entry[1]) is not initially[key]]
+    return last, net, position + 1
+
+
+def _never_live(*key) -> bool:
+    """The live-key probe of an empty graph or database."""
+    return False
+
+
+def _edge_entries(updates: Iterable[EdgeUpdate]) -> Iterator[tuple]:
+    """The ``(key, inserting, update)`` entries of a raw edge window, with
+    the canonical endpoint pair as the key."""
+    for update in updates:
+        if not isinstance(update, EdgeUpdate):
+            raise InvalidUpdateError(
+                f"batch elements must be EdgeUpdate, got {type(update).__name__}"
+            )
+        yield (update.u, update.v), update.kind is _INSERT, update
 
 
 def normalize_batch(
@@ -283,46 +309,26 @@ def normalize_batch(
     ``is_edge_live`` answers membership queries against the graph state the
     window will be applied to (e.g. ``DynamicGraph.has_edge``); ``None`` means
     an empty graph.  Each distinct edge is probed at most once — validation is
-    amortized across the window instead of paid per update.
+    amortized across the window instead of paid per update.  The window is
+    read in one pass (:func:`simulate_window_presence`), and a net update is
+    the window's own last update of its edge, not a copy.
 
     Raises :class:`InvalidUpdateError` if the window is inconsistent (an
     insertion of a present edge or a deletion of an absent one, accounting for
-    earlier updates in the same window).
+    earlier updates in the same window) or names something other than an
+    :class:`EdgeUpdate`.
     """
-
-    def key_of(update) -> tuple[Vertex, Vertex]:
-        if not isinstance(update, EdgeUpdate):
-            raise InvalidUpdateError(
-                f"batch elements must be EdgeUpdate, got {type(update).__name__}"
-            )
-        return update.endpoints
-
-    initially, present, order, raw_size = simulate_window_presence(
-        updates,
-        key_of,
-        (lambda key: is_edge_live(key[0], key[1])) if is_edge_live is not None else lambda key: False,
-        lambda update: update.is_insert,
-        "edge",
+    last, net, raw_size = simulate_window_presence(
+        _edge_entries(updates), is_edge_live, "edge"
     )
-    deletions: list[EdgeUpdate] = []
-    insertions: list[EdgeUpdate] = []
-    touched: set[Vertex] = set()
-    for key in order:
-        touched.update(key)
-        before, after = initially[key], present[key]
-        if before == after:
-            continue
-        if after:
-            insertions.append(EdgeUpdate(key[0], key[1], UpdateKind.INSERT))
-        else:
-            deletions.append(EdgeUpdate(key[0], key[1], UpdateKind.DELETE))
-    net = len(deletions) + len(insertions)
     return UpdateBatch(
-        deletions=tuple(deletions),
-        insertions=tuple(insertions),
+        deletions=tuple([update for _, inserting, update in net if not inserting]),
+        insertions=tuple([update for _, inserting, update in net if inserting]),
         raw_size=raw_size,
-        cancelled=raw_size - net,
-        touched_vertices=frozenset(touched),
+        cancelled=raw_size - len(net),
+        # Filled endpoint by endpoint in first-touch order, then frozen: its
+        # iteration order is the order a replay registers new vertices in.
+        touched_vertices=frozenset(set(itertools.chain.from_iterable(last))),
     )
 
 

@@ -38,7 +38,17 @@ HOT_PATHS: Tuple[Tuple[str, str], ...] = (
     ("repro/core/wedge_counter.py", "WedgeCounter._apply_structure_delta"),
     ("repro/core/wedge_counter.py", "WedgeCounter._three_paths"),
     ("repro/core/hhh22.py", "HHH22Counter._apply_structure_delta"),
+    ("repro/core/hhh22.py", "HHH22Counter._update_wedges"),
+    ("repro/core/hhh22.py", "HHH22Counter._update_paths_middle_edge"),
+    ("repro/core/hhh22.py", "HHH22Counter._update_paths_end_edge"),
+    ("repro/core/hhh22.py", "HHH22Counter._three_paths"),
     ("repro/core/oracles.py", "OracleBackedCounter._apply_structure_delta"),
+    # The paper's per-update path (Sections 5 and 8): Claim 5.3 maintenance
+    # of W, the class check after each edge, and the class-split query.
+    ("repro/core/assadi_shah.py", "AssadiShahThreePathOracle.update_edge"),
+    ("repro/core/assadi_shah.py", "AssadiShahThreePathOracle.end_edge"),
+    ("repro/core/assadi_shah.py", "AssadiShahThreePathOracle.count_three_paths"),
+    ("repro/core/assadi_shah.py", "AssadiShahThreePathOracle._count_by_middle_classes"),
     # The phase scheduler's per-update share of the old-phase products.
     ("repro/matmul/scheduler.py", "PhaseScheduler.work"),
     ("repro/matmul/scheduler.py", "IncrementalMatrixProduct.advance"),

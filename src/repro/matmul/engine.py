@@ -12,9 +12,13 @@ positions, so the workhorse representation here is :class:`CountMatrix` — a
 dictionary-of-dictionaries sparse integer matrix keyed by arbitrary hashable
 labels.  It supports the operations the counters need: point updates, row and
 column access, and addition (used for the "negative edge" trick of Section
-3.3).  :class:`CountMatrixCSR` puts labels on a positional matrix for reading
-only: the phase oracles keep their old-phase snapshots and products in that
-form.
+3.3).  :class:`SymmetricCountMatrix` is the same store for the symmetric
+wedge and path tables the general-graph counters maintain (Appendix A's
+wedge counts, the Section 8 ``W = A·diag(S)·A``, [HHH22]'s structures): it
+writes a vertex's whole star, both orientations, in one pass and keeps no
+column counts.  :class:`CountMatrixCSR` puts labels on a positional matrix
+for reading only: the phase oracles keep their old-phase snapshots and
+products in that form.
 
 Every product is exact and runs on :func:`csr_spgemm`, a vectorized integer
 CSR×CSR SpGEMM (Gustavson-style row-block expansion over numpy gathers with
@@ -371,24 +375,108 @@ def _entry_dict(matrix) -> Dict[tuple, int]:
     return {(row, column): value for row, column, value in matrix.items()}
 
 
-class CountMatrix:
-    """A sparse integer matrix keyed by arbitrary row/column labels.
+class _LabelRows:
+    """The storage and read API the two label-keyed matrices share: one dict
+    of non-zero entries per row label, and the number of stored entries.
 
     Entries with value zero are removed eagerly so iteration only touches
-    non-zeros; this matters because the counters add and subtract contributions
-    (insertions and deletions) and most entries cancel over time.
+    non-zeros; this matters because the counters add and subtract
+    contributions (insertions and deletions) and most entries cancel over
+    time.  The subclasses own every write.
+    """
+
+    __slots__ = ("_rows", "_nnz")
+
+    def __init__(self) -> None:
+        self._rows: Dict[Label, Dict[Label, int]] = {}
+        self._nnz = 0
+
+    def get(self, row: Label, column: Label) -> int:
+        """The entry at ``(row, column)``; zero when absent."""
+        return self._rows.get(row, _EMPTY_DICT).get(column, 0)
+
+    def row(self, row: Label) -> Mapping[Label, int]:
+        """The non-zero entries of one row (live view; do not mutate)."""
+        return self._rows.get(row, _EMPTY_DICT)
+
+    def items(self) -> Iterator[tuple[Label, Label, int]]:
+        """Iterate over all non-zero entries as ``(row, column, value)``."""
+        for row, row_map in self._rows.items():
+            for column, value in row_map.items():
+                yield (row, column, value)
+
+    def row_labels(self) -> set[Label]:
+        return set(self._rows)
+
+    @property
+    def num_row_labels(self) -> int:
+        """Number of distinct row labels (without materializing the set)."""
+        return len(self._rows)
+
+    @property
+    def nnz(self) -> int:
+        """Number of non-zero entries."""
+        return self._nnz
+
+    def __bool__(self) -> bool:
+        return self._nnz > 0
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._rows == other._rows  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(nnz={self._nnz})"
+
+    @classmethod
+    def _promoted(cls, matrix: CsrMatrix, row_order: Sequence[Label], column_labels: np.ndarray):
+        """A matrix holding ``matrix``'s entries, position ``i``/``j`` named
+        ``row_order[i]``/``column_labels[j]`` (distinct labels).  Rows are
+        promoted one ``dict(zip(...))`` per non-empty row: the interpreter
+        work is per row, not per entry."""
+        result = cls()
+        entry_labels = column_labels[matrix.cols].tolist()
+        values = matrix.data.tolist()
+        bounds = matrix.indptr.tolist()
+        rows = result._rows
+        for position in np.flatnonzero(np.diff(matrix.indptr)).tolist():
+            begin, end = bounds[position], bounds[position + 1]
+            rows[row_order[position]] = dict(zip(entry_labels[begin:end], values[begin:end]))
+        result._nnz = matrix.nnz
+        return result
+
+    @classmethod
+    def _summed(cls, matrix: CsrMatrix, row_order: Sequence[Label], column_order: Sequence[Label]):
+        """A matrix holding ``matrix``'s entries under labels that repeat:
+        one subclass ``add`` per entry, so entries whose labels collide sum."""
+        result = cls()
+        entry_rows = matrix.row_ids().tolist()
+        for i, j, value in zip(entry_rows, matrix.cols.tolist(), matrix.data.tolist()):
+            result.add(row_order[i], column_order[j], int(value))  # type: ignore[attr-defined]
+        return result
+
+
+def _has_duplicates(labels: Sequence[Label]) -> bool:
+    return len(set(labels)) != len(labels)
+
+
+class CountMatrix(_LabelRows):
+    """A sparse integer matrix keyed by arbitrary row/column labels.
 
     The matrix maintains a per-column row count alongside the entries (so
     :meth:`column_labels` never rescans the rows) and a mutation version that
     keys the cached interned CSR export of :meth:`csr` — any mutation
     invalidates the cache, any number of reads between mutations share it.
+    Products, the warm-up's chunk structures and the layered oracle's two
+    Eq. (12) structures use it; the symmetric tables of the general-graph
+    counters use :class:`SymmetricCountMatrix`.
     """
 
-    __slots__ = ("_rows", "_nnz", "_col_counts", "_version", "_csr_cache")
+    __slots__ = ("_col_counts", "_version", "_csr_cache")
 
     def __init__(self, entries: Mapping[tuple[Label, Label], int] | None = None) -> None:
-        self._rows: Dict[Label, Dict[Label, int]] = {}
-        self._nnz = 0
+        super().__init__()
         #: For every column label, the number of rows with a non-zero there.
         self._col_counts: Dict[Label, int] = {}
         self._version = 0
@@ -398,10 +486,6 @@ class CountMatrix:
                 self.add(row, column, value)
 
     # -- point access --------------------------------------------------------
-    def get(self, row: Label, column: Label) -> int:
-        """The entry at ``(row, column)``; zero when absent."""
-        return self._rows.get(row, _EMPTY_DICT).get(column, 0)
-
     def add(self, row: Label, column: Label, delta: int) -> None:
         """Add ``delta`` to the entry at ``(row, column)``.
 
@@ -533,19 +617,6 @@ class CountMatrix:
                 del self._col_counts[column]
 
     # -- bulk access ----------------------------------------------------------
-    def row(self, row: Label) -> Mapping[Label, int]:
-        """The non-zero entries of one row (live view; do not mutate)."""
-        return self._rows.get(row, _EMPTY_DICT)
-
-    def items(self) -> Iterator[tuple[Label, Label, int]]:
-        """Iterate over all non-zero entries as ``(row, column, value)``."""
-        for row, row_map in self._rows.items():
-            for column, value in row_map.items():
-                yield (row, column, value)
-
-    def row_labels(self) -> set[Label]:
-        return set(self._rows)
-
     def column_labels(self) -> set[Label]:
         """Labels with at least one non-zero column entry.
 
@@ -553,16 +624,6 @@ class CountMatrix:
         instead of a scan over every stored entry.
         """
         return set(self._col_counts)
-
-    @property
-    def num_row_labels(self) -> int:
-        """Number of distinct row labels (without materializing the set)."""
-        return len(self._rows)
-
-    @property
-    def nnz(self) -> int:
-        """Number of non-zero entries."""
-        return self._nnz
 
     @property
     def version(self) -> int:
@@ -603,17 +664,6 @@ class CountMatrix:
         self._csr_cache = cache
         return cache
 
-    def __bool__(self) -> bool:
-        return self._nnz > 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CountMatrix):
-            return self._rows == other._rows
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"CountMatrix(nnz={self._nnz})"
-
     # -- linear-algebra style operations --------------------------------------
     def add_matrix(self, other: "CountMatrix", scale: int = 1) -> None:
         """In-place ``self += scale * other``.
@@ -648,9 +698,7 @@ class CountMatrix:
         if not len(nonzero_rows):
             return result
         values = dense[nonzero_rows, nonzero_columns]
-        if len(set(row_order)) != len(row_order) or len(set(column_order)) != len(
-            column_order
-        ):
+        if _has_duplicates(row_order) or _has_duplicates(column_order):
             # Rare degenerate input: duplicate labels collide, so colliding
             # entries must *sum* (add() semantics) and the bookkeeping must
             # reflect the merged result — take the slow exact path.
@@ -699,28 +747,14 @@ class CountMatrix:
         """
         if column_order is None:
             column_order = row_order
-        result = cls()
         if not matrix.nnz:
-            return result
-        if len(set(row_order)) != len(row_order) or len(set(column_order)) != len(
-            column_order
-        ):
+            return cls()
+        if _has_duplicates(row_order) or _has_duplicates(column_order):
             # Degenerate duplicate labels: colliding entries must sum.
-            entry_rows = matrix.row_ids().tolist()
-            for i, j, value in zip(entry_rows, matrix.cols.tolist(), matrix.data.tolist()):
-                result.add(row_order[i], column_order[j], int(value))
-            return result
-        # One dict per non-empty row and one count per distinct column: the
-        # interpreter work is per row, not per entry.
+            return cls._summed(matrix, row_order, column_order)
+        # One dict per non-empty row and one count per distinct column.
         column_labels = label_array(column_order)
-        entry_labels = column_labels[matrix.cols].tolist()
-        values = matrix.data.tolist()
-        bounds = matrix.indptr.tolist()
-        rows = result._rows
-        for position in np.flatnonzero(np.diff(matrix.indptr)).tolist():
-            begin, end = bounds[position], bounds[position + 1]
-            rows[row_order[position]] = dict(zip(entry_labels[begin:end], values[begin:end]))
-        result._nnz = matrix.nnz
+        result = cls._promoted(matrix, row_order, column_labels)
         per_column = np.bincount(matrix.cols, minlength=matrix.num_cols)
         present = np.flatnonzero(per_column)
         result._col_counts = dict(
@@ -728,6 +762,118 @@ class CountMatrix:
         )
         result._version += 1
         return result
+
+
+class SymmetricCountMatrix(_LabelRows):
+    """A label-keyed integer matrix for symmetric tables, stored in both
+    orientations so a row read is a dict lookup either way.
+
+    The wedge and path tables of the general-graph counters are symmetric:
+    Appendix A's wedge counts, the Section 8 ``W = A·diag(S)·A`` that
+    Claim 5.3 maintains, and [HHH22]'s ``W_low``, ``W_hh`` and ``P_LL``.  An
+    edge update adds one vertex's star to them: :meth:`add_star` writes
+    ``[center, x]`` and ``[x, center]`` for every ``x`` in one pass, where a
+    :class:`CountMatrix` takes a row add and a separate column add.  There
+    are no column counts to keep, because the column labels are the row
+    labels.
+
+    :meth:`add` keeps its single-entry meaning.  Symmetry is the callers'
+    invariant: :meth:`add_star` and :meth:`add_square` keep it, and point
+    writes come in mirrored pairs or on the diagonal.
+    """
+
+    __slots__ = ()
+
+    def add(self, row: Label, column: Label, delta: int) -> None:
+        """Add ``delta`` to the one entry ``(row, column)``."""
+        if delta == 0:
+            return
+        rows = self._rows
+        row_map = rows.get(row)
+        if row_map is None:
+            rows[row] = {column: delta}
+            self._nnz += 1
+            return
+        updated = row_map.get(column, 0) + delta
+        if updated == 0:
+            del row_map[column]
+            self._nnz -= 1
+            if not row_map:
+                del rows[row]
+        else:
+            if updated == delta:
+                self._nnz += 1
+            row_map[column] = updated
+
+    def add_star(self, center: Label, others: Iterable[Label], delta: int) -> None:
+        """``W += delta·(e_center·1_X^T + 1_X·e_center^T)`` over ``X =
+        others``: ``[center, x]`` and ``[x, center]`` gain ``delta`` for every
+        ``x``, in one pass.  An ``x`` equal to ``center`` adds ``2·delta`` to
+        the diagonal entry, which is both of its orientations."""
+        if not others or delta == 0:
+            return
+        rows = self._rows
+        center_row = rows.get(center)
+        if center_row is None:
+            center_row = rows[center] = {}
+        get = center_row.get
+        row_of = rows.get
+        nnz_delta = 0
+        for x in others:
+            value = get(x)
+            if value is None:
+                center_row[x] = delta
+                nnz_delta += 1
+            elif value + delta:
+                center_row[x] = value + delta
+            else:
+                del center_row[x]
+                nnz_delta -= 1
+            row_map = row_of(x)
+            if row_map is None:
+                rows[x] = {center: delta}
+                nnz_delta += 1
+                continue
+            value = row_map.get(center)
+            if value is None:
+                row_map[center] = delta
+                nnz_delta += 1
+            elif value + delta:
+                row_map[center] = value + delta
+            else:
+                del row_map[center]
+                nnz_delta -= 1
+                # The center's row may empty mid-pass and refill; it is
+                # dropped once, after the pass.
+                if not row_map and x != center:
+                    del rows[x]
+        self._nnz += nnz_delta
+        if not center_row:
+            del rows[center]
+
+    def add_square(self, members: Iterable[Label], delta: int) -> None:
+        """``[a, b] += delta`` for every ordered pair of ``members``, the
+        diagonal included: every wedge through one middle vertex, whose
+        neighbourhood ``members`` is."""
+        members = list(members)
+        for index, center in enumerate(members):
+            self.add(center, center, delta)
+            self.add_star(center, members[index + 1:], delta)
+
+    @classmethod
+    def from_csr(cls, matrix: CsrMatrix, labels: Sequence[Label]) -> "SymmetricCountMatrix":
+        """Name a symmetric positional matrix's rows and columns
+        ``labels[i]``, promoting one row dict per non-empty row."""
+        if not matrix.nnz:
+            return cls()
+        if _has_duplicates(labels):
+            return cls._summed(matrix, labels, labels)
+        return cls._promoted(matrix, labels, label_array(labels))
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray, labels: Sequence[Label]) -> "SymmetricCountMatrix":
+        """:meth:`from_csr` over the non-zero entries of a dense array."""
+        return cls.from_csr(CsrMatrix.from_dense(dense), labels)
 
 
 def aligned_left_operand(left_csr: CountMatrixCSR, right_csr: CountMatrixCSR) -> CsrMatrix:

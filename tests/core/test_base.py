@@ -128,3 +128,14 @@ class TestApplyBatch:
         any_counter.apply_batch(UpdateStream.from_edges(edges))
         assert len(rebuilds) == 1
         assert any_counter.is_consistent()
+
+    def test_load_state_registers_vertices_in_order(self, any_counter):
+        # A restore registers its vertex list in one bulk step: isolated and
+        # repeated vertices included, the interner ids come out in the order
+        # one add_vertex per vertex would give, then the edges' new endpoints.
+        vertices = [5, "a", 5, (0, "x"), 2, 9]
+        edges = [(2, 5), ("a", 7), (7, 9)]
+        any_counter.load_state(vertices, edges)
+        assert any_counter.graph.interner.labels == [5, "a", (0, "x"), 2, 9, 7]
+        assert any_counter.graph.vertices() == (5, "a", (0, "x"), 2, 9, 7)
+        assert any_counter.is_consistent()

@@ -11,7 +11,10 @@ phase-fmm, whose query scans every new ``B`` tuple), the windows that fill a
 small dense graph rebuild, brute-force never densifies a large sparse graph,
 set-up and ``load_state`` rebuild without the decision pricing the window,
 and served-durable's small windows replay without it, on an O(1) bound that
-is never below the summed price.
+is never below the summed price.  Testing that bound before counting the
+window's new vertices changes no window's path: every decision below is
+checked against ``reference_replay_is_cheaper``, the decision that counts
+them first.
 """
 
 from __future__ import annotations
@@ -45,6 +48,28 @@ def _make(name: str, path: str = "chosen"):
     thresholds), forced to ``path`` unless it is "chosen"."""
     counter = make_counter(name) if name in COUNTERS else counter_spec(name).create()
     return counter if path == "chosen" else force_batch_path(counter, path)
+
+
+def reference_replay_is_cheaper(counter, batch) -> bool:
+    """The batch-path decision with the rebuild always priced after the
+    window's new vertices."""
+    graph = counter.graph
+    rebuild = counter._rebuild_cost(
+        graph.num_vertices + len(batch.touched_vertices.difference(graph.adjacency)),
+        graph.num_edges + batch.net_edge_delta(),
+    )
+    if len(batch) * REPLAY_UPDATE_COST >= rebuild:
+        return False
+    if counter._replay_bound(batch) < rebuild:
+        return True
+    return counter._replay_cost(batch, rebuild) < rebuild
+
+
+def _decide(counter, batch) -> bool:
+    """``counter``'s decision on ``batch``, checked against the reference."""
+    replay = counter._replay_is_cheaper(batch)
+    assert replay == reference_replay_is_cheaper(counter, batch)
+    return replay
 
 
 def _counts_at_boundaries(counter, updates, window: int) -> list:
@@ -128,6 +153,52 @@ def test_the_replay_bound_bounds_the_replay_price(name, window):
             counter.apply_batch(batch)
 
 
+def _random_windows(rng, num_vertices: int, live: list, count: int) -> list:
+    """``count`` windows of 1-96 updates: deletions of live edges,
+    insertions among the graph's vertices and insertions that bring new
+    ones, with repeats that cancel."""
+    present = set(live)
+    fresh = num_vertices
+    windows = []
+    for _ in range(count):
+        window = []
+        for _ in range(rng.randint(1, 96)):
+            roll = rng.random()
+            if roll < 0.35 and present:
+                edge = rng.choice(sorted(present))
+                present.discard(edge)
+                window.append(EdgeUpdate.delete(*edge))
+                continue
+            if roll < 0.55:
+                u, v = fresh, rng.randrange(fresh + 1)
+                fresh += 1
+            else:
+                u, v = rng.randrange(fresh), rng.randrange(fresh)
+            edge = (min(u, v), max(u, v))
+            if u != v and edge not in present:
+                present.add(edge)
+                window.append(EdgeUpdate.insert(*edge))
+        windows.append(window)
+    return windows
+
+
+@pytest.mark.parametrize(
+    "num_vertices, num_edges", [(12, 30), (60, 90), (400, 500), (3_000, 1_500)]
+)
+@pytest.mark.parametrize("name", ALL_COUNTERS)
+def test_random_windows_take_the_reference_path(name, num_vertices, num_edges):
+    """On loaded graphs of several densities, random windows, many of them
+    bringing new vertices, are each decided as the reference decides."""
+    rng, live = _uniform_graph(num_vertices, num_edges, seed=num_vertices)
+    counter = _make(name)
+    counter.load_state(range(num_vertices), live)
+    chosen = _recording(counter)
+    for window in _random_windows(rng, num_vertices, live, 12):
+        counter.apply_batch(window)
+    assert len(chosen) >= 10
+    assert counter.count == count_four_cycles_wedges(counter.graph)
+
+
 def _uniform_graph(num_vertices: int, num_edges: int, seed: int) -> tuple:
     rng = random.Random(seed)
     live: dict = {}
@@ -183,13 +254,16 @@ def _unexported(counter):
 
 
 def _recording(counter) -> list:
-    """Record every decision of ``counter`` as ``(net size, replayed)``."""
+    """Record every decision of ``counter`` as ``(net size, replayed)``,
+    each checked against the reference."""
     chosen = []
     decide = counter._replay_is_cheaper
 
     def recording(batch):
-        chosen.append((len(batch), decide(batch)))
-        return chosen[-1][1]
+        replay = decide(batch)
+        assert replay == reference_replay_is_cheaper(counter, batch)
+        chosen.append((len(batch), replay))
+        return replay
 
     counter._replay_is_cheaper = recording
     return chosen
@@ -200,7 +274,7 @@ class TestTheChoiceOnFittedShapes:
         counter, rng, live = _loaded(AssadiShahCounter)
         window = _churn_window(rng, live, 10_000, 256)
         batch = normalize_batch(window, counter.graph.has_edge)
-        assert counter._replay_is_cheaper(batch)
+        assert _decide(counter, batch)
         _unexported(counter)
         counter.cost.reset()
         counter.apply_batch(batch)
@@ -211,7 +285,7 @@ class TestTheChoiceOnFittedShapes:
         counter, rng, live = _loaded(PhaseFMMCounter)
         window = _churn_window(rng, live, 10_000, 256)
         batch = normalize_batch(window, counter.graph.has_edge)
-        assert not counter._replay_is_cheaper(batch)
+        assert not _decide(counter, batch)
         counter.cost.reset()
         counter.apply_batch(batch)
         assert counter.cost.get("batch_rebuild") > 0
@@ -229,7 +303,7 @@ class TestTheChoiceOnFittedShapes:
         counter, rng, live = _loaded(counter_spec(name).create, num_vertices, num_edges)
         window = _churn_window(rng, live, num_vertices, size)
         batch = normalize_batch(window, counter.graph.has_edge)
-        assert counter._replay_is_cheaper(batch)
+        assert _decide(counter, batch)
         _unexported(counter)
         counter.apply_batch(batch)
         assert counter.count == count_four_cycles_wedges(counter.graph)
@@ -290,7 +364,7 @@ class TestTheChoiceOnFittedShapes:
         batch = normalize_batch([EdgeUpdate.insert(u, v) for u, v in edges])
         touched = len(batch.touched_vertices)
         assert len(batch) * REPLAY_UPDATE_COST >= fresh._rebuild_cost(touched, num_edges)
-        assert not fresh._replay_is_cheaper(batch)
+        assert not _decide(fresh, batch)
 
         restored = _make(name)
         restored._replay_cost = unpriced
@@ -301,21 +375,32 @@ class TestTheChoiceOnFittedShapes:
     @pytest.mark.parametrize("name", ["wedge", "hhh22"])
     def test_served_durable_windows_replay_without_being_priced(self, name, size):
         """The served-durable shape's small windows are decided by the O(1)
-        replay bound; hhh22's bound, at its low-degree threshold, settles
-        only the 8-update window."""
+        replay bound, against the rebuild priced at the vertices the graph
+        already holds (its new vertices are not counted); hhh22's bound, at
+        its low-degree threshold, settles only the 8-update window."""
         counter, rng, live = _loaded(counter_spec(name).create, 20_000, 10_000)
         window = _churn_window(rng, live, 20_000, size)
         batch = normalize_batch(window, counter.graph.has_edge)
-        priced = []
-        price = counter._replay_cost
+        priced, rebuilds = [], []
+        price, rebuild_price = counter._replay_cost, counter._rebuild_cost
 
         def recording(batch, limit):
             priced.append(len(batch))
             return price(batch, limit)
 
+        def recording_rebuild(vertices, edges):
+            rebuilds.append(vertices)
+            return rebuild_price(vertices, edges)
+
         counter._replay_cost = recording
+        counter._rebuild_cost = recording_rebuild
         assert counter._replay_is_cheaper(batch)
-        assert priced == ([] if name == "wedge" or size == 8 else [size])
+        settled = name == "wedge" or size == 8
+        assert priced == ([] if settled else [size])
+        if settled:
+            assert rebuilds == [counter.graph.num_vertices]
+        del counter._replay_cost, counter._rebuild_cost
+        assert reference_replay_is_cheaper(counter, batch)
 
     @pytest.mark.parametrize("counter_class", [AssadiShahCounter, PhaseFMMCounter])
     def test_e10s_dense_graph_rebuilds(self, counter_class):

@@ -32,6 +32,40 @@ class TestStructure:
         assert graph.num_vertices == 1
         assert graph.degree("x") == 0
 
+    @pytest.mark.parametrize(
+        "before, vertices",
+        [
+            ([], [3, "b", 3, (0, "x"), 1]),
+            ([(1, 2)], [2, 5, 1, 6, 5]),
+            ([("a", "b")], iter(["c", "a", "d"])),
+            ([(1, 2)], frozenset({9, 1, 7, 2, 8})),
+            ([(1, 2)], []),
+        ],
+    )
+    def test_add_vertices_registers_as_add_vertex_does(self, before, vertices):
+        """Bulk registration gives the graph one add_vertex per vertex would:
+        the same vertices, interner ids and edges, known vertices skipped."""
+        vertices = list(vertices)
+        bulk, single = DynamicGraph(edges=before), DynamicGraph(edges=before)
+        bulk.add_vertices(iter(vertices))
+        for vertex in vertices:
+            single.add_vertex(vertex)
+        assert bulk.vertices() == single.vertices()
+        assert bulk.interner.labels == single.interner.labels
+        for vertex in single.vertices():
+            assert bulk.interner.id_of(vertex) == single.interner.id_of(vertex)
+            assert bulk.degree(vertex) == single.degree(vertex)
+        bulk.insert_edge(vertices[0] if vertices else 1, "new")
+        single.insert_edge(vertices[0] if vertices else 1, "new")
+        assert bulk.csr_matrix().cols.tolist() == single.csr_matrix().cols.tolist()
+        assert bulk.edges() == single.edges()
+
+    def test_add_vertices_invalidates_the_csr_view(self):
+        graph = DynamicGraph(edges=[(0, 1)])
+        indptr, _ = graph.csr_view()
+        graph.add_vertices([2, 3])
+        assert len(graph.csr_view()[0]) == len(indptr) + 2
+
     def test_degree_and_neighbors(self):
         graph = DynamicGraph(edges=square_edges())
         assert graph.degree("a") == 2

@@ -43,6 +43,13 @@ class TestVertexInterner:
         with pytest.raises(KeyError):
             interner.id_of("missing")
 
+    def test_intern_new_assigns_the_next_ids_in_order(self):
+        bulk, single = VertexInterner(["a"]), VertexInterner(["a"])
+        bulk.intern_new(["c", 1, (0, "x")])
+        single.intern_many(["c", 1, (0, "x")])
+        assert bulk.labels == single.labels == ["a", "c", 1, (0, "x")]
+        assert [bulk.id_of(label) for label in bulk.labels] == [0, 1, 2, 3]
+
     def test_labels_in_id_order(self):
         interner = VertexInterner()
         interner.intern_many(["c", "a", "b"])
